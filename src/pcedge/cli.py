@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import metrics, net, segment, synth, trainer
 from .cloud import add_gaussian_noise, deduplicate, downsample
-from .errors import NumericalError, PcedgeError
+from .errors import InvalidInput, NumericalError, PcedgeError
 from .io import load_cloud, save_cloud
 
 
@@ -86,7 +86,10 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_synth(args) -> int:
-    size = tuple(float(v) for v in args.size.split(",")) if args.size else ()
+    try:
+        size = tuple(float(v) for v in args.size.split(",")) if args.size else ()
+    except ValueError as exc:
+        raise InvalidInput(f"--size must be comma-separated numbers, got {args.size!r}") from exc
     spec = synth.ShapeSpec(kind=args.shape, size=size, density=args.density,
                            tau=args.tau, seed=args.seed)
     result = synth.generate(spec)
@@ -120,8 +123,9 @@ def _cmd_predict(args) -> int:
     threads = args.threads if args.threads > 0 else (os.cpu_count() or 1)
     predicted, stats = trainer.predict(cloud, params, batch=args.batch, threads=threads)
     save_cloud(predicted, args.out)
-    print(f"throughput: {stats['pps']:.0f} points/sec "
-          f"(model inference {stats['infer_seconds']:.3f}s for {cloud.n} points)",
+    print(f"throughput: {stats['pps']:.0f} points/sec end to end "
+          f"({stats['wall_seconds']:.3f}s for {cloud.n} points; "
+          f"model {stats['model_seconds']:.3f}s summed over windows)",
           file=sys.stderr)
     print(f"predicted {int(predicted.labels.sum())} edge points of {cloud.n}; wrote {args.out}")
     return 0

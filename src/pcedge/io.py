@@ -137,13 +137,22 @@ def write_ply(cloud: PointCloud, path, segments: np.ndarray | None = None) -> No
 
 
 def load_cloud(path) -> PointCloud:
-    """Read a cloud, dispatching on the file suffix (.xyz/.txt or .ply)."""
+    """Read a cloud, dispatching on the file suffix (.xyz/.txt or .ply).
+
+    Unparsable content (bad numbers, bad counts, undecodable bytes) raises
+    InvalidInput naming the file.
+    """
     suffix = Path(path).suffix.lower()
     if suffix == ".ply":
-        return read_ply(path)
-    if suffix in (".xyz", ".txt"):
-        return read_xyz(path)
-    raise InvalidInput(f"unsupported cloud format {suffix!r} (use .xyz, .txt, or .ply)")
+        reader = read_ply
+    elif suffix in (".xyz", ".txt"):
+        reader = read_xyz
+    else:
+        raise InvalidInput(f"unsupported cloud format {suffix!r} (use .xyz, .txt, or .ply)")
+    try:
+        return reader(path)
+    except ValueError as exc:  # includes UnicodeDecodeError
+        raise InvalidInput(f"{path}: {exc}") from exc
 
 
 def save_cloud(cloud: PointCloud, path, segments: np.ndarray | None = None) -> None:

@@ -119,10 +119,6 @@ def init_params(k: int, heads: int = 2, seed: int = 0) -> ModelParameters:
     return ModelParameters(k, heads, tensors)
 
 
-def param_count(params: ModelParameters) -> int:
-    return params.param_count()
-
-
 def _ensure_finite(arr: np.ndarray, what: str) -> None:
     if not np.isfinite(arr).all():
         raise NumericalError(f"non-finite values in {what}")
@@ -131,6 +127,11 @@ def _ensure_finite(arr: np.ndarray, what: str) -> None:
 # ---------------------------------------------------------------------------
 # Elementary layers (batched, with caches for the backward pass)
 # ---------------------------------------------------------------------------
+
+def _col_sum(a2):
+    # Column sums as a GEMV: sum(axis=0) over many short rows is slow in numpy.
+    return np.ones(a2.shape[0]) @ a2
+
 
 def _linear_fwd(x, w, b):
     # One 2-d GEMM regardless of leading dims; stacked matmul would loop.
@@ -143,148 +144,166 @@ def _linear_bwd(dout, cache):
     x, w = cache
     in_d, out_d = w.shape
     dout2 = dout.reshape(-1, out_d)
-    x2 = x.reshape(-1, in_d)
     dx = (dout2 @ w.T).reshape(x.shape)
-    dw = x2.T @ dout2
-    db = dout2.sum(axis=0)
-    return dx, dw, db
+    dw = x.reshape(-1, in_d).T @ dout2
+    return dx, dw, _col_sum(dout2)
 
 
-def _relu_fwd(x):
-    return np.maximum(x, 0.0), x > 0.0
+def _layers(prefix, ids):
+    """(weight, bias) tensor names of the Linear layers `prefix`.w{j}/b{j}."""
+    return [(f"{prefix}.w{j}", f"{prefix}.b{j}") for j in ids]
 
 
-def _relu_bwd(dout, mask):
-    return dout * mask
+def _mlp_fwd(x, p, layers):
+    """Linear layers named by (weight, bias) pairs, ReLU between them, linear output.
+
+    ReLU runs in place on each hidden pre-activation; the backward pass gates
+    with the stored activation (a > 0), so no mask is kept.
+    """
+    caches = []
+    for j, (wname, bname) in enumerate(layers):
+        if j:
+            np.maximum(x, 0.0, out=x)
+        x, cache = _linear_fwd(x, p[wname], p[bname])
+        caches.append(cache)
+    return x, caches
+
+
+def _mlp_bwd(dout, caches, grads, layers):
+    for j in range(len(layers) - 1, -1, -1):
+        wname, bname = layers[j]
+        dout, grads[wname], grads[bname] = _linear_bwd(dout, caches[j])
+        if j:
+            dout *= caches[j][0] > 0.0
+    return dout
 
 
 _MEAN_VEC = np.full(WIDTH, 1.0 / WIDTH)
+_CENTER = np.eye(WIDTH) - 1.0 / WIDTH
 
 
 def _layernorm_fwd(x, g, b):
-    # Row means via matvec: reductions over a length-6 axis are slow in numpy.
-    mu = (x @ _MEAN_VEC)[..., None]
-    ex2 = ((x * x) @ _MEAN_VEC)[..., None]
-    inv = 1.0 / np.sqrt(ex2 - mu * mu + LN_EPS)
-    xhat = (x - mu) * inv
-    return g * xhat + b, (xhat, inv, g)
+    """Layer norm over the WIDTH columns of (rows, WIDTH) activations.
+
+    Centring and row means run as matrix products: per-row reductions and
+    broadcasts over a length-6 axis are slow in numpy.
+    """
+    xhat = x @ _CENTER
+    inv = (1.0 / np.sqrt((xhat * xhat) @ _MEAN_VEC + LN_EPS))[:, None]
+    xhat *= inv
+    out = xhat * g
+    out += b
+    return out, (xhat, inv, g)
 
 
 def _layernorm_bwd(dout, cache):
     xhat, inv, g = cache
-    dg = (dout * xhat).reshape(-1, xhat.shape[-1]).sum(axis=0)
-    db = dout.reshape(-1, xhat.shape[-1]).sum(axis=0)
+    dg = _col_sum(dout * xhat)
+    db = _col_sum(dout)
     dxhat = dout * g
-    dx = inv * (
-        dxhat
-        - (dxhat @ _MEAN_VEC)[..., None]
-        - xhat * ((dxhat * xhat) @ _MEAN_VEC)[..., None]
-    )
+    dx = dxhat @ _CENTER
+    dx -= xhat * ((dxhat * xhat) @ _MEAN_VEC)[:, None]
+    dx *= inv
     return dx, dg, db
 
 
-def _softmax_fwd(s):
-    shape = s.shape
-    s2 = s.reshape(-1, shape[-1])
-    e = np.exp(s2 - s2.max(axis=1)[:, None])
-    e /= e.sum(axis=1)[:, None]
-    return e.reshape(shape)
+def _softmax_cols(s):
+    """Softmax over axis 0 of a (k, n) array, in place.
+
+    Attention scores are laid out with the softmax axis first, so the max,
+    the sum and both broadcasts run along contiguous rows of length n; over
+    a short last axis numpy would run one inner loop per row.
+    """
+    s -= s.max(axis=0)
+    np.exp(s, out=s)
+    s *= 1.0 / (np.ones(s.shape[0]) @ s)
+    return s
 
 
-def _softmax_bwd(dout, p):
-    shape = p.shape
-    d2 = dout.reshape(-1, shape[-1])
-    p2 = p.reshape(-1, shape[-1])
-    return (p2 * (d2 - (d2 * p2).sum(axis=1)[:, None])).reshape(shape)
+def _heads(x2, b, k, heads, parts):
+    """(b*k, parts*WIDTH) rows -> `parts` views of shape (b, heads, k, WIDTH/heads).
+
+    The views share memory with x2; matmul reads and writes them in place.
+    """
+    v = x2.reshape(b, k, parts, heads, WIDTH // heads)
+    return [v[:, :, j].transpose(0, 2, 1, 3) for j in range(parts)]
 
 
-def _split_heads(x2, b, k, heads):
-    """(b*k, d) rows -> (b, heads, k, d/heads)."""
-    return x2.reshape(b, k, heads, WIDTH // heads).transpose(0, 2, 1, 3)
+def _scores_view(s, b, k, heads):
+    """(b, heads, k_i, k_j) view of a (k_j, b*heads*k_i) score array.
 
-
-def _merge_heads(x):
-    """(b, heads, k, dh) -> (b*k, heads*dh) rows."""
-    b, h, k, dh = x.shape
-    return np.ascontiguousarray(x.transpose(0, 2, 1, 3)).reshape(b * k, h * dh)
+    Row j of the array holds the scores of key j for every (patch, head,
+    query i), which is the layout _softmax_cols wants.
+    """
+    return s.reshape(k, b, heads, k).transpose(1, 2, 3, 0)
 
 
 def _attention_fwd(x2, b, k, p, prefix, heads):
     """Multi-head self-attention over the k neighbor rows (no masking).
 
     Operates on flat (b*k, WIDTH) rows; positions couple only inside the
-    per-head score/softmax/context stage.
+    per-head score/softmax/context stage. q, k and v come from one
+    (WIDTH, 3*WIDTH) projection with the score scale folded into q.
     """
-    q, cq = _linear_fwd(x2, p[f"{prefix}.wq"], p[f"{prefix}.bq"])
-    kx, ck = _linear_fwd(x2, p[f"{prefix}.wk"], p[f"{prefix}.bk"])
-    v, cv = _linear_fwd(x2, p[f"{prefix}.wv"], p[f"{prefix}.bv"])
-    qh = _split_heads(q, b, k, heads)
-    kh = _split_heads(kx, b, k, heads)
-    vh = _split_heads(v, b, k, heads)
     alpha = 1.0 / np.sqrt(WIDTH // heads)
-    scores = (qh @ kh.transpose(0, 1, 3, 2)) * alpha
-    attn = _softmax_fwd(scores)
-    ctx = _merge_heads(attn @ vh)
+    w = np.concatenate([p[f"{prefix}.wq"] * alpha, p[f"{prefix}.wk"], p[f"{prefix}.wv"]], axis=1)
+    bias = np.concatenate([p[f"{prefix}.bq"] * alpha, p[f"{prefix}.bk"], p[f"{prefix}.bv"]])
+    qkv, cqkv = _linear_fwd(x2, w, bias)
+    q, kx, v = _heads(qkv, b, k, heads, 3)
+    attn_cols = np.empty((k, b * heads * k))
+    attn = _scores_view(attn_cols, b, k, heads)
+    np.matmul(q, kx.transpose(0, 1, 3, 2), out=attn)
+    _softmax_cols(attn_cols)
+    ctx = np.empty((b * k, WIDTH))
+    (ctx_h,) = _heads(ctx, b, k, heads, 1)
+    np.matmul(attn, v, out=ctx_h)
     out, co = _linear_fwd(ctx, p[f"{prefix}.wo"], p[f"{prefix}.bo"])
-    return out, (cq, ck, cv, co, qh, kh, vh, attn, alpha, heads)
+    return out, (cqkv, co, q, kx, v, attn_cols, alpha)
 
 
 def _attention_bwd(dout, b, k, cache, grads, prefix):
-    cq, ck, cv, co, qh, kh, vh, attn, alpha, heads = cache
+    cqkv, co, q, kx, v, attn_cols, alpha = cache
+    heads = q.shape[1]
+    attn = _scores_view(attn_cols, b, k, heads)
     dctx, grads[f"{prefix}.wo"], grads[f"{prefix}.bo"] = _linear_bwd(dout, co)
-    dctx = _split_heads(dctx, b, k, heads)
-    dattn = dctx @ vh.transpose(0, 1, 3, 2)
-    dvh = attn.transpose(0, 1, 3, 2) @ dctx
-    dscores = _softmax_bwd(dattn, attn) * alpha
-    dqh = dscores @ kh
-    dkh = dscores.transpose(0, 1, 3, 2) @ qh
-    dx1, grads[f"{prefix}.wq"], grads[f"{prefix}.bq"] = _linear_bwd(_merge_heads(dqh), cq)
-    dx2, grads[f"{prefix}.wk"], grads[f"{prefix}.bk"] = _linear_bwd(_merge_heads(dkh), ck)
-    dx3, grads[f"{prefix}.wv"], grads[f"{prefix}.bv"] = _linear_bwd(_merge_heads(dvh), cv)
-    dx1 += dx2
-    dx1 += dx3
-    return dx1
-
-
-def _mlp3_fwd(h, p, prefix):
-    """64 -> 16 -> 8 -> 1 head with ReLU on the hidden layers, linear output."""
-    z0, c0 = _linear_fwd(h, p[f"{prefix}.w0"], p[f"{prefix}.b0"])
-    a0, m0 = _relu_fwd(z0)
-    z1, c1 = _linear_fwd(a0, p[f"{prefix}.w1"], p[f"{prefix}.b1"])
-    a1, m1 = _relu_fwd(z1)
-    out, c2 = _linear_fwd(a1, p[f"{prefix}.w2"], p[f"{prefix}.b2"])
-    return out[..., 0], (c0, m0, c1, m1, c2)
-
-
-def _mlp3_bwd(dout, cache, grads, prefix):
-    c0, m0, c1, m1, c2 = cache
-    da1, grads[f"{prefix}.w2"], grads[f"{prefix}.b2"] = _linear_bwd(dout[..., None], c2)
-    dz1 = _relu_bwd(da1, m1)
-    da0, grads[f"{prefix}.w1"], grads[f"{prefix}.b1"] = _linear_bwd(dz1, c1)
-    dz0 = _relu_bwd(da0, m0)
-    dh, grads[f"{prefix}.w0"], grads[f"{prefix}.b0"] = _linear_bwd(dz0, c0)
-    return dh
+    (dctx,) = _heads(dctx, b, k, heads, 1)
+    dqkv = np.empty((b * k, 3 * WIDTH))
+    dq, dk, dv = _heads(dqkv, b, k, heads, 3)
+    np.matmul(attn.transpose(0, 1, 3, 2), dctx, out=dv)
+    ds_cols = np.empty_like(attn_cols)
+    ds = _scores_view(ds_cols, b, k, heads)
+    np.matmul(dctx, v.transpose(0, 1, 3, 2), out=ds)
+    # Softmax backward: ds = p * (dp - sum_j dp * p), summed along axis 0.
+    ds_cols -= np.ones(k) @ (ds_cols * attn_cols)
+    ds_cols *= attn_cols
+    np.matmul(ds, kx, out=dq)
+    np.matmul(ds.transpose(0, 1, 3, 2), q, out=dk)
+    dx, dw, db = _linear_bwd(dqkv, cqkv)
+    grads[f"{prefix}.wq"], grads[f"{prefix}.bq"] = dw[:, :WIDTH] * alpha, db[:WIDTH] * alpha
+    grads[f"{prefix}.wk"], grads[f"{prefix}.bk"] = dw[:, WIDTH:2 * WIDTH], db[WIDTH:2 * WIDTH]
+    grads[f"{prefix}.wv"], grads[f"{prefix}.bv"] = dw[:, 2 * WIDTH:], db[2 * WIDTH:]
+    return dx
 
 
 # ---------------------------------------------------------------------------
 # Model blocks
 # ---------------------------------------------------------------------------
 
-def _rbf_group_fwd(dvecs, scales, p, group):
-    """Per-neighbor descriptor pair for one k/2 group: (B, m) f_euc and f_cos."""
-    m_euc, m_cos = _basis_matrices(dvecs, scales)
+def _rbf_group_fwd(m_euc, m_cos, p, group):
+    """Per-neighbor descriptor pair for one k/2 group from its (B, m, m) basis
+    matrices: (B, m) f_euc and f_cos."""
     g_euc, ce = _linear_fwd(m_euc, p[f"rbf.{group}.euc_fc.w"], p[f"rbf.{group}.euc_fc.b"])
     g_cos, cc = _linear_fwd(m_cos, p[f"rbf.{group}.cos_fc.w"], p[f"rbf.{group}.cos_fc.b"])
     h = np.concatenate([g_euc, g_cos], axis=-1)
-    f_euc, che = _mlp3_fwd(h, p, f"rbf.{group}.euc_head")
-    f_cos, chc = _mlp3_fwd(h, p, f"rbf.{group}.cos_head")
-    return f_euc, f_cos, (ce, cc, che, chc)
+    f_euc, che = _mlp_fwd(h, p, _layers(f"rbf.{group}.euc_head", range(3)))
+    f_cos, chc = _mlp_fwd(h, p, _layers(f"rbf.{group}.cos_head", range(3)))
+    return f_euc[..., 0], f_cos[..., 0], (ce, cc, che, chc)
 
 
 def _rbf_group_bwd(df_euc, df_cos, cache, grads, group):
     ce, cc, che, chc = cache
-    dh = _mlp3_bwd(df_euc, che, grads, f"rbf.{group}.euc_head")
-    dh += _mlp3_bwd(df_cos, chc, grads, f"rbf.{group}.cos_head")
+    dh = _mlp_bwd(df_euc[..., None], che, grads, _layers(f"rbf.{group}.euc_head", range(3)))
+    dh += _mlp_bwd(df_cos[..., None], chc, grads, _layers(f"rbf.{group}.cos_head", range(3)))
     dg_euc, dg_cos = dh[..., :32], dh[..., 32:]
     _, grads[f"rbf.{group}.euc_fc.w"], grads[f"rbf.{group}.euc_fc.b"] = _linear_bwd(dg_euc, ce)
     _, grads[f"rbf.{group}.cos_fc.w"], grads[f"rbf.{group}.cos_fc.b"] = _linear_bwd(dg_cos, cc)
@@ -293,21 +312,17 @@ def _rbf_group_bwd(df_euc, df_cos, cache, grads, group):
 def _encoder_layer_fwd(x2, b, k, p, i, heads):
     """One pre-layer-norm encoder layer on flat (b*k, WIDTH) rows."""
     a, cl1 = _layernorm_fwd(x2, p[f"enc.{i}.ln1.g"], p[f"enc.{i}.ln1.b"])
-    attn_out, ca = _attention_fwd(a, b, k, p, f"enc.{i}.attn", heads)
-    x1 = x2 + attn_out
+    x1, ca = _attention_fwd(a, b, k, p, f"enc.{i}.attn", heads)
+    x1 += x2
     h, cl2 = _layernorm_fwd(x1, p[f"enc.{i}.ln2.g"], p[f"enc.{i}.ln2.b"])
-    z1, cf1 = _linear_fwd(h, p[f"enc.{i}.ffn.w1"], p[f"enc.{i}.ffn.b1"])
-    a1, mf = _relu_fwd(z1)
-    f2, cf2 = _linear_fwd(a1, p[f"enc.{i}.ffn.w2"], p[f"enc.{i}.ffn.b2"])
-    f2 += x1
-    return f2, (cl1, ca, cl2, cf1, mf, cf2)
+    out, cf = _mlp_fwd(h, p, _layers(f"enc.{i}.ffn", (1, 2)))
+    out += x1
+    return out, (cl1, ca, cl2, cf)
 
 
 def _encoder_layer_bwd(dout, b, k, cache, grads, i):
-    cl1, ca, cl2, cf1, mf, cf2 = cache
-    da1, grads[f"enc.{i}.ffn.w2"], grads[f"enc.{i}.ffn.b2"] = _linear_bwd(dout, cf2)
-    dz1 = _relu_bwd(da1, mf)
-    dh, grads[f"enc.{i}.ffn.w1"], grads[f"enc.{i}.ffn.b1"] = _linear_bwd(dz1, cf1)
+    cl1, ca, cl2, cf = cache
+    dh = _mlp_bwd(dout, cf, grads, _layers(f"enc.{i}.ffn", (1, 2)))
     dx1, grads[f"enc.{i}.ln2.g"], grads[f"enc.{i}.ln2.b"] = _layernorm_bwd(dh, cl2)
     dx1 += dout
     da = _attention_bwd(dx1, b, k, ca, grads, f"enc.{i}.attn")
@@ -318,29 +333,15 @@ def _encoder_layer_bwd(dout, b, k, cache, grads, i):
 
 def _decoder_fwd(x2, b, p):
     """Flatten each patch's (k, WIDTH) rows and decode to a probability."""
-    flat = x2.reshape(b, -1)
-    z0, c0 = _linear_fwd(flat, p["dec.w0"], p["dec.b0"])
-    a0, m0 = _relu_fwd(z0)
-    z1, c1 = _linear_fwd(a0, p["dec.w1"], p["dec.b1"])
-    a1, m1 = _relu_fwd(z1)
-    z2, c2 = _linear_fwd(a1, p["dec.w2"], p["dec.b2"])
-    a2, m2 = _relu_fwd(z2)
-    z3, c3 = _linear_fwd(a2, p["dec.w3"], p["dec.b3"])
-    e = expit(z3[:, 0])
-    return e, (c0, m0, c1, m1, c2, m2, c3, e, x2.shape)
+    z, caches = _mlp_fwd(x2.reshape(b, -1), p, _layers("dec", range(len(DEC_DIMS))))
+    e = expit(z[:, 0])
+    return e, (caches, e, x2.shape)
 
 
 def _decoder_bwd(de, cache, grads):
-    c0, m0, c1, m1, c2, m2, c3, e, xshape = cache
-    dz3 = (de * e * (1.0 - e))[:, None]
-    da2, grads["dec.w3"], grads["dec.b3"] = _linear_bwd(dz3, c3)
-    dz2 = _relu_bwd(da2, m2)
-    da1, grads["dec.w2"], grads["dec.b2"] = _linear_bwd(dz2, c2)
-    dz1 = _relu_bwd(da1, m1)
-    da0, grads["dec.w1"], grads["dec.b1"] = _linear_bwd(dz1, c1)
-    dz0 = _relu_bwd(da0, m0)
-    dflat, grads["dec.w0"], grads["dec.b0"] = _linear_bwd(dz0, c0)
-    return dflat.reshape(xshape)
+    caches, e, xshape = cache
+    dz = (de * e * (1.0 - e))[:, None]
+    return _mlp_bwd(dz, caches, grads, _layers("dec", range(len(DEC_DIMS)))).reshape(xshape)
 
 
 # ---------------------------------------------------------------------------
@@ -360,16 +361,19 @@ def forward_batch(dvecs: np.ndarray, offsets: np.ndarray, scales: np.ndarray,
     scales = np.asarray(scales, dtype=np.float64)
     if dvecs.ndim != 3 or dvecs.shape[1] != params.k or dvecs.shape[2] != 3:
         raise ModelShapeError(f"dvecs must be (B, {params.k}, 3), got {dvecs.shape}")
-    m = params.k // 2
+    b, k = dvecs.shape[0], params.k
+    m = k // 2
     p = params.tensors
 
-    fe1, fc1, cg1 = _rbf_group_fwd(dvecs[:, :m], scales, p, "first")
-    fe2, fc2, cg2 = _rbf_group_fwd(dvecs[:, m:], scales, p, "second")
+    # Basis matrices of both k/2 groups in one (2B, m, 3) batch, first group first.
+    groups = dvecs.reshape(b, 2, m, 3).transpose(1, 0, 2, 3).reshape(2 * b, m, 3)
+    m_euc, m_cos = _basis_matrices(groups, np.tile(scales, 2))
+    fe1, fc1, cg1 = _rbf_group_fwd(m_euc[:b], m_cos[:b], p, "first")
+    fe2, fc2, cg2 = _rbf_group_fwd(m_euc[b:], m_cos[b:], p, "second")
     feats = _feature_map(dvecs, offsets, scales, np.concatenate([fe1, fe2], axis=1),
                          np.concatenate([fc1, fc2], axis=1))
     _ensure_finite(feats, "feature map")
 
-    b, k = feats.shape[0], feats.shape[1]
     x = feats.reshape(b * k, WIDTH)
     enc_caches = []
     for i in range(N_LAYERS):
@@ -417,12 +421,6 @@ def forward(patch: SurfacePatch, params: ModelParameters) -> float:
     return float(e[0])
 
 
-def forward_with_cache(patch: SurfacePatch, params: ModelParameters):
-    e, cache = forward_batch(patch.dvecs[None], patch.proj_offsets[None],
-                             np.asarray([patch.scale]), params, need_cache=True)
-    return float(e[0]), cache
-
-
 # Per-block entry points kept callable on their own (mirrors of the batched
 # kernels, used directly by the tests).
 
@@ -434,7 +432,8 @@ def rbf_dos_forward(dvecs_group: np.ndarray, scale: float, params: ModelParamete
         raise ModelShapeError(
             f"group must hold k/2 = {params.k // 2} vectors, got {dvecs_group.shape}"
         )
-    fe, fc, _ = _rbf_group_fwd(dvecs_group[None], np.asarray([scale]), params.tensors, group)
+    m_euc, m_cos = _basis_matrices(dvecs_group[None], np.asarray([scale]))
+    fe, fc, _ = _rbf_group_fwd(m_euc, m_cos, params.tensors, group)
     return fe[0], fc[0]
 
 

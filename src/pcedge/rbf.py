@@ -68,16 +68,32 @@ def distance_matrices(dvecs: np.ndarray, scale: float) -> DistanceMatrices:
 
 
 def _basis_matrices(dvecs: np.ndarray, scales: np.ndarray):
-    """Batched core: (B, m, 3) vectors, (B,) scales -> two (B, m, m) matrices."""
-    norms = np.linalg.norm(dvecs, axis=2)
+    """Batched core: (B, m, 3) vectors, (B,) scales -> two (B, m, m) matrices.
+
+    Both matrices come from the Gram matrix G of the scale-normalized vectors:
+    cosines are G_ij / (|d_i| |d_j|) and squared distances
+    |d_i|^2 + |d_j|^2 - 2 G_ij, which is cheaper than materialising the
+    (B, m, m, 3) differences.
+    """
+    scaled = dvecs / scales[:, None, None]
+    gram = scaled @ scaled.transpose(0, 2, 1)
+    sq = np.einsum("bii->bi", gram)
+    norms = np.sqrt(sq)
     if (norms == 0.0).any():
         raise DuplicatePoint("zero-length neighbor vector (duplicate point)")
-    units = dvecs / norms[:, :, None]
-    cos = np.clip(units @ units.transpose(0, 2, 1), -1.0, 1.0)
-    m_cos = cos ** 3
-    diff = dvecs[:, :, None, :] - dvecs[:, None, :, :]
-    r = np.sqrt(np.einsum("bijd,bijd->bij", diff, diff)) / scales[:, None, None]
-    m_euc = np.exp(-(r * r))
+    inv = 1.0 / norms
+    cos = gram * inv[:, :, None]
+    cos *= inv[:, None, :]
+    np.clip(cos, -1.0, 1.0, out=cos)
+    m_cos = cos * cos
+    m_cos *= cos
+    # |d_i|^2 + |d_j|^2 is summed before 2 G_ij is taken off so that r2 stays
+    # exactly symmetric; cancellation can leave tiny negatives, hence the clamp.
+    r2 = sq[:, :, None] + sq[:, None, :]
+    r2 -= 2.0 * gram
+    np.maximum(r2, 0.0, out=r2)
+    np.negative(r2, out=r2)
+    m_euc = np.exp(r2, out=r2)
     m = dvecs.shape[1]
     diag = np.arange(m)
     m_cos[:, diag, diag] = 1.0

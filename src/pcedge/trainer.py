@@ -259,6 +259,9 @@ def train(cloud: PointCloud, cfg: TrainConfig, threads: int = 1):
     The log holds one dict per epoch with keys epoch, mean_loss,
     val_precision, val_recall, val_fscore, seconds.
     """
+    # Rejected before the dataset build, which extracts every rotated copy.
+    if cloud.labels is not None and np.unique(cloud.labels).size < 2:
+        raise InvalidInput("training labels contain a single class; cannot balance or learn")
     train_set, val_set = build_dataset(cloud, cfg)
     classes = np.unique(train_set.labels)
     if classes.size < 2:
@@ -307,9 +310,14 @@ def predict(cloud: PointCloud, params: net.ModelParameters, batch: int = 256,
     Patches are extracted in streamed chunks of at most `batch` rows, so
     memory stays bounded by O(batch * k) plus a small fixed window. The
     model itself always runs on fixed global windows, which keeps the
-    output bit-identical for every batch size and thread count. The stats
-    dict reports model-inference seconds and points per second.
+    output bit-identical for every batch size and thread count.
+
+    The stats dict holds `wall_seconds`, the wall time of the whole call
+    (index build, extraction and model); `pps`, points per wall second; and
+    `model_seconds`, the model's time summed over windows, which exceeds the
+    wall time when threads > 1 run windows concurrently.
     """
+    started = time.perf_counter()
     if batch < 1:
         raise InvalidInput("batch must be >= 1")
     if cloud.n < 2 * params.k + 1:
@@ -337,15 +345,18 @@ def predict(cloud: PointCloud, params: net.ModelParameters, batch: int = 256,
     windows = list(range(0, cloud.n, INFER_WINDOW))
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            infer_seconds = sum(pool.map(run_window, windows))
+            model_seconds = sum(pool.map(run_window, windows))
     else:
-        infer_seconds = sum(run_window(lo) for lo in windows)
+        model_seconds = sum(run_window(lo) for lo in windows)
     labels = (probs > 0.5).astype(np.int64)
+    predicted = cloud.with_predictions(probs, labels)
+    wall_seconds = time.perf_counter() - started
     stats = {
-        "infer_seconds": infer_seconds,
-        "pps": cloud.n / infer_seconds if infer_seconds > 0 else float("inf"),
+        "wall_seconds": wall_seconds,
+        "pps": cloud.n / wall_seconds,
+        "model_seconds": model_seconds,
     }
-    return cloud.with_predictions(probs, labels), stats
+    return predicted, stats
 
 
 def write_log(log: list[dict], path) -> None:

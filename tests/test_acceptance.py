@@ -29,6 +29,7 @@ from pcedge.cloud import (
     extract_patches,
 )
 from pcedge.io import save_cloud
+from pcedge.rbf import _basis_matrices
 
 
 def report(criterion, ok, detail):
@@ -93,13 +94,13 @@ def test_criterion_1_gradients():
         dvg = rng.normal(size=(3, 2, 3))
         scg = rng.uniform(0.5, 2.0, size=3)
         pe, pc = rng.normal(size=(3, 2)), rng.normal(size=(3, 2))
-        _, _, cache = net._rbf_group_fwd(dvg, scg, p, "first")
+        _, _, cache = net._rbf_group_fwd(*_basis_matrices(dvg, scg), p, "first")
         grads = {}
         net._rbf_group_bwd(pe, pc, cache, grads, "first")
         tensors = {n: p[n] for n in p if n.startswith("rbf.first.")}
 
         def rbf_loss():
-            fe, fc, _ = net._rbf_group_fwd(dvg, scg, p, "first")
+            fe, fc, _ = net._rbf_group_fwd(*_basis_matrices(dvg, scg), p, "first")
             return float((fe * pe).sum() + (fc * pc).sum())
 
         w, c = fd_check_grads(rbf_loss, tensors, grads, rng=rng)

@@ -75,6 +75,36 @@ class TestDataErrors:
         assert main(["eval", "--pred", str(a), "--gt", str(b)]) == 2
 
 
+PLY_HEADER = b"ply\nformat ascii 1.0\nelement vertex {n}\nproperty float x\nproperty float y\nproperty float z\nend_header\n"
+
+MALFORMED_CLOUDS = {
+    "ply_vertex_count": ("bad.ply", PLY_HEADER.replace(b"{n}", b"abc") + b"0 0 0\n"),
+    "ply_vertex_value": ("bad.ply", PLY_HEADER.replace(b"{n}", b"2") + b"0 0 0\n1 x 1\n"),
+    "xyz_not_utf8": ("bad.xyz", b"0 0 0\n1 1 \xff\n"),
+}
+
+
+class TestMalformedInput:
+    """Each malformed input gets a one-line diagnostic and exit code 2."""
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CLOUDS))
+    def test_cloud_file(self, case, tmp_path, capsys):
+        name, content = MALFORMED_CLOUDS[case]
+        src = tmp_path / name
+        src.write_bytes(content)
+        code = main(["segment", "--cloud", str(src), "--out", str(tmp_path / "o.xyz")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith(f"pcedge segment: {src}: ")
+
+    def test_synth_size(self, tmp_path, capsys):
+        code = main(["synth", "--shape", "box", "--size", "1,x,1",
+                     "--out", str(tmp_path / "c.xyz")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and "--size" in err
+
+
 class TestSynthCommand:
     def test_writes_cloud_and_metadata(self, tmp_path):
         out = tmp_path / "c.xyz"

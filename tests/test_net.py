@@ -11,8 +11,10 @@ from helpers import (
     reference_forward,
 )
 from pcedge import net
-from pcedge.cloud import SurfacePatch
+from pcedge.cloud import SurfacePatch, build_index, extract_patches
 from pcedge.errors import CorruptCheckpoint, ModelShapeError, StateError
+from pcedge.rbf import _basis_matrices
+from pcedge.synth import ShapeSpec, generate
 
 
 def zero_params(k, heads=2):
@@ -225,6 +227,16 @@ class TestFullForward:
         want = reference_forward(patch.dvecs, patch.proj_offsets, patch.scale, params)
         assert got == pytest.approx(want, abs=1e-12)
 
+    def test_batch_matches_reference_at_production_shape(self):
+        # k=16 and B=256 patches of the reference cloud, as predict runs them.
+        cloud = generate(ShapeSpec("union_boxes", density=4000, seed=7)).cloud
+        targets = np.linspace(0, cloud.n - 1, 256).astype(np.int64)
+        dvecs, offsets, _, scales, _ = extract_patches(cloud, build_index(cloud), targets, 16)
+        params = net.init_params(16, seed=5)
+        got, _ = net.forward_batch(dvecs, offsets, scales, params)
+        want = [reference_forward(dvecs[i], offsets[i], scales[i], params) for i in range(256)]
+        assert np.abs(got - np.asarray(want)).max() < 1e-12
+
     @pytest.mark.parametrize("seed", range(5))
     def test_scale_invariance(self, seed):
         rng = np.random.default_rng(seed)
@@ -293,11 +305,11 @@ class TestBackward:
         with pytest.raises(StateError):
             net.backward(params, None, np.zeros(1))
 
-    @pytest.mark.parametrize("seed", range(2))
-    def test_end_to_end_gradient_subsample(self, seed):
+    @pytest.mark.parametrize("seed, k", [(0, 4), (1, 4), (0, 16)], ids=["0", "1", "k16"])
+    def test_end_to_end_gradient_subsample(self, seed, k):
         rng = np.random.default_rng(seed)
-        params = net.init_params(4, seed=seed + 20)
-        dvecs, offsets, scales = random_patch_arrays(rng, 2, 4)
+        params = net.init_params(k, seed=seed + 20)
+        dvecs, offsets, scales = random_patch_arrays(rng, 2, k)
         y = np.array([1.0, 0.0])
         grads = end_to_end_grads(dvecs, offsets, scales, y, params)
         loss_fn = end_to_end_loss(dvecs, offsets, scales, y, params)
@@ -432,10 +444,10 @@ class TestGradientsPerLayer:
         proj_c = rng.normal(size=(3, 2))
 
         def loss_fn():
-            fe, fc, _ = net._rbf_group_fwd(dvecs, scales, p, "first")
+            fe, fc, _ = net._rbf_group_fwd(*_basis_matrices(dvecs, scales), p, "first")
             return float((fe * proj_e).sum() + (fc * proj_c).sum())
 
-        fe, fc, cache = net._rbf_group_fwd(dvecs, scales, p, "first")
+        fe, fc, cache = net._rbf_group_fwd(*_basis_matrices(dvecs, scales), p, "first")
         grads = {}
         net._rbf_group_bwd(proj_e, proj_c, cache, grads, "first")
         tensors = {n: p[n] for n in p if n.startswith("rbf.first.")}

@@ -104,6 +104,15 @@ class TestDistanceMatrices:
         assert (dm.m_euc > 0).all() and (dm.m_euc <= 1).all()
         assert (np.abs(dm.m_cos) <= 1).all()
 
+    def test_near_coincident_neighbors_stay_in_range(self):
+        # Squared distances from the Gram form can cancel to tiny negatives.
+        rng = np.random.default_rng(9)
+        for _ in range(200):
+            dvecs = rng.normal(size=(8, 3))
+            dvecs[1] = dvecs[0] + rng.normal(size=3) * 1e-9
+            dm = distance_matrices(dvecs, float(rng.uniform(0.5, 2.0)))
+            assert dm.m_euc.max() <= 1.0
+
     def test_zero_vector_rejected(self):
         with pytest.raises(DuplicatePoint):
             distance_matrices(np.array([[0.0, 0, 0], [1.0, 0, 0]]), 1.0)

@@ -1,9 +1,11 @@
 """Training protocol: loss, dataset assembly, Adam, batching, prediction."""
 
+import time
+
 import numpy as np
 import pytest
 
-from pcedge import net
+from pcedge import net, trainer
 from pcedge.cloud import PointCloud
 from pcedge.errors import (
     InsufficientNeighborhood,
@@ -192,11 +194,17 @@ class TestBatchPlan:
 
 
 class TestTrain:
-    def test_lr_zero_equivalent_no_learning(self, small_cloud):
+    def test_lr_zero_equivalent_no_learning(self, small_cloud, monkeypatch):
         # lr must be positive per config; the no-learning analogue is checked
-        # via zero gradients in TestAdamStep. Here: single-class data errors.
+        # via zero gradients in TestAdamStep. Here: single-class data errors,
+        # raised before any patch is extracted.
         labels = np.zeros(small_cloud.n, dtype=int)
         cloud = PointCloud(small_cloud.points, labels)
+
+        def no_extraction(*args, **kwargs):
+            raise AssertionError("patches extracted from a single-class cloud")
+
+        monkeypatch.setattr(trainer, "extract_patches", no_extraction)
         with pytest.raises(InvalidInput):
             train(cloud, TrainConfig(k=8, max_epochs=1, augment=False))
 
@@ -241,6 +249,18 @@ class TestPredict:
         b, _ = predict(small_cloud, params, batch=17)
         assert np.array_equal(a.predictions, b.predictions)
         assert np.array_equal(a.labels, b.labels)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_throughput_is_end_to_end(self, small_cloud, threads):
+        params = net.init_params(16, seed=8)
+        started = time.perf_counter()
+        _, stats = predict(small_cloud, params, batch=128, threads=threads)
+        wall = time.perf_counter() - started
+        # The call times itself from inside, so it may read a hair faster.
+        assert stats["pps"] <= 1.01 * small_cloud.n / wall
+        assert stats["wall_seconds"] <= wall
+        assert stats["pps"] == pytest.approx(small_cloud.n / stats["wall_seconds"])
+        assert 0.0 < stats["model_seconds"]
 
     def test_threads_invariance(self, small_cloud):
         params = net.init_params(16, seed=8)
