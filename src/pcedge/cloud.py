@@ -134,7 +134,7 @@ class SpatialIndex:
         # the ones a brute-force scan would use, then sort (distance, index).
         diff = self._points[idx] - queries[:, None, :]
         dist = np.sqrt(np.einsum("bkd,bkd->bk", diff, diff))
-        order = _argsort_rows(dist, idx)
+        order = np.lexsort((idx, dist), axis=1)
         idx = np.take_along_axis(idx, order, axis=1)
         dist = np.take_along_axis(dist, order, axis=1)
 
@@ -150,15 +150,6 @@ class SpatialIndex:
                 keep = cand[np.lexsort((cand, d))][:kk]
                 idx[b, :kk] = keep
         return idx[:, :kk]
-
-
-def _argsort_rows(*keys: np.ndarray) -> np.ndarray:
-    """Per-row sort order for 2-d arrays, by the given keys in priority order."""
-    b, m = keys[0].shape
-    rows = np.repeat(np.arange(b), m)
-    stacked = [key.ravel() for key in reversed(keys)] + [rows]
-    order = np.lexsort(stacked).reshape(b, m)
-    return order - np.arange(b)[:, None] * m
 
 
 def build_index(cloud: PointCloud) -> SpatialIndex:
@@ -250,18 +241,12 @@ def extract_patches(cloud: PointCloud, index: SpatialIndex, targets: np.ndarray,
     nn = index.query_many(centers, n_cand + 1)
     # Drop the target itself from its candidate list; the remaining rows keep
     # their (distance, index) order. With exact duplicates the self index may
-    # land anywhere in the zero-distance tie group, or fall off the list.
-    is_self = nn == targets[:, None]
-    if is_self.any(axis=1).all():
-        keep_order = np.argsort(is_self, axis=1, kind="stable")[:, :n_cand]
-        keep_order.sort(axis=1)
-        cand = np.take_along_axis(nn, keep_order, axis=1)
-    else:
-        cand = np.empty((nn.shape[0], n_cand), dtype=np.int64)
-        for b in range(nn.shape[0]):
-            row = nn[b]
-            row = row[row != targets[b]]
-            cand[b] = row[:n_cand]
+    # land anywhere in the zero-distance tie group, or fall off the list, in
+    # which case the row keeps its first n_cand entries and the duplicate
+    # check below fires.
+    keep_order = np.argsort(nn == targets[:, None], axis=1, kind="stable")[:, :n_cand]
+    keep_order.sort(axis=1)
+    cand = np.take_along_axis(nn, keep_order, axis=1)
 
     dvecs_all = cloud.points[cand] - centers[:, None, :]
     cdist = np.sqrt(np.einsum("bkd,bkd->bk", dvecs_all, dvecs_all))
@@ -272,19 +257,28 @@ def extract_patches(cloud: PointCloud, index: SpatialIndex, targets: np.ndarray,
     axes = _min_axes(cloud.points[cand])
     off_all = np.abs(np.einsum("bkd,bd->bk", dvecs_all, axes))
 
-    # Keep the k smallest offsets; break ties by Euclidean distance, then index.
-    sel = _argsort_rows(off_all, cdist, cand)[:, :k]
-    kept_idx = np.take_along_axis(cand, sel, axis=1)
-    kept_d = np.take_along_axis(cdist, sel, axis=1)
-    kept_dvecs = np.take_along_axis(dvecs_all, sel[:, :, None], axis=1)
-    kept_off = np.take_along_axis(off_all, sel, axis=1)
+    # query_many orders rows by this same distance expression, except rows its
+    # exhaustive tie path ordered by np.linalg.norm, which can differ in the
+    # last bit. Re-sort any such row so every row is in (cdist, index) order.
+    # The axes above are taken over the rows in query order, before this.
+    step = np.diff(cdist, axis=1)
+    stray = np.nonzero(((step < 0) | ((step == 0) & (np.diff(cand, axis=1) < 0))).any(axis=1))[0]
+    order = np.lexsort((cand[stray], cdist[stray]), axis=1)
+    for arr in (cand, cdist, off_all):
+        arr[stray] = np.take_along_axis(arr[stray], order, axis=1)
+    dvecs_all[stray] = np.take_along_axis(dvecs_all[stray], order[:, :, None], axis=1)
 
-    # Final patch order: nondecreasing dvec norm, ties by neighbor index.
-    order = _argsort_rows(kept_d, kept_idx)
-    neighbor_idx = np.take_along_axis(kept_idx, order, axis=1)
-    dvecs = np.take_along_axis(kept_dvecs, order[:, :, None], axis=1)
-    offsets = np.take_along_axis(kept_off, order, axis=1)
-    scales = kept_d.mean(axis=1)
+    # Keep the k smallest offsets. With cand in (distance, index) order, a
+    # stable sort breaks offset ties by distance, then index, and sorting the
+    # kept positions gives the final (distance, index) order. The scale is
+    # the mean distance summed in offset order, before that sort: summing in
+    # distance order changes it in the last bit.
+    sel = np.argsort(off_all, axis=1, kind="stable")[:, :k]
+    scales = np.take_along_axis(cdist, sel, axis=1).mean(axis=1)
+    sel.sort(axis=1)
+    neighbor_idx = np.take_along_axis(cand, sel, axis=1)
+    dvecs = np.take_along_axis(dvecs_all, sel[:, :, None], axis=1)
+    offsets = np.take_along_axis(off_all, sel, axis=1)
     return dvecs, offsets, axes, scales, neighbor_idx
 
 

@@ -362,6 +362,10 @@ def forward_batch(dvecs: np.ndarray, offsets: np.ndarray, scales: np.ndarray,
     if dvecs.ndim != 3 or dvecs.shape[1] != params.k or dvecs.shape[2] != 3:
         raise ModelShapeError(f"dvecs must be (B, {params.k}, 3), got {dvecs.shape}")
     b, k = dvecs.shape[0], params.k
+    if offsets.shape != (b, k):
+        raise ModelShapeError(f"offsets must be ({b}, {k}), got {offsets.shape}")
+    if scales.shape != (b,):
+        raise ModelShapeError(f"scales must be ({b},), got {scales.shape}")
     m = k // 2
     p = params.tensors
 

@@ -201,3 +201,88 @@ def gapped_lattice_cube(n=40, jitter=0.2, seed=0):
     labels[gap] = 0
     from pcedge.cloud import PointCloud
     return PointCloud(pts, labels), face_ids, tau, h
+
+
+# Frozen oracle for patch extraction: the global-lexsort kNN query and the
+# three-sort extract_patches that the row-wise kernels in pcedge.cloud
+# replaced, unchanged apart from dropped input checks and comments, so those
+# kernels can be checked for byte identity against them.
+
+def _argsort_rows(*keys: np.ndarray) -> np.ndarray:
+    """Per-row sort order for 2-d arrays, by the given keys in priority order."""
+    b, m = keys[0].shape
+    rows = np.repeat(np.arange(b), m)
+    stacked = [key.ravel() for key in reversed(keys)] + [rows]
+    order = np.lexsort(stacked).reshape(b, m)
+    return order - np.arange(b)[:, None] * m
+
+
+def oracle_query_many(index, queries, k):
+    """SpatialIndex.query_many with one global lexsort over all rows."""
+    from pcedge.cloud import _TIE_PAD
+
+    queries = np.asarray(queries, dtype=np.float64)
+    n = index.n
+    kk = min(k, n)
+    pad = min(kk + _TIE_PAD, n)
+    _, idx = index._tree.query(queries, k=pad)
+    idx = idx.reshape(queries.shape[0], pad).astype(np.int64)
+    diff = index._points[idx] - queries[:, None, :]
+    dist = np.sqrt(np.einsum("bkd,bkd->bk", diff, diff))
+    order = _argsort_rows(dist, idx)
+    idx = np.take_along_axis(idx, order, axis=1)
+    dist = np.take_along_axis(dist, order, axis=1)
+
+    if pad < n:
+        risky = np.nonzero(dist[:, kk - 1] >= dist[:, pad - 1])[0]
+        for b in risky:
+            r = dist[b, kk - 1] * (1.0 + 1e-9) + 1e-300
+            cand = np.asarray(index._tree.query_ball_point(queries[b], r), dtype=np.int64)
+            d = np.linalg.norm(index._points[cand] - queries[b], axis=1)
+            keep = cand[np.lexsort((cand, d))][:kk]
+            idx[b, :kk] = keep
+    return idx[:, :kk]
+
+
+def oracle_extract_patches(cloud, index, targets, k):
+    """extract_patches with three global lexsorts and a per-row self-drop loop."""
+    from pcedge.cloud import _min_axes
+    from pcedge.errors import DuplicatePoint
+
+    targets = np.asarray(targets, dtype=np.int64)
+    n_cand = min(2 * k, cloud.n - 1)
+    centers = cloud.points[targets]
+    nn = oracle_query_many(index, centers, n_cand + 1)
+    is_self = nn == targets[:, None]
+    if is_self.any(axis=1).all():
+        keep_order = np.argsort(is_self, axis=1, kind="stable")[:, :n_cand]
+        keep_order.sort(axis=1)
+        cand = np.take_along_axis(nn, keep_order, axis=1)
+    else:
+        cand = np.empty((nn.shape[0], n_cand), dtype=np.int64)
+        for b in range(nn.shape[0]):
+            row = nn[b]
+            row = row[row != targets[b]]
+            cand[b] = row[:n_cand]
+
+    dvecs_all = cloud.points[cand] - centers[:, None, :]
+    cdist = np.sqrt(np.einsum("bkd,bkd->bk", dvecs_all, dvecs_all))
+    if (cdist[:, 0] == 0.0).any():
+        bad = int(targets[np.nonzero(cdist[:, 0] == 0.0)[0][0]])
+        raise DuplicatePoint(f"cloud contains a duplicate of point {bad}")
+
+    axes = _min_axes(cloud.points[cand])
+    off_all = np.abs(np.einsum("bkd,bd->bk", dvecs_all, axes))
+
+    sel = _argsort_rows(off_all, cdist, cand)[:, :k]
+    kept_idx = np.take_along_axis(cand, sel, axis=1)
+    kept_d = np.take_along_axis(cdist, sel, axis=1)
+    kept_dvecs = np.take_along_axis(dvecs_all, sel[:, :, None], axis=1)
+    kept_off = np.take_along_axis(off_all, sel, axis=1)
+
+    order = _argsort_rows(kept_d, kept_idx)
+    neighbor_idx = np.take_along_axis(kept_idx, order, axis=1)
+    dvecs = np.take_along_axis(kept_dvecs, order[:, :, None], axis=1)
+    offsets = np.take_along_axis(kept_off, order, axis=1)
+    scales = kept_d.mean(axis=1)
+    return dvecs, offsets, axes, scales, neighbor_idx

@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 from concurrent.futures import ThreadPoolExecutor
+from hypothesis import given, settings, strategies as st
 
+from helpers import (
+    gapped_lattice_cube,
+    lattice_cube,
+    oracle_extract_patches,
+    oracle_query_many,
+)
+from pcedge import synth
 from pcedge.cloud import (
     PointCloud,
     add_gaussian_noise,
@@ -297,6 +305,19 @@ class TestExtractPatch:
         with pytest.raises(DuplicatePoint):
             extract_patch(cloud, index, 7, 16)
 
+    def test_target_pushed_off_its_own_candidate_list(self):
+        # 40 copies of the last point, all with smaller indices: the 33-entry
+        # query keeps the first 33 of the 41 coincident points, so the target
+        # itself is not among its candidates.
+        rng = np.random.default_rng(5)
+        pts = rng.random((100, 3))
+        pts[10:50] = pts[99]
+        cloud = PointCloud(pts)
+        index = build_index(cloud)
+        assert 99 not in index.query(pts[99], 33)
+        with pytest.raises(DuplicatePoint, match=r"duplicate of point 99$"):
+            extract_patches(cloud, index, np.array([3, 99]), 16)
+
     def test_odd_k_rejected(self):
         cloud = PointCloud(np.random.default_rng(0).random((100, 3)))
         with pytest.raises(InvalidInput):
@@ -325,6 +346,106 @@ class TestExtractPatch:
             assert np.array_equal(dv[row], patch.dvecs)
             assert np.array_equal(ni[row], patch.neighbor_indices)
             assert sc[row] == patch.scale
+
+
+@st.composite
+def tricky_clouds(draw, min_points=2):
+    """Random, integer-lattice, coplanar or duplicate-laden small clouds."""
+    kind = draw(st.sampled_from(["random", "lattice", "coplanar", "duplicates"]))
+    n = draw(st.integers(min_points, 90))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "random":
+        pts = rng.random((n, 3))
+    elif kind == "lattice":
+        cells = rng.choice(6 ** 3, size=n, replace=False)
+        pts = np.column_stack(np.unravel_index(cells, (6, 6, 6))).astype(np.float64)
+    elif kind == "coplanar":
+        pts = np.column_stack([rng.random(n), rng.random(n), np.zeros(n)])
+        pts = pts[:, rng.permutation(3)]
+    else:
+        pts = rng.random((n, 3))
+        copies = rng.integers(0, n, size=draw(st.integers(1, n)))
+        pts[rng.integers(0, n, size=copies.size)] = pts[copies]
+    return PointCloud(pts)
+
+
+class TestBruteForceProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(cloud=tricky_clouds(), k=st.integers(1, 40))
+    def test_query_many_matches_brute_force(self, cloud, k):
+        got = build_index(cloud).query_many(cloud.points, k)
+        want = np.array([brute_force_knn(cloud.points, q, k) for q in cloud.points])
+        assert np.array_equal(got, want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(cloud=tricky_clouds(min_points=9), k=st.sampled_from([4, 8, 16]))
+    def test_extract_patches_matches_brute_force(self, cloud, k):
+        k = k if cloud.n > k else 4
+        pts = cloud.points
+        try:
+            neighbor_idx = extract_patches(cloud, build_index(cloud), np.arange(cloud.n), k)[4]
+        except DuplicatePoint as exc:
+            i = int(str(exc).rsplit(" ", 1)[1])
+            assert np.all(pts == pts[i], axis=1).sum() > 1
+            return
+        assert len(np.unique(pts, axis=0)) == cloud.n
+        for i in range(cloud.n):
+            want, axis = brute_force_patch(pts, i, k)
+            if neighbor_idx[i].tolist() == want.tolist():
+                continue
+            # Only an offset tie at the cut, decided by rounding, may change
+            # the choice: on an exact plane x = c or y = c the offsets are
+            # about 1e-17 instead of 0. The row must still hold k smallest
+            # offsets up to that tie, in (distance, index) order.
+            cand = brute_force_knn(pts, pts[i], 2 * k + 1)
+            cand = cand[cand != i][:2 * k]
+            d = np.linalg.norm(pts[cand] - pts[i], axis=1)
+            tol = 1e-9 * d.max()
+            off = np.sort(np.abs((pts[cand] - pts[i]) @ axis))
+            assert off[k] - off[k - 1] < tol
+            got = neighbor_idx[i]
+            assert np.isin(got, cand).all()
+            assert (np.abs((pts[got] - pts[i]) @ axis) <= off[k - 1] + tol).all()
+            assert np.array_equal(got, got[np.lexsort((got, np.linalg.norm(pts[got] - pts[i], axis=1)))])
+
+
+class TestExtractionParity:
+    """Byte identity with the frozen global-lexsort extraction in helpers."""
+
+    @staticmethod
+    def assert_identical(cloud, k):
+        index = build_index(cloud)
+        targets = np.arange(cloud.n)
+        got = extract_patches(cloud, index, targets, k)
+        want = oracle_extract_patches(cloud, index, targets, k)
+        for name, a, b in zip(("dvecs", "offsets", "axes", "scales", "indices"), got, want):
+            assert np.array_equal(a, b), name
+
+    def test_reference_cloud_and_rotation(self):
+        ref = synth.generate(synth.ShapeSpec("union_boxes", density=4000, seed=7)).cloud
+        assert ref.n == 18595
+        for cloud in augment_rotations(ref)[:2]:
+            self.assert_identical(cloud, 16)
+        index = build_index(ref)
+        for k in (1, 6):
+            assert np.array_equal(index.query_many(ref.points, k),
+                                  oracle_query_many(index, ref.points, k))
+
+    @pytest.mark.parametrize("k", [8, 16, 32])
+    def test_fixtures(self, k):
+        for make in (lattice_cube, gapped_lattice_cube):
+            self.assert_identical(make()[0], k)
+        for gap in (0.05, 0.03):
+            self.assert_identical(two_sheet_grid(gap, 0.02)[0], k)
+
+    def test_exact_lattice_tie_path(self):
+        # On an unjittered 0.1-spaced lattice, distance ties at the cut run
+        # past the padded window, so query_many resolves rows exhaustively and
+        # orders them by np.linalg.norm, which differs from the batched
+        # distance in the last bit on some rows.
+        g = np.arange(12) * 0.1
+        pts = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
+        self.assert_identical(PointCloud(pts), 32)
 
 
 class TestAugmentRotations:

@@ -279,6 +279,14 @@ class TestFullForward:
         with pytest.raises(ModelShapeError):
             net.forward(patch, net.init_params(16, seed=0))
 
+    @pytest.mark.parametrize("name", ["offsets", "scales"])
+    def test_offsets_and_scales_shape_rejected(self, name):
+        dvecs, offsets, scales = random_patch_arrays(np.random.default_rng(2), 3, 8)
+        arrays = {"offsets": offsets, "scales": scales}
+        arrays[name] = arrays[name][:2]
+        with pytest.raises(ModelShapeError, match=rf"^{name} must be \(3,.*got \(2,"):
+            net.forward_batch(dvecs, arrays["offsets"], arrays["scales"], net.init_params(8, seed=0))
+
     def test_geometry_rotation_does_change_probability(self):
         # Raw-direction columns rotate, so the full forward is not rotation
         # invariant; right-angle augmentation is what covers orientation.
