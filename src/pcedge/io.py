@@ -4,10 +4,24 @@ XYZ: one point per line, "x y z" or "x y z label", whitespace separated,
 '#' starts a comment. PLY: ascii 1.0, element vertex with float x/y/z and
 optional uchar label, float pred, int segment properties; the reader
 tolerates extra scalar properties.
+
+Both readers parse the numeric rows with one `np.loadtxt` call, so they
+accept exactly the numbers numpy's C parser accepts. That differs from
+Python's `float` in a few spellings: digit-group underscores (`1_000`) and
+non-ASCII digits are rejected. A label must equal 0 or 1 exactly (`1.0`
+is accepted; `0.7`, `2`, `inf` and `nan` are rejected). In a PLY file,
+blank lines and '#' comments inside the vertex rows are skipped as in
+XYZ, element counts must be plain decimal digits, and the first vertex
+element is the one read. Every such rejection is an InvalidInput naming
+the file.
+
+The writers format every row with one %-format string (`%.17g` for
+floats, `%d` for integers), so floats round-trip exactly.
 """
 
 from __future__ import annotations
 
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,43 +29,60 @@ import numpy as np
 from .cloud import PointCloud
 from .errors import InvalidInput
 
-_FLOAT_PLY_TYPES = {"float", "float32", "double", "float64"}
-_INT_PLY_TYPES = {"char", "uchar", "int8", "uint8", "short", "ushort", "int16",
-                  "uint16", "int", "uint", "int32", "uint32"}
+
+def _parse_rows(source, path, **kwargs) -> np.ndarray:
+    """Whitespace-separated float rows as a 2-D array, parsed by numpy's C reader.
+
+    Blank lines and '#' comments are skipped. An unparsable value, a row
+    whose column count differs from the first row's, or undecodable bytes
+    raise InvalidInput naming the file.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "no data": callers report it
+            return np.loadtxt(source, dtype=np.float64, comments="#", ndmin=2,
+                              encoding="utf-8", **kwargs)
+    except ValueError as exc:  # includes UnicodeDecodeError
+        raise InvalidInput(f"{path}: {exc}") from exc
+
+
+def _label_column(values: np.ndarray, path) -> np.ndarray:
+    if not np.isin(values, (0.0, 1.0)).all():
+        raise InvalidInput(f"{path}: labels must be exactly 0 or 1")
+    return values.astype(np.int64)
+
+
+def _format_rows(columns: list[tuple[str, np.ndarray]]) -> str:
+    """One text line per point: each column formatted by its %-spec, space separated."""
+    n = len(columns[0][1])
+    for _, col in columns:
+        if len(col) != n:
+            raise InvalidInput(f"column of length {len(col)} does not match {n} points")
+    row = " ".join(spec for spec, _ in columns) + "\n"
+    return "".join(map(row.__mod__, zip(*(np.asarray(col).tolist() for _, col in columns))))
+
+
+def _xyz_columns(points: np.ndarray) -> list[tuple[str, np.ndarray]]:
+    return [("%.17g", points[:, axis]) for axis in range(3)]
 
 
 def read_xyz(path) -> PointCloud:
-    points, labels = [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) not in (3, 4):
-                raise InvalidInput(f"{path}:{lineno}: expected 3 or 4 columns, got {len(parts)}")
-            try:
-                points.append([float(v) for v in parts[:3]])
-                if len(parts) == 4:
-                    labels.append(int(float(parts[3])))
-            except ValueError as exc:
-                raise InvalidInput(f"{path}:{lineno}: {exc}") from exc
-    if not points:
+    data = _parse_rows(path, path)
+    if data.shape[0] == 0:
         raise InvalidInput(f"{path}: no points")
-    if labels and len(labels) != len(points):
-        raise InvalidInput(f"{path}: label column present on some lines only")
-    return PointCloud(np.asarray(points), np.asarray(labels) if labels else None)
+    if data.shape[1] not in (3, 4):
+        raise InvalidInput(f"{path}: expected 3 or 4 columns, got {data.shape[1]}")
+    labels = _label_column(data[:, 3], path) if data.shape[1] == 4 else None
+    return PointCloud(data[:, :3], labels)
 
 
 def write_xyz(cloud: PointCloud, path, segments: np.ndarray | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for i, (x, y, z) in enumerate(cloud.points):
-            row = f"{x:.17g} {y:.17g} {z:.17g}"
-            if segments is not None:
-                row += f" {int(segments[i])}"
-            elif cloud.labels is not None:
-                row += f" {int(cloud.labels[i])}"
-            fh.write(row + "\n")
+    columns = _xyz_columns(cloud.points)
+    if segments is not None:
+        columns.append(("%d", segments))
+    elif cloud.labels is not None:
+        columns.append(("%d", cloud.labels))
+    Path(path).write_text(_format_rows(columns), encoding="utf-8")
 
 
 def read_ply(path) -> PointCloud:
@@ -68,7 +99,7 @@ def read_ply(path) -> PointCloud:
             if tokens[0] == "format":
                 fmt = tokens[1] if len(tokens) > 1 else None
             elif tokens[0] == "element":
-                if len(tokens) != 3:
+                if len(tokens) != 3 or not tokens[2].isdecimal():
                     raise InvalidInput(f"{path}: malformed element line")
                 elements.append((tokens[1], int(tokens[2]), []))
             elif tokens[0] == "property":
@@ -85,55 +116,46 @@ def read_ply(path) -> PointCloud:
         if fmt != "ascii":
             raise InvalidInput(f"{path}: only ascii PLY is supported, got format {fmt!r}")
 
-        cloud = None
-        for name, count, props in elements:
-            if name != "vertex":
-                for _ in range(count):
-                    next(lines, "")
-                continue
-            if any(t == "list" for t, _ in props):
-                raise InvalidInput(f"{path}: list properties on vertex are not supported")
-            cols = {pname: j for j, (_, pname) in enumerate(props)}
-            for axis in ("x", "y", "z"):
-                if axis not in cols:
-                    raise InvalidInput(f"{path}: vertex element lacks property {axis}")
-            data = np.empty((count, len(props)), dtype=np.float64)
-            for i in range(count):
-                raw = next(lines, "")
-                parts = raw.split()
-                if len(parts) != len(props):
-                    raise InvalidInput(f"{path}: vertex row {i} has {len(parts)} values, expected {len(props)}")
-                data[i] = [float(v) for v in parts]
-            points = data[:, [cols["x"], cols["y"], cols["z"]]]
-            labels = data[:, cols["label"]].astype(np.int64) if "label" in cols else None
-            preds = data[:, cols["pred"]] if "pred" in cols else None
-            cloud = PointCloud(points, labels, preds)
-        if cloud is None:
+        names = [name for name, _, _ in elements]
+        if "vertex" not in names:
             raise InvalidInput(f"{path}: no vertex element")
-        return cloud
+        position = names.index("vertex")
+        _, count, props = elements[position]
+        if any(t == "list" for t, _ in props):
+            raise InvalidInput(f"{path}: list properties on vertex are not supported")
+        cols = {pname: j for j, (_, pname) in enumerate(props)}
+        for axis in ("x", "y", "z"):
+            if axis not in cols:
+                raise InvalidInput(f"{path}: vertex element lacks property {axis}")
+        if count == 0:
+            raise InvalidInput(f"{path}: no points")
+        data = _parse_rows(fh, path, skiprows=sum(c for _, c, _ in elements[:position]),
+                           max_rows=count)
+    if data.shape[0] != count:
+        raise InvalidInput(f"{path}: {data.shape[0]} vertex rows, header declares {count}")
+    if data.shape[1] != len(props):
+        raise InvalidInput(f"{path}: vertex rows have {data.shape[1]} values, expected {len(props)}")
+    points = data[:, [cols["x"], cols["y"], cols["z"]]]
+    labels = _label_column(data[:, cols["label"]], path) if "label" in cols else None
+    preds = data[:, cols["pred"]] if "pred" in cols else None
+    return PointCloud(points, labels, preds)
 
 
 def write_ply(cloud: PointCloud, path, segments: np.ndarray | None = None) -> None:
     header = ["ply", "format ascii 1.0", f"element vertex {cloud.n}",
               "property float x", "property float y", "property float z"]
+    columns = _xyz_columns(cloud.points)
     if cloud.labels is not None:
         header.append("property uchar label")
+        columns.append(("%d", cloud.labels))
     if cloud.predictions is not None:
         header.append("property float pred")
+        columns.append(("%.17g", cloud.predictions))
     if segments is not None:
         header.append("property int segment")
+        columns.append(("%d", segments))
     header.append("end_header")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(header) + "\n")
-        for i, (x, y, z) in enumerate(cloud.points):
-            row = f"{x:.17g} {y:.17g} {z:.17g}"
-            if cloud.labels is not None:
-                row += f" {int(cloud.labels[i])}"
-            if cloud.predictions is not None:
-                row += f" {cloud.predictions[i]:.17g}"
-            if segments is not None:
-                row += f" {int(segments[i])}"
-            fh.write(row + "\n")
+    Path(path).write_text("\n".join(header) + "\n" + _format_rows(columns), encoding="utf-8")
 
 
 def load_cloud(path) -> PointCloud:
@@ -149,10 +171,7 @@ def load_cloud(path) -> PointCloud:
         reader = read_xyz
     else:
         raise InvalidInput(f"unsupported cloud format {suffix!r} (use .xyz, .txt, or .ply)")
-    try:
-        return reader(path)
-    except ValueError as exc:  # includes UnicodeDecodeError
-        raise InvalidInput(f"{path}: {exc}") from exc
+    return reader(path)
 
 
 def save_cloud(cloud: PointCloud, path, segments: np.ndarray | None = None) -> None:

@@ -98,8 +98,11 @@ def chamfer(pred_pts: np.ndarray, gt_pts: np.ndarray) -> float:
     gt_pts = np.asarray(gt_pts, dtype=np.float64)
     if pred_pts.size == 0 or gt_pts.size == 0:
         raise InvalidInput("chamfer requires two nonempty point sets")
-    return float(_nearest_distances(pred_pts, gt_pts).mean()
-                 + _nearest_distances(gt_pts, pred_pts).mean())
+    return _chamfer(_nearest_distances(pred_pts, gt_pts), _nearest_distances(gt_pts, pred_pts))
+
+
+def _chamfer(d_pred_gt: np.ndarray, d_gt_pred: np.ndarray) -> float:
+    return float(d_pred_gt.mean() + d_gt_pred.mean())
 
 
 def match_counts(pred_pts: np.ndarray, gt_pts: np.ndarray, radius: float = MATCH_RADIUS):
@@ -115,9 +118,14 @@ def match_counts(pred_pts: np.ndarray, gt_pts: np.ndarray, radius: float = MATCH
         return 0, 0, gt_pts.shape[0]
     if gt_pts.shape[0] == 0:
         return 0, pred_pts.shape[0], 0
-    tp = int(np.sum(_nearest_distances(pred_pts, gt_pts) < radius))
-    fn = int(np.sum(_nearest_distances(gt_pts, pred_pts) >= radius))
-    return tp, pred_pts.shape[0] - tp, fn
+    return _match_counts(_nearest_distances(pred_pts, gt_pts), _nearest_distances(gt_pts, pred_pts),
+                         radius)
+
+
+def _match_counts(d_pred_gt: np.ndarray, d_gt_pred: np.ndarray, radius: float):
+    tp = int(np.sum(d_pred_gt < radius))
+    fn = int(np.sum(d_gt_pred >= radius))
+    return tp, d_pred_gt.shape[0] - tp, fn
 
 
 def evaluate(pred_cloud: PointCloud, gt_cloud: PointCloud) -> EvalReport:
@@ -131,8 +139,12 @@ def evaluate(pred_cloud: PointCloud, gt_cloud: PointCloud) -> EvalReport:
     if gt_edges.shape[0] == 0:
         raise EmptyEdgeSet("ground-truth cloud has no edge points")
     pred_n, gt_n = normalize_pair(pred_edges, gt_edges)
-    cd = chamfer(pred_n, gt_n)
-    tp, fp, fn = match_counts(pred_n, gt_n)
+    # Each nearest-distance direction is computed once and serves both the
+    # Chamfer distance and the match counts.
+    d_pred_gt = _nearest_distances(pred_n, gt_n)
+    d_gt_pred = _nearest_distances(gt_n, pred_n)
+    cd = _chamfer(d_pred_gt, d_gt_pred)
+    tp, fp, fn = _match_counts(d_pred_gt, d_gt_pred, MATCH_RADIUS)
     precision = _safe_div(tp, tp + fp)
     recall = _safe_div(tp, tp + fn)
     return EvalReport(

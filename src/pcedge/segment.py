@@ -1,16 +1,18 @@
-"""Surface segmentation: flood fill over a kNN graph bounded by edge points.
+"""Surface segmentation: connected components of a kNN graph bounded by edge points.
 
 The graph links each point to its k nearest neighbors and is symmetrized.
-Breadth-first waves grow from the lowest-index unvisited non-edge point;
-edge points act as absorbing boundaries and keep segment id -1.
+Edge points are cut out of it: they act as absorbing boundaries and keep
+segment id -1. Each connected component of the remaining non-edge points
+is one segment, numbered in order of its lowest member index.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import connected_components
 
 from .cloud import PointCloud, build_index
 from .errors import InsufficientNeighborhood, InvalidInput
@@ -23,8 +25,8 @@ class SegmentationResult:
     sizes: list[int]
 
 
-def knn_graph(cloud: PointCloud, k: int = 5) -> list[np.ndarray]:
-    """Symmetrized kNN adjacency lists, each sorted by neighbor index."""
+def _knn_pairs(cloud: PointCloud, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetrized kNN edges as (src, dst) arrays, sorted by (src, dst), no repeats."""
     if cloud.n < k + 1:
         raise InsufficientNeighborhood(f"kNN graph needs at least {k + 1} points, cloud has {cloud.n}")
     index = build_index(cloud)
@@ -37,52 +39,46 @@ def knn_graph(cloud: PointCloud, k: int = 5) -> list[np.ndarray]:
 
     src = np.repeat(np.arange(cloud.n), k)
     dst = neighbors.ravel()
-    a = np.concatenate([src, dst])
-    b = np.concatenate([dst, src])
-    keys = np.unique(a.astype(np.int64) * cloud.n + b)
-    out_src = keys // cloud.n
-    out_dst = keys % cloud.n
-    bounds = np.searchsorted(out_src, np.arange(cloud.n + 1))
-    return [out_dst[bounds[i]:bounds[i + 1]] for i in range(cloud.n)]
+    keys = np.sort(np.concatenate([src * cloud.n + dst, dst * cloud.n + src]))
+    keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
+    return keys // cloud.n, keys % cloud.n
+
+
+def knn_graph(cloud: PointCloud, k: int = 5) -> list[np.ndarray]:
+    """Symmetrized kNN adjacency lists, each sorted by neighbor index."""
+    src, dst = _knn_pairs(cloud, k)
+    bounds = np.searchsorted(src, np.arange(cloud.n + 1))
+    return [dst[bounds[i]:bounds[i + 1]] for i in range(cloud.n)]
 
 
 def flood_segment(cloud: PointCloud, k: int = 5, attach_edges: bool = False) -> SegmentationResult:
     """Partition non-edge points into segments bounded by edge points.
 
-    Seeds are taken in ascending index order, which makes the ids
-    deterministic; the partition itself does not depend on seed order.
-    With attach_edges=True every edge point is afterwards assigned the
-    segment of its nearest non-edge point.
+    Segments are numbered in ascending order of their lowest member
+    index, which makes the ids deterministic. With attach_edges=True every
+    edge point is afterwards assigned the segment of its nearest non-edge
+    point.
     """
     if cloud.labels is None:
         raise InvalidInput("flood_segment requires edge labels")
-    adjacency = knn_graph(cloud, k)
-    ids = np.full(cloud.n, -1, dtype=np.int64)
+    src, dst = _knn_pairs(cloud, k)
     is_edge = cloud.labels == 1
-    visited = is_edge.copy()
-    count = 0
-    sizes: list[int] = []
-    for seed in range(cloud.n):
-        if visited[seed]:
-            continue
-        queue = deque([seed])
-        visited[seed] = True
-        size = 0
-        while queue:
-            node = queue.popleft()
-            ids[node] = count
-            size += 1
-            for nb in adjacency[node]:
-                if not visited[nb]:
-                    visited[nb] = True
-                    queue.append(nb)
-        sizes.append(size)
-        count += 1
+    keep = ~(is_edge[src] | is_edge[dst])
+    graph = csr_array((np.ones(int(keep.sum()), dtype=np.int8), (src[keep], dst[keep])),
+                      shape=(cloud.n, cloud.n))
+    _, comp = connected_components(graph, directed=False)
+
+    interior = np.nonzero(~is_edge)[0]
+    _, first, inverse = np.unique(comp[interior], return_index=True, return_inverse=True)
+    rank = np.empty(first.size, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(first.size)
+    ids = np.full(cloud.n, -1, dtype=np.int64)
+    ids[interior] = rank[inverse]
+    count = int(first.size)
+    sizes = np.bincount(ids[interior], minlength=count).tolist()
 
     if attach_edges and count > 0 and is_edge.any():
-        interior = np.nonzero(~is_edge)[0]
-        if interior.size:
-            index = build_index(PointCloud(cloud.points[interior]))
-            nearest = index.query_many(cloud.points[is_edge], 1)[:, 0]
-            ids[np.nonzero(is_edge)[0]] = ids[interior[nearest]]
+        index = build_index(PointCloud(cloud.points[interior]))
+        nearest = index.query_many(cloud.points[is_edge], 1)[:, 0]
+        ids[np.nonzero(is_edge)[0]] = ids[interior[nearest]]
     return SegmentationResult(segment_ids=ids, count=count, sizes=sizes)

@@ -286,3 +286,109 @@ def oracle_extract_patches(cloud, index, targets, k):
     offsets = np.take_along_axis(kept_off, order, axis=1)
     scales = kept_d.mean(axis=1)
     return dvecs, offsets, axes, scales, neighbor_idx
+
+
+# Frozen oracles for post-processing: the per-row XYZ/PLY writers and the
+# deque BFS flood fill that the array code in pcedge.io and pcedge.segment
+# replaced, unchanged apart from dropped docstrings, so that code can be
+# checked for byte and id identity against them.
+
+def oracle_write_xyz(cloud, path, segments=None):
+    """write_xyz with one f-string per row."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for i, (x, y, z) in enumerate(cloud.points):
+            row = f"{x:.17g} {y:.17g} {z:.17g}"
+            if segments is not None:
+                row += f" {int(segments[i])}"
+            elif cloud.labels is not None:
+                row += f" {int(cloud.labels[i])}"
+            fh.write(row + "\n")
+
+
+def oracle_write_ply(cloud, path, segments=None):
+    """write_ply with one f-string per row."""
+    header = ["ply", "format ascii 1.0", f"element vertex {cloud.n}",
+              "property float x", "property float y", "property float z"]
+    if cloud.labels is not None:
+        header.append("property uchar label")
+    if cloud.predictions is not None:
+        header.append("property float pred")
+    if segments is not None:
+        header.append("property int segment")
+    header.append("end_header")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(header) + "\n")
+        for i, (x, y, z) in enumerate(cloud.points):
+            row = f"{x:.17g} {y:.17g} {z:.17g}"
+            if cloud.labels is not None:
+                row += f" {int(cloud.labels[i])}"
+            if cloud.predictions is not None:
+                row += f" {cloud.predictions[i]:.17g}"
+            if segments is not None:
+                row += f" {int(segments[i])}"
+            fh.write(row + "\n")
+
+
+def oracle_knn_graph(cloud, k=5):
+    """knn_graph with np.unique symmetrisation."""
+    from pcedge.cloud import build_index
+    from pcedge.errors import InsufficientNeighborhood
+
+    if cloud.n < k + 1:
+        raise InsufficientNeighborhood(f"kNN graph needs at least {k + 1} points, cloud has {cloud.n}")
+    index = build_index(cloud)
+    nn = index.query_many(cloud.points, k + 1)
+    is_self = nn == np.arange(cloud.n)[:, None]
+    drop = np.where(is_self.any(axis=1), np.argmax(is_self, axis=1), 0)
+    mask = np.ones_like(nn, dtype=bool)
+    mask[np.arange(cloud.n), drop] = False
+    neighbors = nn[mask].reshape(cloud.n, k)
+
+    src = np.repeat(np.arange(cloud.n), k)
+    dst = neighbors.ravel()
+    a = np.concatenate([src, dst])
+    b = np.concatenate([dst, src])
+    keys = np.unique(a.astype(np.int64) * cloud.n + b)
+    out_src = keys // cloud.n
+    out_dst = keys % cloud.n
+    bounds = np.searchsorted(out_src, np.arange(cloud.n + 1))
+    return [out_dst[bounds[i]:bounds[i + 1]] for i in range(cloud.n)]
+
+
+def oracle_flood_segment(cloud, k=5, attach_edges=False):
+    """flood_segment as a deque BFS from the lowest-index unvisited non-edge point."""
+    from collections import deque
+
+    from pcedge.cloud import PointCloud, build_index
+    from pcedge.segment import SegmentationResult
+
+    adjacency = oracle_knn_graph(cloud, k)
+    ids = np.full(cloud.n, -1, dtype=np.int64)
+    is_edge = cloud.labels == 1
+    visited = is_edge.copy()
+    count = 0
+    sizes = []
+    for seed in range(cloud.n):
+        if visited[seed]:
+            continue
+        queue = deque([seed])
+        visited[seed] = True
+        size = 0
+        while queue:
+            node = queue.popleft()
+            ids[node] = count
+            size += 1
+            for nb in adjacency[node]:
+                if not visited[nb]:
+                    visited[nb] = True
+                    queue.append(nb)
+        sizes.append(size)
+        count += 1
+
+    if attach_edges and count > 0 and is_edge.any():
+        interior = np.nonzero(~is_edge)[0]
+        if interior.size:
+            index = build_index(PointCloud(cloud.points[interior]))
+            nearest = index.query_many(cloud.points[is_edge], 1)[:, 0]
+            ids[np.nonzero(is_edge)[0]] = ids[interior[nearest]]
+    return SegmentationResult(segment_ids=ids, count=count, sizes=sizes)

@@ -76,11 +76,16 @@ class TestDataErrors:
 
 
 PLY_HEADER = b"ply\nformat ascii 1.0\nelement vertex {n}\nproperty float x\nproperty float y\nproperty float z\nend_header\n"
+PLY_LABEL_HEADER = PLY_HEADER.replace(b"{n}", b"2").replace(b"end_header", b"property uchar label\nend_header")
 
 MALFORMED_CLOUDS = {
     "ply_vertex_count": ("bad.ply", PLY_HEADER.replace(b"{n}", b"abc") + b"0 0 0\n"),
     "ply_vertex_value": ("bad.ply", PLY_HEADER.replace(b"{n}", b"2") + b"0 0 0\n1 x 1\n"),
     "xyz_not_utf8": ("bad.xyz", b"0 0 0\n1 1 \xff\n"),
+    "xyz_label_inf": ("bad.xyz", b"0 0 0 inf\n1 1 1 0\n"),
+    "xyz_label_fraction": ("bad.xyz", b"0 0 0 0.7\n1 1 1 0\n"),
+    "ply_label_fraction": ("bad.ply", PLY_LABEL_HEADER + b"0 0 0 0.7\n1 1 1 0\n"),
+    "ply_label_inf": ("bad.ply", PLY_LABEL_HEADER + b"0 0 0 inf\n1 1 1 0\n"),
 }
 
 

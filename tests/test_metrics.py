@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pcedge.cloud import PointCloud
 from pcedge.errors import DegenerateInput, EmptyEdgeSet, InvalidInput
@@ -203,6 +204,39 @@ class TestEvaluate:
         assert moved.cd == pytest.approx(base.cd, abs=1e-9)
         assert (moved.tp, moved.fp, moved.fn) == (base.tp, base.fp, base.fn)
         assert moved.fscore == pytest.approx(base.fscore, abs=1e-9)
+
+    @settings(max_examples=80, deadline=None)
+    @given(kind=st.sampled_from(["random", "duplicates", "lattice"]),
+           n=st.integers(1, 80), seed=st.integers(0, 2**32 - 1))
+    def test_equals_report_from_public_metrics(self, kind, n, seed):
+        """evaluate shares one distance array per direction between the
+        Chamfer distance and the match counts; its report must equal the one
+        built from chamfer and match_counts exactly."""
+        rng = np.random.default_rng(seed)
+        if kind == "lattice":  # many exact distance ties
+            pred_pts = rng.integers(0, 4, size=(n, 3)) * 0.02
+            gt_pts = rng.integers(0, 4, size=(n + 3, 3)) * 0.02
+        else:
+            pred_pts = rng.random((n, 3)) * rng.uniform(0.05, 2.0)
+            gt_pts = pred_pts[rng.integers(0, n, size=n + 3)] + rng.normal(scale=0.01, size=(n + 3, 3))
+            if kind == "duplicates":
+                pred_pts[rng.integers(0, n, size=n // 2)] = pred_pts[rng.integers(0, n, size=n // 2)]
+                gt_pts[rng.integers(0, n + 3, size=n)] = gt_pts[0]
+        pred_labels = (rng.random(n) < 0.6).astype(int)
+        gt_labels = (rng.random(n + 3) < 0.6).astype(int)
+        pred_labels[0] = gt_labels[0] = 1
+        pred, gt = self._cloud(pred_pts, pred_labels), self._cloud(gt_pts, gt_labels)
+
+        pred_n, gt_n = normalize_pair(pred_pts[pred_labels == 1], gt_pts[gt_labels == 1])
+        tp, fp, fn = match_counts(pred_n, gt_n)
+        precision = tp / (tp + fp) if tp + fp else 0.0
+        recall = tp / (tp + fn) if tp + fn else 0.0
+        want = EvalReport(
+            cd=chamfer(pred_n, gt_n), iou=tp / (tp + fp + fn) if tp + fp + fn else 0.0,
+            precision=precision, recall=recall,
+            fscore=2.0 * precision * recall / (precision + recall) if precision + recall else 0.0,
+            tp=tp, fp=fp, fn=fn, n_pred=len(pred_n), n_gt=len(gt_n))
+        assert evaluate(pred, gt) == want
 
     def test_empty_edge_sets_raise(self):
         rng = np.random.default_rng(0)

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import gapped_lattice_cube, lattice_cube
+from helpers import gapped_lattice_cube, lattice_cube, oracle_flood_segment, oracle_knn_graph
 from pcedge.cloud import PointCloud
 from pcedge.errors import InsufficientNeighborhood, InvalidInput
 from pcedge.segment import flood_segment, knn_graph
@@ -134,3 +135,66 @@ class TestFloodSegment:
     def test_missing_labels(self):
         with pytest.raises(InvalidInput):
             flood_segment(PointCloud(np.random.default_rng(0).random((30, 3))), k=5)
+
+
+@st.composite
+def labelled_clouds(draw):
+    """(cloud, k): random, integer-lattice or duplicate-laden points with
+    random, no, all, or single-point-isolating edge labels."""
+    kind = draw(st.sampled_from(["random", "lattice", "duplicates"]))
+    labelling = draw(st.sampled_from(["random", "none", "all", "isolate"]))
+    k = draw(st.integers(1, 7))
+    n = draw(st.integers(k + 1, 120))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "lattice":
+        cells = rng.choice(6 ** 3, size=n, replace=False)
+        pts = np.column_stack(np.unravel_index(cells, (6, 6, 6))).astype(np.float64)
+    else:
+        pts = rng.random((n, 3))
+        if kind == "duplicates":
+            copies = rng.integers(0, n, size=draw(st.integers(1, n)))
+            pts[rng.integers(0, n, size=copies.size)] = pts[copies]
+    if labelling == "none":
+        labels = np.zeros(n, dtype=int)
+    elif labelling == "all":
+        labels = np.ones(n, dtype=int)
+    else:
+        labels = (rng.random(n) < draw(st.sampled_from([0.1, 0.3, 0.6]))).astype(int)
+    if labelling == "isolate":
+        # Mark every graph neighbour of a few points as edge, so each of
+        # those points is cut off on its own.
+        adjacency = oracle_knn_graph(PointCloud(pts), k)
+        lonely = rng.choice(n, size=min(n, 3), replace=False)
+        for i in lonely:
+            labels[adjacency[i]] = 1
+        labels[lonely] = 0
+    return PointCloud(pts, labels), k
+
+
+class TestFrozenBfsParity:
+    """Identity with the deque BFS flood fill frozen in helpers."""
+
+    @staticmethod
+    def assert_identical(cloud, k, attach_edges):
+        got = flood_segment(cloud, k=k, attach_edges=attach_edges)
+        want = oracle_flood_segment(cloud, k=k, attach_edges=attach_edges)
+        assert np.array_equal(got.segment_ids, want.segment_ids)
+        assert got.segment_ids.dtype == want.segment_ids.dtype
+        assert got.count == want.count and type(got.count) is int
+        assert got.sizes == want.sizes and all(type(s) is int for s in got.sizes)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=labelled_clouds(), attach_edges=st.booleans())
+    def test_property(self, case, attach_edges):
+        cloud, k = case
+        self.assert_identical(cloud, k, attach_edges)
+        assert [a.tolist() for a in knn_graph(cloud, k)] == [a.tolist() for a in oracle_knn_graph(cloud, k)]
+
+    @pytest.mark.parametrize("k", [5, 8])
+    def test_fixtures(self, cube, k):
+        thick = (distance_to_edge_curves(cube.cloud.points, cube.curves)
+                 < 2.0 * 1.5 / np.sqrt(3000)).astype(int)
+        for cloud in (lattice_cube()[0], gapped_lattice_cube()[0], cube.cloud,
+                      PointCloud(cube.cloud.points, thick)):
+            for attach_edges in (False, True):
+                self.assert_identical(cloud, k, attach_edges)
