@@ -9,7 +9,8 @@ Both readers parse the numeric rows with one `np.loadtxt` call, so they
 accept exactly the numbers numpy's C parser accepts. That differs from
 Python's `float` in a few spellings: digit-group underscores (`1_000`) and
 non-ASCII digits are rejected. A label must equal 0 or 1 exactly (`1.0`
-is accepted; `0.7`, `2`, `inf` and `nan` are rejected). In a PLY file,
+is accepted; `0.7`, `2`, `inf` and `nan` are rejected), coordinates must
+be finite and a `pred` must lie in [0, 1]. In a PLY file,
 blank lines and '#' comments inside the vertex rows are skipped as in
 XYZ, element counts must be plain decimal digits, and the first vertex
 element is the one read. Every such rejection is an InvalidInput naming
@@ -21,6 +22,7 @@ floats, `%d` for integers), so floats round-trip exactly.
 
 from __future__ import annotations
 
+import re
 import warnings
 from pathlib import Path
 
@@ -30,12 +32,19 @@ from .cloud import PointCloud
 from .errors import InvalidInput
 
 
+# numpy's message for a row whose column count differs from the first row's;
+# its advice names a loadtxt argument that pcedge users cannot pass.
+_RAGGED = re.compile(r"number of columns changed from (\d+) to (\d+) at row (\d+)")
+
+
 def _parse_rows(source, path, **kwargs) -> np.ndarray:
     """Whitespace-separated float rows as a 2-D array, parsed by numpy's C reader.
 
     Blank lines and '#' comments are skipped. An unparsable value, a row
     whose column count differs from the first row's, or undecodable bytes
-    raise InvalidInput naming the file.
+    raise InvalidInput naming the file. A ragged row is reported by its
+    number, counted from 1 among the rows parsed (blank and comment lines
+    are not rows).
     """
     try:
         with warnings.catch_warnings():
@@ -43,6 +52,18 @@ def _parse_rows(source, path, **kwargs) -> np.ndarray:
             return np.loadtxt(source, dtype=np.float64, comments="#", ndmin=2,
                               encoding="utf-8", **kwargs)
     except ValueError as exc:  # includes UnicodeDecodeError
+        ragged = _RAGGED.search(str(exc))
+        if ragged:
+            expected, got, row = ragged.groups()
+            raise InvalidInput(f"{path}: row {row} has {got} values, expected {expected}") from exc
+        raise InvalidInput(f"{path}: {exc}") from exc
+
+
+def _cloud(path, *columns) -> PointCloud:
+    """PointCloud(*columns); a rejected value is reported naming the file."""
+    try:
+        return PointCloud(*columns)
+    except InvalidInput as exc:
         raise InvalidInput(f"{path}: {exc}") from exc
 
 
@@ -73,7 +94,7 @@ def read_xyz(path) -> PointCloud:
     if data.shape[1] not in (3, 4):
         raise InvalidInput(f"{path}: expected 3 or 4 columns, got {data.shape[1]}")
     labels = _label_column(data[:, 3], path) if data.shape[1] == 4 else None
-    return PointCloud(data[:, :3], labels)
+    return _cloud(path, data[:, :3], labels)
 
 
 def write_xyz(cloud: PointCloud, path, segments: np.ndarray | None = None) -> None:
@@ -105,10 +126,10 @@ def read_ply(path) -> PointCloud:
             elif tokens[0] == "property":
                 if not elements:
                     raise InvalidInput(f"{path}: property before any element")
-                if tokens[1] == "list":
-                    elements[-1][2].append(("list", tokens[-1]))
-                else:
-                    elements[-1][2].append((tokens[1], tokens[2]))
+                # "property <type> <name>" or "property list <count> <item> <name>"
+                if len(tokens) != (5 if tokens[1:2] == ["list"] else 3):
+                    raise InvalidInput(f"{path}: malformed property line")
+                elements[-1][2].append((tokens[1], tokens[-1]))
             elif tokens[0] == "end_header":
                 break
         else:
@@ -138,7 +159,7 @@ def read_ply(path) -> PointCloud:
     points = data[:, [cols["x"], cols["y"], cols["z"]]]
     labels = _label_column(data[:, cols["label"]], path) if "label" in cols else None
     preds = data[:, cols["pred"]] if "pred" in cols else None
-    return PointCloud(points, labels, preds)
+    return _cloud(path, points, labels, preds)
 
 
 def write_ply(cloud: PointCloud, path, segments: np.ndarray | None = None) -> None:

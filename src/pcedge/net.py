@@ -369,11 +369,19 @@ def forward_batch(dvecs: np.ndarray, offsets: np.ndarray, scales: np.ndarray,
     m = k // 2
     p = params.tensors
 
+    # Every block returns its cache; without need_cache each one is dropped
+    # as soon as its block returns, so the pass holds one block's
+    # intermediates at a time (about 5 MB at B=256, k=16, against about
+    # 19 MB with every cache kept).
+
     # Basis matrices of both k/2 groups in one (2B, m, 3) batch, first group first.
     groups = dvecs.reshape(b, 2, m, 3).transpose(1, 0, 2, 3).reshape(2 * b, m, 3)
     m_euc, m_cos = _basis_matrices(groups, np.tile(scales, 2))
     fe1, fc1, cg1 = _rbf_group_fwd(m_euc[:b], m_cos[:b], p, "first")
     fe2, fc2, cg2 = _rbf_group_fwd(m_euc[b:], m_cos[b:], p, "second")
+    del m_euc, m_cos
+    if not need_cache:
+        cg1 = cg2 = None
     feats = _feature_map(dvecs, offsets, scales, np.concatenate([fe1, fe2], axis=1),
                          np.concatenate([fc1, fc2], axis=1))
     _ensure_finite(feats, "feature map")
@@ -382,7 +390,9 @@ def forward_batch(dvecs: np.ndarray, offsets: np.ndarray, scales: np.ndarray,
     enc_caches = []
     for i in range(N_LAYERS):
         x, c = _encoder_layer_fwd(x, b, k, p, i, params.heads)
-        enc_caches.append(c)
+        if need_cache:
+            enc_caches.append(c)
+        del c
     _ensure_finite(x, "encoder output")
     e, dec_cache = _decoder_fwd(x, b, p)
     _ensure_finite(e, "decoder output")

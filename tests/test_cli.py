@@ -86,6 +86,12 @@ MALFORMED_CLOUDS = {
     "xyz_label_fraction": ("bad.xyz", b"0 0 0 0.7\n1 1 1 0\n"),
     "ply_label_fraction": ("bad.ply", PLY_LABEL_HEADER + b"0 0 0 0.7\n1 1 1 0\n"),
     "ply_label_inf": ("bad.ply", PLY_LABEL_HEADER + b"0 0 0 inf\n1 1 1 0\n"),
+    "ply_property_short": ("bad.ply", PLY_LABEL_HEADER.replace(b"uchar label", b"float")
+                           + b"0 0 0 1\n1 1 1 0\n"),
+    "ply_pred_out_of_range": ("bad.ply", PLY_LABEL_HEADER.replace(b"uchar label", b"float pred")
+                              + b"0 0 0 1.5\n1 1 1 0\n"),
+    "xyz_coordinate_inf": ("bad.xyz", b"0 0 inf 1\n1 1 1 0\n"),
+    "xyz_ragged_columns": ("bad.xyz", b"1 2 3\n1 2 3 4\n"),
 }
 
 
@@ -101,6 +107,7 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert code == 2
         assert err.count("\n") == 1 and err.startswith(f"pcedge segment: {src}: ")
+        assert "usecols" not in err  # numpy's advice names an argument users cannot pass
 
     def test_synth_size(self, tmp_path, capsys):
         code = main(["synth", "--shape", "box", "--size", "1,x,1",

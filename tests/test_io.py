@@ -65,6 +65,9 @@ def test_xyz_malformed(tmp_path):
     path.write_text("1_000 2 3\n")  # Python's float accepts this spelling; numpy's parser does not
     with pytest.raises(InvalidInput, match="bad.xyz"):
         read_xyz(path)
+    path.write_text("# scan\n1 2 3\n\n1 2 3\n1 2 3 4\n")  # blank and comment lines are not rows
+    with pytest.raises(InvalidInput, match=r"bad\.xyz: row 3 has 4 values, expected 3$"):
+        read_xyz(path)
 
 
 @pytest.mark.parametrize("fmt", ["xyz", "ply"])

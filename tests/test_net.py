@@ -1,5 +1,7 @@
 """Network forward/backward, invariances, checkpoints."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -236,6 +238,22 @@ class TestFullForward:
         got, _ = net.forward_batch(dvecs, offsets, scales, params)
         want = [reference_forward(dvecs[i], offsets[i], scales[i], params) for i in range(256)]
         assert np.abs(got - np.asarray(want)).max() < 1e-12
+
+    def test_inference_keeps_no_caches(self):
+        # Kept caches would hold every layer's intermediates: about 19 MB
+        # at B=256, k=16, against about 5 MB for one block at a time.
+        dvecs, offsets, scales = random_patch_arrays(np.random.default_rng(3), 256, 16)
+        params = net.init_params(16, seed=3)
+        cached, _ = net.forward_batch(dvecs, offsets, scales, params, need_cache=True)
+        tracemalloc.start()
+        try:
+            got, cache = net.forward_batch(dvecs, offsets, scales, params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cache is None
+        assert np.array_equal(got, cached)
+        assert peak < 8e6, f"inference forward peaked at {peak / 1e6:.1f} MB"
 
     @pytest.mark.parametrize("seed", range(5))
     def test_scale_invariance(self, seed):

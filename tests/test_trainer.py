@@ -1,6 +1,11 @@
 """Training protocol: loss, dataset assembly, Adam, batching, prediction."""
 
+import os
+import platform
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -273,6 +278,31 @@ class TestPredict:
         cloud = PointCloud(np.random.default_rng(0).random((20, 3)))
         with pytest.raises(InsufficientNeighborhood):
             predict(cloud, params)
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc allocator thresholds")
+    def test_windows_reuse_freed_heap(self):
+        # A fresh process: in this one, earlier tests have already set or
+        # raised glibc's thresholds. Without fixed thresholds every window
+        # returned its heap to the kernel and faulted it back in: about 85k
+        # minor faults for this 19-window cloud.
+        script = (
+            "import resource\n"
+            "from pcedge import net, trainer\n"
+            "from pcedge.synth import ShapeSpec, generate\n"
+            "cloud = generate(ShapeSpec('union_boxes', density=1000, seed=7)).cloud\n"
+            "params = net.init_params(16)\n"
+            "trainer.predict(cloud, params)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "trainer.predict(cloud, params)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        faults = int(done.stdout.split()[-1])
+        assert faults < 2000, f"second predict took {faults} minor faults"
 
 
 class TestConfigFile:
