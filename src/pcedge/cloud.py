@@ -20,8 +20,10 @@ from .errors import (
     InvalidInput,
 )
 
-# Extra neighbors fetched per kd-tree query so that distance ties at the
-# cut boundary can be re-broken by point index without a second query.
+# Extra neighbors fetched per row by query_many's second stage, so that a
+# distance tie at the cut can be re-broken by point index without a third,
+# exhaustive query. The first stage fetches one extra neighbor and sends a
+# row here only when that neighbor does not settle the cut.
 _TIE_PAD = 8
 
 
@@ -102,8 +104,10 @@ class SpatialIndex:
     """kd-tree over a cloud answering exact kNN queries.
 
     Results match a brute-force scan: sorted by nondecreasing Euclidean
-    distance, ties broken by smaller point index. Immutable after build;
-    safe for concurrent queries.
+    distance, ties broken by smaller point index. A query fetches one extra
+    neighbor per row and falls back to a padded, then exhaustive, search
+    only for rows where that neighbor does not settle the cut (see
+    query_many). Immutable after build; safe for concurrent queries.
     """
 
     def __init__(self, cloud: PointCloud):
@@ -119,14 +123,41 @@ class SpatialIndex:
         return self.query_many(np.asarray(q, dtype=np.float64).reshape(1, 3), k)[0]
 
     def query_many(self, queries: np.ndarray, k: int) -> np.ndarray:
-        """Vectorized query: (B, 3) query points -> (B, min(k, N)) indices."""
+        """Vectorized query: (B, 3) query points -> (B, min(k, N)) indices.
+
+        Two stages. The first fetches kk + 1 neighbors per row, kk = min(k, N),
+        and puts each row in (distance, index) order. A row is settled when
+        its (kk+1)-th distance exceeds its kk-th by more than a relative 1e-9:
+        the kd-tree's distances agree with numpy's to a few ulp, so every
+        point it did not return lies farther than the kk-th, and the first kk
+        are exact. The second stage re-queries the other rows, and every row
+        when kk = N, with _TIE_PAD extra neighbors and, if the tie group at
+        the cut runs past those, an exhaustive ball search.
+        """
         queries = np.asarray(queries, dtype=np.float64)
         if queries.ndim != 2 or queries.shape[1] != 3:
             raise InvalidInput(f"queries must be (B, 3), got shape {queries.shape}")
-        n = self.n
         if k < 1:
             raise InvalidInput("k must be >= 1")
-        kk = min(k, n)
+        kk = min(k, self.n)
+        if kk == self.n:
+            return self._query_padded(queries, kk)
+        _, idx = self._tree.query(queries, k=kk + 1)
+        idx = idx.astype(np.int64)
+        diff = self._points[idx] - queries[:, None, :]
+        dist = np.sqrt(np.einsum("bkd,bkd->bk", diff, diff))
+        stray, order = _stray_order(dist, idx)
+        idx[stray] = np.take_along_axis(idx[stray], order, axis=1)
+        dist[stray] = np.take_along_axis(dist[stray], order, axis=1)
+        idx = idx[:, :kk]
+        unsettled = np.nonzero(dist[:, kk] <= dist[:, kk - 1] * (1.0 + 1e-9))[0]
+        if unsettled.size:
+            idx[unsettled] = self._query_padded(queries[unsettled], kk)
+        return idx
+
+    def _query_padded(self, queries: np.ndarray, kk: int) -> np.ndarray:
+        """(B, kk) exact neighbors from kk + _TIE_PAD candidates, sorted in full."""
+        n = self.n
         pad = min(kk + _TIE_PAD, n)
         _, idx = self._tree.query(queries, k=pad)
         idx = idx.reshape(queries.shape[0], pad).astype(np.int64)
@@ -150,6 +181,16 @@ class SpatialIndex:
                 keep = cand[np.lexsort((cand, d))][:kk]
                 idx[b, :kk] = keep
         return idx[:, :kk]
+
+
+def _stray_order(dist: np.ndarray, idx: np.ndarray):
+    """Rows not in (distance, index) order, and the per-row sort that fixes them.
+
+    A row already in order is skipped: its stable lexsort is the identity.
+    """
+    step = np.diff(dist, axis=1)
+    stray = np.nonzero(((step < 0) | ((step == 0) & (np.diff(idx, axis=1) < 0))).any(axis=1))[0]
+    return stray, np.lexsort((idx[stray], dist[stray]), axis=1)
 
 
 def build_index(cloud: PointCloud) -> SpatialIndex:
@@ -261,9 +302,7 @@ def extract_patches(cloud: PointCloud, index: SpatialIndex, targets: np.ndarray,
     # exhaustive tie path ordered by np.linalg.norm, which can differ in the
     # last bit. Re-sort any such row so every row is in (cdist, index) order.
     # The axes above are taken over the rows in query order, before this.
-    step = np.diff(cdist, axis=1)
-    stray = np.nonzero(((step < 0) | ((step == 0) & (np.diff(cand, axis=1) < 0))).any(axis=1))[0]
-    order = np.lexsort((cand[stray], cdist[stray]), axis=1)
+    stray, order = _stray_order(cdist, cand)
     for arr in (cand, cdist, off_all):
         arr[stray] = np.take_along_axis(arr[stray], order, axis=1)
     dvecs_all[stray] = np.take_along_axis(dvecs_all[stray], order[:, :, None], axis=1)

@@ -35,6 +35,8 @@ from .errors import InvalidInput
 # numpy's message for a row whose column count differs from the first row's;
 # its advice names a loadtxt argument that pcedge users cannot pass.
 _RAGGED = re.compile(r"number of columns changed from (\d+) to (\d+) at row (\d+)")
+# numpy's message for an unparsable value; it counts that row from 0.
+_UNPARSABLE = re.compile(r"(could not convert .*) at row (\d+), column (\d+)\.")
 
 
 def _parse_rows(source, path, **kwargs) -> np.ndarray:
@@ -42,9 +44,9 @@ def _parse_rows(source, path, **kwargs) -> np.ndarray:
 
     Blank lines and '#' comments are skipped. An unparsable value, a row
     whose column count differs from the first row's, or undecodable bytes
-    raise InvalidInput naming the file. A ragged row is reported by its
-    number, counted from 1 among the rows parsed (blank and comment lines
-    are not rows).
+    raise InvalidInput naming the file. A ragged row or an unparsable value
+    is reported by its row number, counted from 1 among the rows parsed
+    (blank and comment lines are not rows).
     """
     try:
         with warnings.catch_warnings():
@@ -56,6 +58,10 @@ def _parse_rows(source, path, **kwargs) -> np.ndarray:
         if ragged:
             expected, got, row = ragged.groups()
             raise InvalidInput(f"{path}: row {row} has {got} values, expected {expected}") from exc
+        unparsable = _UNPARSABLE.fullmatch(str(exc))
+        if unparsable:
+            what, row, column = unparsable.groups()
+            raise InvalidInput(f"{path}: row {int(row) + 1}, column {column}: {what}") from exc
         raise InvalidInput(f"{path}: {exc}") from exc
 
 

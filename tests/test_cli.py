@@ -92,6 +92,7 @@ MALFORMED_CLOUDS = {
                               + b"0 0 0 1.5\n1 1 1 0\n"),
     "xyz_coordinate_inf": ("bad.xyz", b"0 0 inf 1\n1 1 1 0\n"),
     "xyz_ragged_columns": ("bad.xyz", b"1 2 3\n1 2 3 4\n"),
+    "xyz_unparsable_value": ("bad.xyz", b"# scan\n\n1 2 3\n1 2 x\n"),
 }
 
 
@@ -108,6 +109,14 @@ class TestMalformedInput:
         assert code == 2
         assert err.count("\n") == 1 and err.startswith(f"pcedge segment: {src}: ")
         assert "usecols" not in err  # numpy's advice names an argument users cannot pass
+
+    def test_unparsable_value_row_counts_from_one(self, tmp_path, capsys):
+        name, content = MALFORMED_CLOUDS["xyz_unparsable_value"]
+        src = tmp_path / name
+        src.write_bytes(content)
+        assert main(["segment", "--cloud", str(src), "--out", str(tmp_path / "o.xyz")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"pcedge segment: {src}: row 2, column 3: could not convert string 'x' to float64\n"
 
     def test_synth_size(self, tmp_path, capsys):
         code = main(["synth", "--shape", "box", "--size", "1,x,1",

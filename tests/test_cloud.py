@@ -13,6 +13,7 @@ from helpers import (
 )
 from pcedge import synth
 from pcedge.cloud import (
+    _TIE_PAD,
     PointCloud,
     add_gaussian_noise,
     augment_rotations,
@@ -296,6 +297,22 @@ class TestExtractPatch:
         with pytest.raises(InsufficientNeighborhood):
             extract_patch(cloud, index, 0, 16)
 
+    @pytest.mark.parametrize("extra", [1, 8, 9])
+    def test_boundary_sizes_match_brute_force(self, extra):
+        # N = k + 1, 2k and 2k + 1: below 2k + 1 points every other point is
+        # a candidate (the n_cand fallback), from 2k + 1 on there are 2k.
+        k = 8
+        pts = np.random.default_rng(extra).random((k + extra, 3))
+        cloud = PointCloud(pts)
+        neighbor_idx = extract_patches(cloud, build_index(cloud), np.arange(cloud.n), k)[4]
+        for i in range(cloud.n):
+            assert neighbor_idx[i].tolist() == brute_force_patch(pts, i, k)[0].tolist()
+
+    def test_k_points_insufficient(self):
+        cloud = PointCloud(np.random.default_rng(0).random((8, 3)))
+        with pytest.raises(InsufficientNeighborhood, match=r"need at least 9 points for k=8"):
+            extract_patches(cloud, build_index(cloud), np.arange(8), 8)
+
     def test_duplicate_point_rejected(self):
         rng = np.random.default_rng(2)
         pts = rng.random((60, 3))
@@ -407,6 +424,130 @@ class TestBruteForceProperties:
             assert np.isin(got, cand).all()
             assert (np.abs((pts[got] - pts[i]) @ axis) <= off[k - 1] + tol).all()
             assert np.array_equal(got, got[np.lexsort((got, np.linalg.norm(pts[got] - pts[i], axis=1)))])
+
+
+class _TreeSpy:
+    """Delegates to a cKDTree, recording each query's (rows, k) and ball search."""
+
+    def __init__(self, tree):
+        self.tree = tree
+        self.queries = []
+        self.ball_calls = 0
+
+    def query(self, x, k):
+        self.queries.append((len(x), k))
+        return self.tree.query(x, k=k)
+
+    def query_ball_point(self, x, r):
+        self.ball_calls += 1
+        return self.tree.query_ball_point(x, r)
+
+
+def spied_index(cloud):
+    index = build_index(cloud)
+    spy = _TreeSpy(index._tree)
+    index._tree = spy
+    return index, spy
+
+
+def integer_lattice(side):
+    ax = np.arange(side, dtype=float)
+    return np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1).reshape(-1, 3)
+
+
+class TestQueryParity:
+    """query_many's two-stage query against the frozen single-stage oracle."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(cloud=tricky_clouds(), k=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+    def test_matches_oracle(self, cloud, k, seed):
+        rng = np.random.default_rng(seed)
+        pts = cloud.points
+        lo, hi = pts.min(axis=0), pts.max(axis=0)
+        span = np.maximum(hi - lo, 1.0)
+        pairs = rng.integers(0, cloud.n, size=(20, 2))
+        queries = np.vstack([
+            pts,
+            (pts[pairs[:, 0]] + pts[pairs[:, 1]]) / 2,  # tie-prone on lattices
+            lo - span + 3 * span * rng.random((20, 3)),  # inside and outside the cloud
+        ])
+        index = build_index(cloud)
+        assert np.array_equal(index.query_many(queries, k), oracle_query_many(index, queries, k))
+
+    def test_reference_clouds(self):
+        ref = synth.generate(synth.ShapeSpec("union_boxes", density=4000, seed=7)).cloud
+        for cloud in augment_rotations(ref):
+            index = build_index(cloud)
+            for k in (1, 6, 33):
+                assert np.array_equal(index.query_many(cloud.points, k),
+                                      oracle_query_many(index, cloud.points, k)), k
+        big = synth.generate(synth.ShapeSpec("union_boxes", density=16000, seed=7)).cloud
+        assert big.n == 74443
+        index = build_index(big)
+        for k in (1, 6):
+            assert np.array_equal(index.query_many(big.points, k),
+                                  oracle_query_many(index, big.points, k)), k
+
+    @pytest.mark.parametrize("k", [1, 6, 7, 33, 65])
+    def test_lattice_fixtures(self, k):
+        clouds = [make()[0] for make in (lattice_cube, gapped_lattice_cube)]
+        clouds += [two_sheet_grid(gap, 0.02)[0] for gap in (0.05, 0.03)]
+        clouds += [PointCloud(integer_lattice(12) * 0.1), PointCloud(integer_lattice(12))]
+        for cloud in clouds:
+            index = build_index(cloud)
+            assert np.array_equal(index.query_many(cloud.points, k),
+                                  oracle_query_many(index, cloud.points, k))
+
+    def test_one_ulp_gap_takes_second_stage(self):
+        # The 5th neighbor of the origin is one ulp farther than the 4th; the
+        # other query has a clear gap at the cut and settles in stage 1.
+        k = 4
+        pts = [[i, 0.0, 0.0] for i in range(1, k + 1)] + [[0.0, np.nextafter(k, np.inf), 0.0]]
+        pts += [[10.0 + i, 10.0, 10.0] for i in range(_TIE_PAD + 2)]
+        index, spy = spied_index(PointCloud(np.array(pts)))
+        queries = np.array([[0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
+        got = index.query_many(queries, k)
+        assert got.tolist() == [[0, 1, 2, 3], [0, 1, 2, 4]]
+        assert spy.queries == [(2, k + 1), (1, k + _TIE_PAD)]
+
+    def test_tie_group_past_pad_takes_exhaustive_path(self):
+        # 30 integer points at distance exactly 5 from the origin, shuffled,
+        # with a farther shell behind them; the cut at k=5 falls inside the
+        # group, which runs past the k + _TIE_PAD candidates.
+        pts = integer_lattice(13) - 6.0
+        r2 = (pts ** 2).sum(axis=1)
+        pts = np.vstack([pts[r2 == 25], pts[r2 == 36]])
+        pts = pts[np.random.default_rng(0).permutation(len(pts))]
+        assert (np.einsum("ij,ij->i", pts, pts) == 25).sum() > 5 + _TIE_PAD
+        index, spy = spied_index(PointCloud(pts))
+        got = index.query([0.0, 0.0, 0.0], 5)
+        assert got.tolist() == brute_force_knn(pts, np.zeros(3), 5).tolist()
+        assert spy.queries == [(1, 6), (1, 5 + _TIE_PAD)]
+        assert spy.ball_calls == 1
+
+    def test_zero_distance_duplicates_at_cut(self):
+        # Points 5 and 17 copy point 40: the cut at k=2 splits the
+        # zero-distance group, so stage 1 cannot settle the row.
+        rng = np.random.default_rng(3)
+        pts = rng.random((60, 3))
+        pts[[17, 5]] = pts[40]
+        index, spy = spied_index(PointCloud(pts))
+        assert index.query(pts[40], 2).tolist() == [5, 17]
+        assert spy.queries == [(1, 3), (1, 2 + _TIE_PAD)]
+        assert spy.ball_calls == 0
+        assert index.query(pts[40], 3).tolist() == [5, 17, 40]
+
+    @pytest.mark.parametrize("lattice", [False, True])
+    @pytest.mark.parametrize("dk", [-1, 0, 1])
+    def test_boundary_k(self, lattice, dk):
+        # Stage 1 applies up to k = N - 1; at k >= N every row takes stage 2.
+        pts = integer_lattice(3) if lattice else np.random.default_rng(7).random((27, 3))
+        k = len(pts) + dk
+        index = build_index(PointCloud(pts))
+        queries = np.vstack([pts, [[0.5, 1.0, 1.5], [9.0, -2.0, 0.0]]])
+        got = index.query_many(queries, k)
+        want = np.array([brute_force_knn(pts, q, k) for q in queries])
+        assert np.array_equal(got, want)
 
 
 class TestExtractionParity:

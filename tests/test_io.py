@@ -68,6 +68,11 @@ def test_xyz_malformed(tmp_path):
     path.write_text("# scan\n1 2 3\n\n1 2 3\n1 2 3 4\n")  # blank and comment lines are not rows
     with pytest.raises(InvalidInput, match=r"bad\.xyz: row 3 has 4 values, expected 3$"):
         read_xyz(path)
+    for text in ("1 2 3\n1 2 x\n", "# scan\n\n1 2 3\n\n1 2 x\n"):  # rows counted from 1
+        path.write_text(text)
+        with pytest.raises(InvalidInput) as exc:
+            read_xyz(path)
+        assert str(exc.value) == f"{path}: row 2, column 3: could not convert string 'x' to float64"
 
 
 @pytest.mark.parametrize("fmt", ["xyz", "ply"])

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pcedge import net, trainer
 from pcedge.cloud import PointCloud
@@ -272,6 +273,25 @@ class TestPredict:
         a, _ = predict(small_cloud, params, batch=128, threads=1)
         b, _ = predict(small_cloud, params, batch=128, threads=4)
         assert np.array_equal(a.predictions, b.predictions)
+
+    @settings(max_examples=12, deadline=None)
+    @given(lattice=st.booleans(), n=st.integers(17, 600), seed=st.integers(0, 2**32 - 1))
+    def test_window_invariance(self, lattice, n, seed):
+        # Random or integer-lattice clouds: the lattice's distance ties send
+        # rows to query_many's second stage, which sees only a window's rows.
+        rng = np.random.default_rng(seed)
+        if lattice:
+            cells = rng.choice(9 ** 3, size=n, replace=False)
+            pts = np.column_stack(np.unravel_index(cells, (9, 9, 9))).astype(np.float64)
+        else:
+            pts = rng.random((n, 3))
+        cloud = PointCloud(pts)
+        params = net.init_params(8, seed=8)
+        want, _ = predict(cloud, params, batch=256, threads=1)
+        for batch in (1, 7, 256, 1000):
+            for threads in (1, 2):
+                got, _ = predict(cloud, params, batch=batch, threads=threads)
+                assert np.array_equal(got.predictions, want.predictions), (batch, threads)
 
     def test_too_small(self):
         params = net.init_params(16, seed=0)
