@@ -203,19 +203,14 @@ def build_index(cloud: PointCloud) -> SpatialIndex:
 def pca_min_axis(vectors: np.ndarray) -> np.ndarray:
     """Unit eigenvector of the centered covariance with smallest eigenvalue.
 
-    The sign is fixed so that the component with the largest absolute value
-    is positive (first such component on ties).
+    It is the axis extract_patches takes over a point's candidates. The
+    sign is fixed so that the component with the largest absolute value is
+    positive (first such component on ties).
     """
     pts = np.asarray(vectors, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 3:
         raise InvalidInput("pca_min_axis needs at least 3 three-dimensional points")
-    centered = pts - pts.mean(axis=0)
-    cov = centered.T @ centered
-    if np.trace(cov) == 0.0:
-        raise DegenerateNeighborhood("all neighborhood points coincide")
-    _, vecs = np.linalg.eigh(cov)
-    axis = vecs[:, 0]
-    return _fix_sign(axis[None, :])[0]
+    return _min_axes(pts[None])[0]
 
 
 def _fix_sign(axes: np.ndarray) -> np.ndarray:
@@ -344,17 +339,24 @@ def mean_neighbor_distance(cloud: PointCloud, k: int = 16) -> float:
     """Mean Euclidean distance from each point to its k nearest neighbors."""
     if cloud.n < k + 1:
         raise InsufficientNeighborhood(f"need at least {k + 1} points, cloud has {cloud.n}")
-    index = build_index(cloud)
-    nn = index.query_many(cloud.points, k + 1)
-    dist = np.linalg.norm(cloud.points[nn] - cloud.points[:, None, :], axis=2)
-    # Remove each point itself from its own neighbor list; with duplicates
-    # the self entry can sit anywhere in the zero-distance group, and the
-    # dropped entry is interchangeable with it.
-    is_self = nn == np.arange(cloud.n)[:, None]
+    neighbors = _knn_excluding_self(build_index(cloud), k)
+    return float(np.linalg.norm(cloud.points[neighbors] - cloud.points[:, None, :], axis=2).mean())
+
+
+def _knn_excluding_self(index: SpatialIndex, k: int) -> np.ndarray:
+    """(N, k) nearest neighbors of every indexed point, leaving the point out.
+
+    With duplicates the self entry can sit anywhere in the zero-distance
+    group, or fall off the list, in which case the row drops its first
+    entry, a duplicate that stands in for it.
+    """
+    n = index.n
+    nn = index.query_many(index._points, k + 1)
+    is_self = nn == np.arange(n)[:, None]
     drop = np.where(is_self.any(axis=1), np.argmax(is_self, axis=1), 0)
-    mask = np.ones_like(dist, dtype=bool)
-    mask[np.arange(cloud.n), drop] = False
-    return float(dist[mask].reshape(cloud.n, k).mean())
+    mask = np.ones_like(nn, dtype=bool)
+    mask[np.arange(n), drop] = False
+    return nn[mask].reshape(n, k)
 
 
 def add_gaussian_noise(cloud: PointCloud, ratio: float, seed: int) -> PointCloud:

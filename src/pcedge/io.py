@@ -185,28 +185,27 @@ def write_ply(cloud: PointCloud, path, segments: np.ndarray | None = None) -> No
     Path(path).write_text("\n".join(header) + "\n" + _format_rows(columns), encoding="utf-8")
 
 
+_FORMATS = {".xyz": (read_xyz, write_xyz), ".txt": (read_xyz, write_xyz),
+            ".ply": (read_ply, write_ply)}
+
+
+def _format(path):
+    """(reader, writer) for the file suffix (.xyz/.txt or .ply)."""
+    suffix = Path(path).suffix.lower()
+    if suffix not in _FORMATS:
+        raise InvalidInput(f"unsupported cloud format {suffix!r} (use .xyz, .txt, or .ply)")
+    return _FORMATS[suffix]
+
+
 def load_cloud(path) -> PointCloud:
     """Read a cloud, dispatching on the file suffix (.xyz/.txt or .ply).
 
     Unparsable content (bad numbers, bad counts, undecodable bytes) raises
     InvalidInput naming the file.
     """
-    suffix = Path(path).suffix.lower()
-    if suffix == ".ply":
-        reader = read_ply
-    elif suffix in (".xyz", ".txt"):
-        reader = read_xyz
-    else:
-        raise InvalidInput(f"unsupported cloud format {suffix!r} (use .xyz, .txt, or .ply)")
-    return reader(path)
+    return _format(path)[0](path)
 
 
 def save_cloud(cloud: PointCloud, path, segments: np.ndarray | None = None) -> None:
     """Write a cloud, dispatching on the file suffix (.xyz/.txt or .ply)."""
-    suffix = Path(path).suffix.lower()
-    if suffix == ".ply":
-        write_ply(cloud, path, segments)
-    elif suffix in (".xyz", ".txt"):
-        write_xyz(cloud, path, segments)
-    else:
-        raise InvalidInput(f"unsupported cloud format {suffix!r} (use .xyz, .txt, or .ply)")
+    _format(path)[1](cloud, path, segments)

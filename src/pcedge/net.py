@@ -435,57 +435,6 @@ def forward(patch: SurfacePatch, params: ModelParameters) -> float:
     return float(e[0])
 
 
-# Per-block entry points kept callable on their own (mirrors of the batched
-# kernels, used directly by the tests).
-
-def rbf_dos_forward(dvecs_group: np.ndarray, scale: float, params: ModelParameters,
-                    group: str = "first"):
-    """Descriptor pair (f_euc, f_cos), each of length m, for one group."""
-    dvecs_group = np.asarray(dvecs_group, dtype=np.float64)
-    if dvecs_group.shape != (params.k // 2, 3):
-        raise ModelShapeError(
-            f"group must hold k/2 = {params.k // 2} vectors, got {dvecs_group.shape}"
-        )
-    m_euc, m_cos = _basis_matrices(dvecs_group[None], np.asarray([scale]))
-    fe, fc, _ = _rbf_group_fwd(m_euc, m_cos, params.tensors, group)
-    return fe[0], fc[0]
-
-
-def assemble_features(patch: SurfacePatch, f_first, f_second) -> np.ndarray:
-    """The (k, 6) feature map: scaled geometry plus descriptor columns."""
-    m = patch.k // 2
-    fe1, fc1 = (np.asarray(a, dtype=np.float64) for a in f_first)
-    fe2, fc2 = (np.asarray(a, dtype=np.float64) for a in f_second)
-    if fe1.shape != (m,) or fc1.shape != (m,) or fe2.shape != (m,) or fc2.shape != (m,):
-        raise ModelShapeError(f"descriptor groups must each hold {m} values")
-    return _feature_map(
-        patch.dvecs[None], patch.proj_offsets[None], np.asarray([patch.scale]),
-        np.concatenate([fe1, fe2])[None], np.concatenate([fc1, fc2])[None],
-    )[0]
-
-
-def transformer_forward(x: np.ndarray, params: ModelParameters) -> np.ndarray:
-    """Run the 4-layer encoder on a (k', 6) feature map (any row count)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != WIDTH:
-        raise ModelShapeError(f"input must be (rows, {WIDTH}), got {x.shape}")
-    out = x
-    for i in range(N_LAYERS):
-        out, _ = _encoder_layer_fwd(out, 1, x.shape[0], params.tensors, i, params.heads)
-    _ensure_finite(out, "encoder output")
-    return out
-
-
-def decoder_forward(x: np.ndarray, params: ModelParameters) -> float:
-    """Flatten a (k, 6) map and decode to an edge probability in (0, 1)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (params.k, WIDTH):
-        raise ModelShapeError(f"input must be ({params.k}, {WIDTH}), got {x.shape}")
-    e, _ = _decoder_fwd(x, 1, params.tensors)
-    _ensure_finite(e, "decoder output")
-    return float(e[0])
-
-
 # ---------------------------------------------------------------------------
 # Checkpoints
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components
 
-from .cloud import PointCloud, build_index
+from .cloud import PointCloud, _knn_excluding_self, build_index
 from .errors import InsufficientNeighborhood, InvalidInput
 
 
@@ -29,13 +29,7 @@ def _knn_pairs(cloud: PointCloud, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Symmetrized kNN edges as (src, dst) arrays, sorted by (src, dst), no repeats."""
     if cloud.n < k + 1:
         raise InsufficientNeighborhood(f"kNN graph needs at least {k + 1} points, cloud has {cloud.n}")
-    index = build_index(cloud)
-    nn = index.query_many(cloud.points, k + 1)
-    is_self = nn == np.arange(cloud.n)[:, None]
-    drop = np.where(is_self.any(axis=1), np.argmax(is_self, axis=1), 0)
-    mask = np.ones_like(nn, dtype=bool)
-    mask[np.arange(cloud.n), drop] = False
-    neighbors = nn[mask].reshape(cloud.n, k)
+    neighbors = _knn_excluding_self(build_index(cloud), k)
 
     src = np.repeat(np.arange(cloud.n), k)
     dst = neighbors.ravel()

@@ -56,18 +56,18 @@ class ShapeSpec:
     def __post_init__(self):
         if self.kind not in SHAPE_KINDS:
             raise InvalidInput(f"unknown shape kind {self.kind!r}, choose from {SHAPE_KINDS}")
-        if self.density <= 0:
-            raise InvalidInput("density must be positive")
+        if not 0 < self.density < math.inf:
+            raise InvalidInput(f"density must be positive and finite, got {self.density}")
         size = tuple(float(v) for v in (self.size or _DEFAULT_SIZES[self.kind]))
         if len(size) != len(_DEFAULT_SIZES[self.kind]):
             raise InvalidInput(
                 f"{self.kind} takes {len(_DEFAULT_SIZES[self.kind])} size parameters, got {len(size)}"
             )
-        if any(v <= 0 for v in size):
-            raise InvalidInput("size parameters must be positive")
+        if not all(0 < v < math.inf for v in size):
+            raise InvalidInput(f"size parameters must be positive and finite, got {size}")
         object.__setattr__(self, "size", size)
-        if self.tau is not None and self.tau <= 0:
-            raise InvalidInput("tau must be positive")
+        if self.tau is not None and not 0 < self.tau < math.inf:
+            raise InvalidInput(f"tau must be positive and finite, got {self.tau}")
 
     @property
     def band_width(self) -> float:

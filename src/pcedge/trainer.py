@@ -12,6 +12,7 @@ from __future__ import annotations
 import ctypes
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,8 +84,8 @@ class TrainConfig:
             raise InvalidInput(f"k must be even and in [8, 64], got {self.k}")
         if not (0.0 < self.val_fraction < 0.5):
             raise InvalidInput(f"val_fraction must be in (0, 0.5), got {self.val_fraction}")
-        if self.lr <= 0:
-            raise InvalidInput(f"lr must be positive, got {self.lr}")
+        if not 0.0 < self.lr < np.inf:
+            raise InvalidInput(f"lr must be positive and finite, got {self.lr}")
         if self.batch_size < 2 or self.batch_size % 2 != 0:
             raise InvalidInput(f"batch_size must be even and >= 2, got {self.batch_size}")
         if self.max_epochs < 1 or self.patience < 1:
@@ -272,16 +273,14 @@ def _batch_step(train: PatchSet, idx: np.ndarray, state: TrainState, cfg: TrainC
         grads = net.backward(state.params, cache, de / total)
         return float(np.sum(losses)), grads
 
-    if pool is None:
-        loss_sum, grads = shard_pass(idx)
-    else:
-        shards = [s for s in np.array_split(idx, threads) if s.size]
-        results = list(pool.map(shard_pass, shards))
-        loss_sum = sum(r[0] for r in results)
-        grads = results[0][1]
-        for _, g in results[1:]:
-            for name in grads:
-                grads[name] += g[name]
+    # Without a pool the single shard runs on the calling thread.
+    mapper, n_shards = (map, 1) if pool is None else (pool.map, threads)
+    results = list(mapper(shard_pass, [s for s in np.array_split(idx, n_shards) if s.size]))
+    loss_sum = sum(r[0] for r in results)
+    grads = results[0][1]
+    for _, g in results[1:]:
+        for name in grads:
+            grads[name] += g[name]
     adam_step(state, grads, cfg)
     return loss_sum / total
 
@@ -305,9 +304,8 @@ def train(cloud: PointCloud, cfg: TrainConfig, threads: int = 1):
     params = net.init_params(cfg.k, seed=cfg.seed)
     state = TrainState.fresh(params)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
     log: list[dict] = []
-    try:
+    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
         for epoch in range(1, cfg.max_epochs + 1):
             started = time.perf_counter()
             batches = _batch_plan(train_set, cfg, rng)
@@ -330,9 +328,6 @@ def train(cloud: PointCloud, cfg: TrainConfig, threads: int = 1):
                 state.since_improve += 1
                 if state.since_improve >= cfg.patience:
                     break
-    finally:
-        if pool is not None:
-            pool.shutdown()
     return state.best_params if state.best_params is not None else state.params, log
 
 
@@ -382,12 +377,10 @@ def predict(cloud: PointCloud, params: net.ModelParameters, batch: int = 256,
         probs[lo:hi], _ = net.forward_batch(dv, off, sc, params)
         return time.perf_counter() - t0
 
-    windows = list(range(0, cloud.n, INFER_WINDOW))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            model_seconds = sum(pool.map(run_window, windows))
-    else:
-        model_seconds = sum(run_window(lo) for lo in windows)
+    # With one thread the windows run on the calling thread.
+    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
+        mapper = map if pool is None else pool.map
+        model_seconds = sum(mapper(run_window, range(0, cloud.n, INFER_WINDOW)))
     labels = (probs > 0.5).astype(np.int64)
     predicted = cloud.with_predictions(probs, labels)
     wall_seconds = time.perf_counter() - started
@@ -408,13 +401,16 @@ def write_log(log: list[dict], path) -> None:
             fh.write(",".join(f"{row[c]:.6f}" if c != "epoch" else str(row[c]) for c in cols) + "\n")
 
 
+_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
 def parse_config(path) -> TrainConfig:
     """Read a plain "key = value" config file into a TrainConfig."""
     kwargs: dict = {}
     casts = {
         "k": int, "lr": float, "batch_size": int, "max_epochs": int, "seed": int,
         "balance": str, "val_fraction": float, "patience": int,
-        "augment": lambda v: v.lower() in ("1", "true", "yes"),
+        "augment": lambda v: _BOOLS[v.lower()],
     }
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -428,6 +424,6 @@ def parse_config(path) -> TrainConfig:
                 raise InvalidInput(f"{path}:{lineno}: unknown config key {key!r}")
             try:
                 kwargs[key] = casts[key](value)
-            except ValueError as exc:
+            except (KeyError, ValueError) as exc:
                 raise InvalidInput(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     return TrainConfig(**kwargs)

@@ -1,11 +1,13 @@
-"""Shared test utilities: an independent reference forward pass and a
-finite-difference gradient checker."""
+"""Shared test utilities: an independent reference forward pass, single-item
+compositions of the batched model kernels, and a finite-difference gradient
+checker."""
 
 import math
 
 import numpy as np
 
 from pcedge import net
+from pcedge.rbf import _basis_matrices
 from pcedge.trainer import bce_loss
 
 FD_H = 1e-5
@@ -89,6 +91,42 @@ def reference_forward(dvecs, offsets, scale, params):
     z = np.maximum(z @ p["dec.w2"] + p["dec.b2"], 0)
     logit = float((z @ p["dec.w3"])[0] + p["dec.b3"][0])
     return 1.0 / (1.0 + math.exp(-logit))
+
+
+# One item through the batched kernels that forward_batch runs.
+
+def basis_pair(dvecs, scale):
+    """(m_euc, m_cos) of one (m, 3) neighbor group."""
+    m_euc, m_cos = _basis_matrices(np.asarray(dvecs, dtype=np.float64)[None], np.asarray([scale]))
+    return m_euc[0], m_cos[0]
+
+
+def group_descriptors(dvecs, scale, params, group):
+    """(f_euc, f_cos) of one k/2 neighbor group from the RBF block `group`."""
+    fe, fc, _ = net._rbf_group_fwd(*basis_pair(dvecs, scale), params.tensors, group)
+    return fe, fc
+
+
+def patch_features(patch, params):
+    """The (k, 6) feature map of one patch: scaled geometry plus descriptors."""
+    m = patch.k // 2
+    fe1, fc1 = group_descriptors(patch.dvecs[:m], patch.scale, params, "first")
+    fe2, fc2 = group_descriptors(patch.dvecs[m:], patch.scale, params, "second")
+    return net._feature_map(patch.dvecs[None], patch.proj_offsets[None], np.asarray([patch.scale]),
+                            np.concatenate([fe1, fe2])[None], np.concatenate([fc1, fc2])[None])[0]
+
+
+def encode(x, params):
+    """The encoder layers on one (rows, 6) map."""
+    for i in range(net.N_LAYERS):
+        x, _ = net._encoder_layer_fwd(x, 1, x.shape[0], params.tensors, i, params.heads)
+    return x
+
+
+def decode(x, params):
+    """Edge probability of one (k, 6) map."""
+    e, _ = net._decoder_fwd(x, 1, params.tensors)
+    return float(e[0])
 
 
 def random_patch_arrays(rng, n, k):

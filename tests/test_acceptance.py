@@ -10,11 +10,14 @@ import numpy as np
 
 from conftest import HELD_OUT_SPECS
 from helpers import (
+    basis_pair,
+    encode,
     end_to_end_grads,
     end_to_end_loss,
     fd_check_grads,
     gapped_lattice_cube,
     lattice_cube,
+    patch_features,
     random_patch_arrays,
 )
 from pcedge import cli, metrics, net, segment, synth, trainer
@@ -177,15 +180,14 @@ def test_criterion_2_oracles():
         m = int(rng.integers(2, 9))
         dv = rng.normal(size=(m, 3))
         s = float(rng.uniform(0.3, 2.0))
-        from pcedge.rbf import distance_matrices
-        dm = distance_matrices(dv, s)
+        m_euc, m_cos = basis_pair(dv, s)
         units = dv / np.linalg.norm(dv, axis=1, keepdims=True)
         for a in range(m):
             for b_i in range(m):
                 e = 1.0 if a == b_i else np.exp(-(np.linalg.norm(dv[a] - dv[b_i]) / s) ** 2)
                 cgt = 1.0 if a == b_i else float(units[a] @ units[b_i]) ** 3
-                assert abs(dm.m_euc[a, b_i] - e) <= 1e-12
-                assert abs(dm.m_cos[a, b_i] - cgt) <= 1e-12
+                assert abs(m_euc[a, b_i] - e) <= 1e-12
+                assert abs(m_cos[a, b_i] - cgt) <= 1e-12
 
         # chamfer and matching vs brute force
         na, nb = int(rng.integers(5, 120)), int(rng.integers(5, 120))
@@ -350,19 +352,14 @@ def test_criterion_8_invariances():
         rotated = SurfacePatch(0, patch.neighbor_indices, patch.dvecs @ q.T,
                                patch.proj_offsets, q @ patch.normal_axis, patch.scale)
 
-        def feats(pt):
-            fe1, fc1 = net.rbf_dos_forward(pt.dvecs[:8], pt.scale, params, "first")
-            fe2, fc2 = net.rbf_dos_forward(pt.dvecs[8:], pt.scale, params, "second")
-            return net.assemble_features(pt, (fe1, fc1), (fe2, fc2))
-
-        worst_cols = max(worst_cols,
-                         float(np.abs(feats(patch)[:, 3:] - feats(rotated)[:, 3:]).max()))
+        worst_cols = max(worst_cols, float(np.abs(patch_features(patch, params)[:, 3:]
+                                                  - patch_features(rotated, params)[:, 3:]).max()))
 
         # transformer permutation equivariance
         x = rng.normal(size=(16, 6))
         perm = rng.permutation(16)
-        out = net.transformer_forward(x, params)
-        out_p = net.transformer_forward(x[perm], params)
+        out = encode(x, params)
+        out_p = encode(x[perm], params)
         worst_perm = max(worst_perm, float(np.abs(out[perm] - out_p).max()))
 
         # augmentation isometry

@@ -96,6 +96,21 @@ MALFORMED_CLOUDS = {
 }
 
 
+MALFORMED_SYNTH = {
+    "density_nan": ["--density", "nan"],
+    "density_inf": ["--density", "inf"],
+    "size_inf": ["--size", "1,inf,1"],
+    "tau_nan": ["--tau", "nan"],
+}
+
+# Each would otherwise run a short training (or fail after the dataset build).
+MALFORMED_CONFIGS = {
+    "augment_typo": "k = 8\nmax_epochs = 1\naugment = ture\n",
+    "lr_nan": "k = 8\nmax_epochs = 1\nlr = nan\n",
+    "lr_inf": "k = 8\nmax_epochs = 1\nlr = inf\n",
+}
+
+
 class TestMalformedInput:
     """Each malformed input gets a one-line diagnostic and exit code 2."""
 
@@ -124,6 +139,28 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert code == 2
         assert err.count("\n") == 1 and "--size" in err
+
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_SYNTH))
+    def test_synth_value(self, case, tmp_path, capsys):
+        out = tmp_path / "c.xyz"
+        code = main(["synth", "--shape", "box", *MALFORMED_SYNTH[case], "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("pcedge synth: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CONFIGS))
+    def test_train_config(self, case, cube_file, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(MALFORMED_CONFIGS[case])
+        ckpt = tmp_path / "model.ckpt"
+        code = main(["train", "--cloud", str(cube_file), "--config", str(cfg),
+                     "--out-checkpoint", str(ckpt)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("pcedge train: ")
+        assert not ckpt.exists()
 
 
 class TestSynthCommand:

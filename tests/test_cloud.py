@@ -167,6 +167,19 @@ class TestPcaMinAxis:
         a2 = pca_min_axis(pts @ rot.T)
         assert min(np.linalg.norm(a2 - rot @ a1), np.linalg.norm(a2 + rot @ a1)) < 1e-9
 
+    def test_is_the_extraction_axis(self):
+        # Byte for byte the axis extract_patches takes over a point's 2k
+        # candidates, here on every 7th point of the reference cloud.
+        cloud = synth.generate(synth.ShapeSpec("union_boxes", density=4000, seed=7)).cloud
+        index = build_index(cloud)
+        targets = np.arange(0, cloud.n, 7)
+        axes = extract_patches(cloud, index, targets, 16)[2]
+        nn = index.query_many(cloud.points[targets], 33)
+        assert np.array_equal(nn[:, 0], targets)  # no duplicates: self comes first
+        got = np.array([pca_min_axis(cloud.points[row]) for row in nn[:, 1:]])
+        assert got.shape == (2657, 3)
+        assert np.array_equal(got, axes)
+
     def test_coincident_points_degenerate(self):
         with pytest.raises(DegenerateNeighborhood):
             pca_min_axis(np.ones((5, 3)))

@@ -6,9 +6,13 @@ import numpy as np
 import pytest
 
 from helpers import (
+    decode,
+    encode,
     end_to_end_grads,
     end_to_end_loss,
     fd_check_grads,
+    group_descriptors,
+    patch_features,
     random_patch_arrays,
     reference_forward,
 )
@@ -76,7 +80,7 @@ class TestRbfDos:
     def test_zero_params_zero_descriptors(self):
         params = zero_params(16)
         rng = np.random.default_rng(0)
-        fe, fc = net.rbf_dos_forward(rng.normal(size=(8, 3)), 1.0, params, "first")
+        fe, fc = group_descriptors(rng.normal(size=(8, 3)), 1.0, params, "first")
         assert np.array_equal(fe, np.zeros(8))
         assert np.array_equal(fc, np.zeros(8))
 
@@ -91,7 +95,7 @@ class TestRbfDos:
         p["rbf.first.euc_head.w1"][0, 0] = 1.0
         p["rbf.first.euc_head.w2"][0, 0] = 1.0
         dvecs = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        fe, fc = net.rbf_dos_forward(dvecs, 1.0, params, "first")
+        fe, fc = group_descriptors(dvecs, 1.0, params, "first")
         # h = [M_euc row, zeros]; sum of row a = 1 + exp(-2)
         expected = 1.0 + np.exp(-2.0)
         assert fe == pytest.approx([expected, expected], abs=1e-12)
@@ -103,23 +107,19 @@ class TestRbfDos:
         params = net.init_params(16, seed=seed)
         dvecs = rng.normal(size=(8, 3))
         rot = rotation(rng)
-        fe1, fc1 = net.rbf_dos_forward(dvecs, 1.2, params, "second")
-        fe2, fc2 = net.rbf_dos_forward(dvecs @ rot.T, 1.2, params, "second")
+        fe1, fc1 = group_descriptors(dvecs, 1.2, params, "second")
+        fe2, fc2 = group_descriptors(dvecs @ rot.T, 1.2, params, "second")
         assert np.abs(fe1 - fe2).max() < 1e-12
         assert np.abs(fc1 - fc2).max() < 1e-12
-
-    def test_group_size_mismatch(self):
-        params = net.init_params(16, seed=0)
-        with pytest.raises(ModelShapeError):
-            net.rbf_dos_forward(np.ones((5, 3)), 1.0, params, "first")
 
 
 class TestAssembleFeatures:
     def test_zero_descriptor_columns(self):
         rng = np.random.default_rng(0)
         patch = make_patch(rng, k=4)
-        zeros = np.zeros(2)
-        feats = net.assemble_features(patch, (zeros, zeros), (zeros, zeros))
+        zeros = np.zeros((1, 4))
+        feats = net._feature_map(patch.dvecs[None], patch.proj_offsets[None],
+                                 np.asarray([patch.scale]), zeros, zeros)[0]
         assert feats.shape == (4, 6)
         assert np.array_equal(feats[:, :3], patch.dvecs / patch.scale)
         assert np.array_equal(feats[:, 3], patch.proj_offsets / patch.scale)
@@ -131,15 +131,12 @@ class TestAssembleFeatures:
         scaled = SurfacePatch(patch.center_index, patch.neighbor_indices,
                               patch.dvecs * 10.0, patch.proj_offsets * 10.0,
                               patch.normal_axis, patch.scale * 10.0)
-        f = (np.ones(4), np.zeros(4))
-        a = net.assemble_features(patch, f, f)
-        b = net.assemble_features(scaled, f, f)
+        f_euc, f_cos = np.ones((1, 8)), np.zeros((1, 8))
+        a = net._feature_map(patch.dvecs[None], patch.proj_offsets[None],
+                             np.asarray([patch.scale]), f_euc, f_cos)[0]
+        b = net._feature_map(scaled.dvecs[None], scaled.proj_offsets[None],
+                             np.asarray([scaled.scale]), f_euc, f_cos)[0]
         assert np.abs(a - b).max() < 1e-12
-
-    def test_group_size_guard(self):
-        patch = make_patch(np.random.default_rng(0), k=8)
-        with pytest.raises(ModelShapeError):
-            net.assemble_features(patch, (np.zeros(3), np.zeros(3)), (np.zeros(4), np.zeros(4)))
 
 
 class TestTransformer:
@@ -147,7 +144,7 @@ class TestTransformer:
         params = zero_params(16)
         rng = np.random.default_rng(0)
         x = rng.normal(size=(16, 6))
-        out = net.transformer_forward(x, params)
+        out = encode(x, params)
         assert np.abs(out - x).max() < 1e-12
 
     def test_single_row_hand_computed(self):
@@ -165,7 +162,7 @@ class TestTransformer:
         mu1, var1 = x1.mean(), x1.var()
         b = (x1 - mu1) / np.sqrt(var1 + net.LN_EPS)
         expected = x1 + np.maximum(b @ p["enc.0.ffn.w1"], 0) @ p["enc.0.ffn.w2"]
-        out = net.transformer_forward(x, params)
+        out = encode(x, params)
         assert np.abs(out - expected).max() < 1e-12
 
     @pytest.mark.parametrize("seed", range(5))
@@ -174,8 +171,8 @@ class TestTransformer:
         params = net.init_params(16, seed=seed + 50)
         x = rng.normal(size=(16, 6))
         perm = rng.permutation(16)
-        out = net.transformer_forward(x, params)
-        out_perm = net.transformer_forward(x[perm], params)
+        out = encode(x, params)
+        out_perm = encode(x[perm], params)
         assert np.abs(out[perm] - out_perm).max() < 1e-9
 
 
@@ -183,19 +180,19 @@ class TestDecoder:
     def test_zero_params_half(self):
         params = zero_params(16)
         rng = np.random.default_rng(0)
-        assert net.decoder_forward(rng.normal(size=(16, 6)), params) == 0.5
+        assert decode(rng.normal(size=(16, 6)), params) == 0.5
 
     def test_bias_ten(self):
         params = zero_params(16)
         params.tensors["dec.b3"][:] = 10.0
-        e = net.decoder_forward(np.zeros((16, 6)), params)
+        e = decode(np.zeros((16, 6)), params)
         assert e == pytest.approx(1.0 / (1.0 + np.exp(-10.0)), abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_output_in_open_interval(self, seed):
         rng = np.random.default_rng(seed)
         params = net.init_params(16, seed=seed)
-        e = net.decoder_forward(rng.normal(size=(16, 6)), params)
+        e = decode(rng.normal(size=(16, 6)), params)
         assert 0.0 < e < 1.0
 
     def test_permutation_sensitivity(self):
@@ -203,7 +200,7 @@ class TestDecoder:
         params = net.init_params(16, seed=7)
         x = rng.normal(size=(16, 6))
         perm = rng.permutation(16)
-        assert net.decoder_forward(x, params) != net.decoder_forward(x[perm], params)
+        assert decode(x, params) != decode(x[perm], params)
 
 
 class TestFullForward:
@@ -276,12 +273,7 @@ class TestFullForward:
         rotated = SurfacePatch(0, patch.neighbor_indices, patch.dvecs @ rot.T,
                                patch.proj_offsets, rot @ patch.normal_axis, patch.scale)
 
-        def features(pt):
-            fe1, fc1 = net.rbf_dos_forward(pt.dvecs[:8], pt.scale, params, "first")
-            fe2, fc2 = net.rbf_dos_forward(pt.dvecs[8:], pt.scale, params, "second")
-            return net.assemble_features(pt, (fe1, fc1), (fe2, fc2))
-
-        base, rotf = features(patch), features(rotated)
+        base, rotf = patch_features(patch, params), patch_features(rotated, params)
         assert np.abs(base[:, 3:] - rotf[:, 3:]).max() < 1e-12
         assert np.abs(rotf[:, :3] - base[:, :3] @ rot.T).max() < 1e-12
 

@@ -1,12 +1,12 @@
-"""Basis functions and distance matrices."""
+"""Gaussian and cubic basis matrices of neighbor groups (`_basis_matrices`)."""
 
 import math
 
 import numpy as np
 import pytest
 
-from pcedge.errors import DuplicatePoint, InvalidInput
-from pcedge.rbf import cubic_basis, distance_matrices, gaussian_basis
+from helpers import basis_pair
+from pcedge.errors import DuplicatePoint
 
 
 def naive_matrices(dvecs, scale):
@@ -24,54 +24,27 @@ def naive_matrices(dvecs, scale):
     return m_euc, m_cos
 
 
-class TestGaussianBasis:
-    def test_closed_forms(self):
-        assert gaussian_basis(0.0) == 1.0
-        assert gaussian_basis(1.0) == pytest.approx(math.exp(-1.0))
-        assert gaussian_basis(2.0) == pytest.approx(math.exp(-4.0))
-
-    def test_rejects_negative_and_nonfinite(self):
-        with pytest.raises(InvalidInput):
-            gaussian_basis(-0.1)
-        with pytest.raises(InvalidInput):
-            gaussian_basis(float("nan"))
-
-
-class TestCubicBasis:
-    def test_closed_forms(self):
-        assert cubic_basis(1.0) == 1.0
-        assert cubic_basis(-0.5) == -0.125
-        assert cubic_basis(0.0) == 0.0
-
-    def test_clamps_rounding_noise(self):
-        assert cubic_basis(1.0 + 1e-9) == 1.0
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(InvalidInput):
-            cubic_basis(1.1)
-
-
 class TestDistanceMatrices:
     def test_orthogonal_pair(self):
-        dm = distance_matrices(np.array([[1.0, 0, 0], [0, 1.0, 0]]), scale=1.0)
-        assert np.allclose(dm.m_cos, np.eye(2))
-        assert dm.m_euc[0, 1] == pytest.approx(math.exp(-2.0))
-        assert dm.m_euc[0, 0] == 1.0
+        m_euc, m_cos = basis_pair(np.array([[1.0, 0, 0], [0, 1.0, 0]]), 1.0)
+        assert np.allclose(m_cos, np.eye(2))
+        assert m_euc[0, 1] == pytest.approx(math.exp(-2.0))
+        assert m_euc[0, 0] == 1.0
 
     def test_antipodal_pair(self):
-        dm = distance_matrices(np.array([[1.0, 0, 0], [-1.0, 0, 0]]), scale=1.0)
-        assert dm.m_cos[0, 1] == pytest.approx(-1.0)
-        assert dm.m_euc[0, 1] == pytest.approx(math.exp(-4.0))
+        m_euc, m_cos = basis_pair(np.array([[1.0, 0, 0], [-1.0, 0, 0]]), 1.0)
+        assert m_cos[0, 1] == pytest.approx(-1.0)
+        assert m_euc[0, 1] == pytest.approx(math.exp(-4.0))
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_double_loop(self, seed):
         rng = np.random.default_rng(seed)
         dvecs = rng.normal(size=(8, 3))
         scale = float(rng.uniform(0.2, 3.0))
-        dm = distance_matrices(dvecs, scale)
+        got_euc, got_cos = basis_pair(dvecs, scale)
         m_euc, m_cos = naive_matrices(dvecs, scale)
-        assert np.abs(dm.m_euc - m_euc).max() < 1e-12
-        assert np.abs(dm.m_cos - m_cos).max() < 1e-12
+        assert np.abs(got_euc - m_euc).max() < 1e-12
+        assert np.abs(got_cos - m_cos).max() < 1e-12
 
     @pytest.mark.parametrize("seed", range(8))
     def test_rotation_invariance(self, seed):
@@ -80,29 +53,29 @@ class TestDistanceMatrices:
         mat = rng.normal(size=(3, 3))
         q, r = np.linalg.qr(mat)
         q *= np.sign(np.diag(r))
-        base = distance_matrices(dvecs, 1.3)
-        rotated = distance_matrices(dvecs @ q.T, 1.3)
-        assert np.abs(base.m_euc - rotated.m_euc).max() < 1e-12
-        assert np.abs(base.m_cos - rotated.m_cos).max() < 1e-12
+        base_euc, base_cos = basis_pair(dvecs, 1.3)
+        rot_euc, rot_cos = basis_pair(dvecs @ q.T, 1.3)
+        assert np.abs(base_euc - rot_euc).max() < 1e-12
+        assert np.abs(base_cos - rot_cos).max() < 1e-12
 
     @pytest.mark.parametrize("factor", [0.1, 3.0, 250.0])
     def test_scale_covariance(self, factor):
         rng = np.random.default_rng(5)
         dvecs = rng.normal(size=(6, 3))
-        base = distance_matrices(dvecs, 0.8)
-        scaled = distance_matrices(dvecs * factor, 0.8 * factor)
-        assert np.abs(base.m_euc - scaled.m_euc).max() < 1e-12
-        assert np.abs(base.m_cos - scaled.m_cos).max() < 1e-12
+        base_euc, base_cos = basis_pair(dvecs, 0.8)
+        scaled_euc, scaled_cos = basis_pair(dvecs * factor, 0.8 * factor)
+        assert np.abs(base_euc - scaled_euc).max() < 1e-12
+        assert np.abs(base_cos - scaled_cos).max() < 1e-12
 
     @pytest.mark.parametrize("seed", range(5))
     def test_structural_invariants(self, seed):
         rng = np.random.default_rng(200 + seed)
-        dm = distance_matrices(rng.normal(size=(10, 3)), float(rng.uniform(0.5, 2.0)))
-        assert np.array_equal(dm.m_euc, dm.m_euc.T)
-        assert np.array_equal(np.diag(dm.m_euc), np.ones(10))
-        assert np.array_equal(np.diag(dm.m_cos), np.ones(10))
-        assert (dm.m_euc > 0).all() and (dm.m_euc <= 1).all()
-        assert (np.abs(dm.m_cos) <= 1).all()
+        m_euc, m_cos = basis_pair(rng.normal(size=(10, 3)), float(rng.uniform(0.5, 2.0)))
+        assert np.array_equal(m_euc, m_euc.T)
+        assert np.array_equal(np.diag(m_euc), np.ones(10))
+        assert np.array_equal(np.diag(m_cos), np.ones(10))
+        assert (m_euc > 0).all() and (m_euc <= 1).all()
+        assert (np.abs(m_cos) <= 1).all()
 
     def test_near_coincident_neighbors_stay_in_range(self):
         # Squared distances from the Gram form can cancel to tiny negatives.
@@ -110,13 +83,9 @@ class TestDistanceMatrices:
         for _ in range(200):
             dvecs = rng.normal(size=(8, 3))
             dvecs[1] = dvecs[0] + rng.normal(size=3) * 1e-9
-            dm = distance_matrices(dvecs, float(rng.uniform(0.5, 2.0)))
-            assert dm.m_euc.max() <= 1.0
+            m_euc, _ = basis_pair(dvecs, float(rng.uniform(0.5, 2.0)))
+            assert m_euc.max() <= 1.0
 
     def test_zero_vector_rejected(self):
         with pytest.raises(DuplicatePoint):
-            distance_matrices(np.array([[0.0, 0, 0], [1.0, 0, 0]]), 1.0)
-
-    def test_bad_scale_rejected(self):
-        with pytest.raises(InvalidInput):
-            distance_matrices(np.array([[1.0, 0, 0], [0, 1.0, 0]]), 0.0)
+            basis_pair(np.array([[0.0, 0, 0], [1.0, 0, 0]]), 1.0)

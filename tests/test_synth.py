@@ -159,6 +159,15 @@ class TestGenerate:
         with pytest.raises(InvalidInput):  # disjoint boxes
             generate(ShapeSpec("union_boxes", size=(1, 1, 1, 1, 1, 1, 5, 5, 5), density=500))
 
+    @pytest.mark.parametrize("field, value", [
+        ("density", float("nan")), ("density", float("inf")),
+        ("size", (1.0, float("inf"), 1.0)), ("size", (1.0, float("nan"), 1.0)),
+        ("tau", float("nan")), ("tau", float("inf")),
+    ])
+    def test_nonfinite_spec_rejected(self, field, value):
+        with pytest.raises(InvalidInput, match=rf"^{field}"):
+            ShapeSpec("box", **{field: value})
+
     def test_metadata_sidecar(self, tmp_path):
         res = generate(ShapeSpec("box", density=500, seed=11))
         path = tmp_path / "meta.csv"

@@ -348,3 +348,25 @@ class TestConfigFile:
         path.write_text("k = 7\n")
         with pytest.raises(InvalidInput):
             parse_config(path)
+
+    @pytest.mark.parametrize("value, expected", [
+        ("1", True), ("0", False), ("TRUE", True), ("False", False), ("Yes", True), ("no", False),
+    ])
+    def test_augment_spellings(self, tmp_path, value, expected):
+        path = tmp_path / "cfg.txt"
+        path.write_text(f"augment = {value}\n")
+        assert parse_config(path).augment is expected
+
+    def test_augment_typo_rejected(self, tmp_path):
+        # Any value outside the six spellings used to switch augmentation off.
+        path = tmp_path / "cfg.txt"
+        path.write_text("k = 8\naugment = ture\n")
+        with pytest.raises(InvalidInput, match=rf"^{path}:2: bad value for augment"):
+            parse_config(path)
+
+    @pytest.mark.parametrize("lr", ["nan", "inf"])
+    def test_nonfinite_lr_rejected(self, tmp_path, lr):
+        path = tmp_path / "cfg.txt"
+        path.write_text(f"lr = {lr}\n")
+        with pytest.raises(InvalidInput, match="^lr must be positive and finite"):
+            parse_config(path)
