@@ -20,13 +20,6 @@ from .errors import (
     InvalidInput,
 )
 
-# Extra neighbors fetched per row by query_many's second stage, so that a
-# distance tie at the cut can be re-broken by point index without a third,
-# exhaustive query. The first stage fetches one extra neighbor and sends a
-# row here only when that neighbor does not settle the cut.
-_TIE_PAD = 8
-
-
 @dataclass(frozen=True)
 class PointCloud:
     """Immutable point set with optional per-point labels and predictions.
@@ -104,10 +97,11 @@ class SpatialIndex:
     """kd-tree over a cloud answering exact kNN queries.
 
     Results match a brute-force scan: sorted by nondecreasing Euclidean
-    distance, ties broken by smaller point index. A query fetches one extra
-    neighbor per row and falls back to a padded, then exhaustive, search
-    only for rows where that neighbor does not settle the cut (see
-    query_many). Immutable after build; safe for concurrent queries.
+    distance, ties broken by smaller point index, with every distance taken
+    by _norms, the one expression all orderings in this module use. A query
+    fetches one extra neighbor per row and falls back to a ball search only
+    for rows where that neighbor does not settle the cut (see query_many).
+    Immutable after build; safe for concurrent queries.
     """
 
     def __init__(self, cloud: PointCloud):
@@ -125,14 +119,15 @@ class SpatialIndex:
     def query_many(self, queries: np.ndarray, k: int) -> np.ndarray:
         """Vectorized query: (B, 3) query points -> (B, min(k, N)) indices.
 
-        Two stages. The first fetches kk + 1 neighbors per row, kk = min(k, N),
-        and puts each row in (distance, index) order. A row is settled when
-        its (kk+1)-th distance exceeds its kk-th by more than a relative 1e-9:
-        the kd-tree's distances agree with numpy's to a few ulp, so every
-        point it did not return lies farther than the kk-th, and the first kk
-        are exact. The second stage re-queries the other rows, and every row
-        when kk = N, with _TIE_PAD extra neighbors and, if the tie group at
-        the cut runs past those, an exhaustive ball search.
+        Two paths. The kd-tree fetches min(kk + 1, N) neighbors per row,
+        kk = min(k, N), and each row is put in (distance, index) order. A row
+        is settled when its (kk+1)-th distance exceeds its kk-th by more than
+        a relative 1e-9: the kd-tree's distances agree with _norms to a few
+        ulp, so every point it did not return lies farther than the kk-th,
+        and the first kk are exact. At kk = N every point is returned, so
+        every row is settled. The other rows, whose cut falls inside a tie,
+        take one batched ball search: every point within the kk-th distance
+        plus that margin, sorted by (row, distance, index).
         """
         queries = np.asarray(queries, dtype=np.float64)
         if queries.ndim != 2 or queries.shape[1] != 3:
@@ -140,47 +135,41 @@ class SpatialIndex:
         if k < 1:
             raise InvalidInput("k must be >= 1")
         kk = min(k, self.n)
-        if kk == self.n:
-            return self._query_padded(queries, kk)
-        _, idx = self._tree.query(queries, k=kk + 1)
-        idx = idx.astype(np.int64)
-        diff = self._points[idx] - queries[:, None, :]
-        dist = np.sqrt(np.einsum("bkd,bkd->bk", diff, diff))
+        m = min(kk + 1, self.n)
+        _, idx = self._tree.query(queries, k=m)
+        idx = idx.reshape(queries.shape[0], m).astype(np.int64)
+        dist = _norms(self._points[idx] - queries[:, None, :])
         stray, order = _stray_order(dist, idx)
         idx[stray] = np.take_along_axis(idx[stray], order, axis=1)
+        if m == kk:
+            return idx
         dist[stray] = np.take_along_axis(dist[stray], order, axis=1)
         idx = idx[:, :kk]
-        unsettled = np.nonzero(dist[:, kk] <= dist[:, kk - 1] * (1.0 + 1e-9))[0]
-        if unsettled.size:
-            idx[unsettled] = self._query_padded(queries[unsettled], kk)
+        tied = np.nonzero(dist[:, kk] <= dist[:, kk - 1] * (1.0 + 1e-9))[0]
+        if tied.size:
+            idx[tied] = self._ball_search(queries[tied], dist[tied, kk - 1], kk)
         return idx
 
-    def _query_padded(self, queries: np.ndarray, kk: int) -> np.ndarray:
-        """(B, kk) exact neighbors from kk + _TIE_PAD candidates, sorted in full."""
-        n = self.n
-        pad = min(kk + _TIE_PAD, n)
-        _, idx = self._tree.query(queries, k=pad)
-        idx = idx.reshape(queries.shape[0], pad).astype(np.int64)
-        # Re-derive distances with plain numpy so ordering keys are exactly
-        # the ones a brute-force scan would use, then sort (distance, index).
-        diff = self._points[idx] - queries[:, None, :]
-        dist = np.sqrt(np.einsum("bkd,bkd->bk", diff, diff))
-        order = np.lexsort((idx, dist), axis=1)
-        idx = np.take_along_axis(idx, order, axis=1)
-        dist = np.take_along_axis(dist, order, axis=1)
+    def _ball_search(self, queries: np.ndarray, cut: np.ndarray, kk: int) -> np.ndarray:
+        """(B, kk) exact neighbors of rows whose kk-th distance is cut, ties and all."""
+        radius = cut * (1.0 + 1e-9) + 1e-300
+        balls = self._tree.query_ball_point(queries, radius)
+        sizes = np.array([len(b) for b in balls], dtype=np.int64)
+        cand = np.concatenate(balls).astype(np.int64)
+        row = np.repeat(np.arange(len(balls)), sizes)
+        dist = _norms((self._points[cand] - queries[row])[None])[0]
+        order = np.lexsort((cand, dist, row))
+        starts = np.cumsum(sizes) - sizes
+        return cand[order][starts[:, None] + np.arange(kk)]
 
-        if pad < n:
-            # A kd-tree breaks exact-distance ties arbitrarily. If the tie
-            # group at the cut runs past the padded window, resolve that row
-            # exhaustively within an inflated ball.
-            risky = np.nonzero(dist[:, kk - 1] >= dist[:, pad - 1])[0]
-            for b in risky:
-                r = dist[b, kk - 1] * (1.0 + 1e-9) + 1e-300
-                cand = np.asarray(self._tree.query_ball_point(queries[b], r), dtype=np.int64)
-                d = np.linalg.norm(self._points[cand] - queries[b], axis=1)
-                keep = cand[np.lexsort((cand, d))][:kk]
-                idx[b, :kk] = keep
-        return idx[:, :kk]
+
+def _norms(diff: np.ndarray) -> np.ndarray:
+    """(B, m) Euclidean norms of (B, m, 3) difference vectors.
+
+    Every distance this module orders by comes from here, in one operand
+    layout, so equal difference vectors always give bit-equal distances.
+    """
+    return np.sqrt(np.einsum("bkd,bkd->bk", diff, diff))
 
 
 def _stray_order(dist: np.ndarray, idx: np.ndarray):
@@ -273,34 +262,15 @@ def extract_patches(cloud: PointCloud, index: SpatialIndex, targets: np.ndarray,
         raise InsufficientNeighborhood(
             f"need at least {k + 1} points for k={k}, cloud has {n}"
         )
-    centers = cloud.points[targets]
-    nn = index.query_many(centers, n_cand + 1)
-    # Drop the target itself from its candidate list; the remaining rows keep
-    # their (distance, index) order. With exact duplicates the self index may
-    # land anywhere in the zero-distance tie group, or fall off the list, in
-    # which case the row keeps its first n_cand entries and the duplicate
-    # check below fires.
-    keep_order = np.argsort(nn == targets[:, None], axis=1, kind="stable")[:, :n_cand]
-    keep_order.sort(axis=1)
-    cand = np.take_along_axis(nn, keep_order, axis=1)
-
-    dvecs_all = cloud.points[cand] - centers[:, None, :]
-    cdist = np.sqrt(np.einsum("bkd,bkd->bk", dvecs_all, dvecs_all))
+    cand = _knn_excluding_self(index, targets, n_cand)
+    dvecs_all = cloud.points[cand] - cloud.points[targets][:, None, :]
+    cdist = _norms(dvecs_all)
     if (cdist[:, 0] == 0.0).any():
         bad = int(targets[np.nonzero(cdist[:, 0] == 0.0)[0][0]])
         raise DuplicatePoint(f"cloud contains a duplicate of point {bad}")
 
     axes = _min_axes(cloud.points[cand])
     off_all = np.abs(np.einsum("bkd,bd->bk", dvecs_all, axes))
-
-    # query_many orders rows by this same distance expression, except rows its
-    # exhaustive tie path ordered by np.linalg.norm, which can differ in the
-    # last bit. Re-sort any such row so every row is in (cdist, index) order.
-    # The axes above are taken over the rows in query order, before this.
-    stray, order = _stray_order(cdist, cand)
-    for arr in (cand, cdist, off_all):
-        arr[stray] = np.take_along_axis(arr[stray], order, axis=1)
-    dvecs_all[stray] = np.take_along_axis(dvecs_all[stray], order[:, :, None], axis=1)
 
     # Keep the k smallest offsets. With cand in (distance, index) order, a
     # stable sort breaks offset ties by distance, then index, and sorting the
@@ -339,24 +309,24 @@ def mean_neighbor_distance(cloud: PointCloud, k: int = 16) -> float:
     """Mean Euclidean distance from each point to its k nearest neighbors."""
     if cloud.n < k + 1:
         raise InsufficientNeighborhood(f"need at least {k + 1} points, cloud has {cloud.n}")
-    neighbors = _knn_excluding_self(build_index(cloud), k)
+    neighbors = _knn_excluding_self(build_index(cloud), np.arange(cloud.n), k)
     return float(np.linalg.norm(cloud.points[neighbors] - cloud.points[:, None, :], axis=2).mean())
 
 
-def _knn_excluding_self(index: SpatialIndex, k: int) -> np.ndarray:
-    """(N, k) nearest neighbors of every indexed point, leaving the point out.
+def _knn_excluding_self(index: SpatialIndex, targets: np.ndarray, k: int) -> np.ndarray:
+    """(B, k) nearest neighbors of the indexed points targets, leaving each out.
 
-    With duplicates the self entry can sit anywhere in the zero-distance
-    group, or fall off the list, in which case the row drops its first
-    entry, a duplicate that stands in for it.
+    Rows keep query_many's (distance, index) order. With duplicates the self
+    entry can sit anywhere in the zero-distance group, or fall off the list,
+    in which case the row drops its first entry, a duplicate that stands in
+    for it.
     """
-    n = index.n
-    nn = index.query_many(index._points, k + 1)
-    is_self = nn == np.arange(n)[:, None]
+    nn = index.query_many(index._points[targets], k + 1)
+    is_self = nn == targets[:, None]
     drop = np.where(is_self.any(axis=1), np.argmax(is_self, axis=1), 0)
     mask = np.ones_like(nn, dtype=bool)
-    mask[np.arange(n), drop] = False
-    return nn[mask].reshape(n, k)
+    mask[np.arange(len(nn)), drop] = False
+    return nn[mask].reshape(len(nn), k)
 
 
 def add_gaussian_noise(cloud: PointCloud, ratio: float, seed: int) -> PointCloud:

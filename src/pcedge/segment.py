@@ -27,9 +27,11 @@ class SegmentationResult:
 
 def _knn_pairs(cloud: PointCloud, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Symmetrized kNN edges as (src, dst) arrays, sorted by (src, dst), no repeats."""
+    if k < 1:
+        raise InvalidInput(f"k must be >= 1, got {k}")
     if cloud.n < k + 1:
         raise InsufficientNeighborhood(f"kNN graph needs at least {k + 1} points, cloud has {cloud.n}")
-    neighbors = _knn_excluding_self(build_index(cloud), k)
+    neighbors = _knn_excluding_self(build_index(cloud), np.arange(cloud.n), k)
 
     src = np.repeat(np.arange(cloud.n), k)
     dst = neighbors.ravel()

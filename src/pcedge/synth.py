@@ -68,6 +68,8 @@ class ShapeSpec:
         object.__setattr__(self, "size", size)
         if self.tau is not None and not 0 < self.tau < math.inf:
             raise InvalidInput(f"tau must be positive and finite, got {self.tau}")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise InvalidInput(f"seed must be a nonnegative integer, got {self.seed!r}")
 
     @property
     def band_width(self) -> float:

@@ -426,4 +426,7 @@ def parse_config(path) -> TrainConfig:
                 kwargs[key] = casts[key](value)
             except (KeyError, ValueError) as exc:
                 raise InvalidInput(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
-    return TrainConfig(**kwargs)
+    try:
+        return TrainConfig(**kwargs)
+    except InvalidInput as exc:
+        raise InvalidInput(f"{path}: {exc}") from exc

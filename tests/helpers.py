@@ -255,10 +255,11 @@ def _argsort_rows(*keys: np.ndarray) -> np.ndarray:
     return order - np.arange(b)[:, None] * m
 
 
+_TIE_PAD = 8
+
+
 def oracle_query_many(index, queries, k):
     """SpatialIndex.query_many with one global lexsort over all rows."""
-    from pcedge.cloud import _TIE_PAD
-
     queries = np.asarray(queries, dtype=np.float64)
     n = index.n
     kk = min(k, n)
@@ -282,15 +283,18 @@ def oracle_query_many(index, queries, k):
     return idx[:, :kk]
 
 
-def oracle_extract_patches(cloud, index, targets, k):
-    """extract_patches with three global lexsorts and a per-row self-drop loop."""
+def oracle_extract_patches(cloud, index, targets, k, query=oracle_query_many):
+    """extract_patches with three global lexsorts and a per-row self-drop loop.
+
+    query(index, queries, k) supplies the candidate lists.
+    """
     from pcedge.cloud import _min_axes
     from pcedge.errors import DuplicatePoint
 
     targets = np.asarray(targets, dtype=np.int64)
     n_cand = min(2 * k, cloud.n - 1)
     centers = cloud.points[targets]
-    nn = oracle_query_many(index, centers, n_cand + 1)
+    nn = query(index, centers, n_cand + 1)
     is_self = nn == targets[:, None]
     if is_self.any(axis=1).all():
         keep_order = np.argsort(is_self, axis=1, kind="stable")[:, :n_cand]
@@ -324,6 +328,30 @@ def oracle_extract_patches(cloud, index, targets, k):
     offsets = np.take_along_axis(kept_off, order, axis=1)
     scales = kept_d.mean(axis=1)
     return dvecs, offsets, axes, scales, neighbor_idx
+
+
+def full_scan_query_many(index, queries, k):
+    """Exact kNN by a chunked scan over every indexed point.
+
+    Rows are ordered by (distance, index), every distance taken by
+    pcedge.cloud._norms: the definition query_many must meet, bit for bit.
+    """
+    from pcedge.cloud import _norms
+
+    queries = np.asarray(queries, dtype=np.float64)
+    pts = index._points
+    kk = min(k, len(pts))
+    out = np.empty((len(queries), kk), dtype=np.int64)
+    step = max(1, 2 ** 19 // len(pts))
+    for lo in range(0, len(queries), step):
+        q = queries[lo:lo + step]
+        dist = _norms(pts[None, :, :] - q[:, None, :])
+        cut = np.partition(dist, kk - 1, axis=1)[:, kk - 1:kk]
+        row, col = np.nonzero(dist <= cut)
+        order = np.lexsort((col, dist[row, col], row))
+        starts = np.searchsorted(row, np.arange(len(q)))
+        out[lo:lo + len(q)] = col[order][starts[:, None] + np.arange(kk)]
+    return out
 
 
 # Frozen oracles for post-processing: the per-row XYZ/PLY writers and the

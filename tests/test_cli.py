@@ -101,6 +101,7 @@ MALFORMED_SYNTH = {
     "density_inf": ["--density", "inf"],
     "size_inf": ["--size", "1,inf,1"],
     "tau_nan": ["--tau", "nan"],
+    "seed_negative": ["--seed", "-1"],
 }
 
 # Each would otherwise run a short training (or fail after the dataset build).
@@ -108,6 +109,7 @@ MALFORMED_CONFIGS = {
     "augment_typo": "k = 8\nmax_epochs = 1\naugment = ture\n",
     "lr_nan": "k = 8\nmax_epochs = 1\nlr = nan\n",
     "lr_inf": "k = 8\nmax_epochs = 1\nlr = inf\n",
+    "k_odd": "k = 7\nmax_epochs = 1\n",
 }
 
 
@@ -159,8 +161,17 @@ class TestMalformedInput:
                      "--out-checkpoint", str(ckpt)])
         err = capsys.readouterr().err
         assert code == 2
-        assert err.count("\n") == 1 and err.startswith("pcedge train: ")
+        assert err.count("\n") == 1 and err.startswith(f"pcedge train: {cfg}")
         assert not ckpt.exists()
+
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_segment_k(self, k, cube_file, tmp_path, capsys):
+        out = tmp_path / "o.xyz"
+        code = main(["segment", "--cloud", str(cube_file), "--k", k, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"pcedge segment: k must be >= 1, got {k}\n"
+        assert not out.exists()
 
 
 class TestSynthCommand:

@@ -1,11 +1,14 @@
 """Point-cloud core: exact kNN, PCA axis, filtered-kNN patches, perturbations."""
 
+import functools
+
 import numpy as np
 import pytest
 from concurrent.futures import ThreadPoolExecutor
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
+    full_scan_query_many,
     gapped_lattice_cube,
     lattice_cube,
     oracle_extract_patches,
@@ -13,7 +16,6 @@ from helpers import (
 )
 from pcedge import synth
 from pcedge.cloud import (
-    _TIE_PAD,
     PointCloud,
     add_gaussian_noise,
     augment_rotations,
@@ -501,41 +503,72 @@ class TestQueryParity:
             assert np.array_equal(index.query_many(big.points, k),
                                   oracle_query_many(index, big.points, k)), k
 
-    @pytest.mark.parametrize("k", [1, 6, 7, 33, 65])
-    def test_lattice_fixtures(self, k):
+    @staticmethod
+    @functools.cache
+    def lattice_fixtures():
+        """(index, 65 nearest by full scan) per fixture; a smaller k takes a prefix."""
         clouds = [make()[0] for make in (lattice_cube, gapped_lattice_cube)]
         clouds += [two_sheet_grid(gap, 0.02)[0] for gap in (0.05, 0.03)]
         clouds += [PointCloud(integer_lattice(12) * 0.1), PointCloud(integer_lattice(12))]
-        for cloud in clouds:
-            index = build_index(cloud)
-            assert np.array_equal(index.query_many(cloud.points, k),
-                                  oracle_query_many(index, cloud.points, k))
+        indexes = [build_index(cloud) for cloud in clouds]
+        return [(index, full_scan_query_many(index, index._points, 65)) for index in indexes]
 
-    def test_one_ulp_gap_takes_second_stage(self):
+    @pytest.mark.parametrize("k", [1, 6, 7, 33, 65])
+    def test_lattice_fixtures(self, k):
+        for index, scan in self.lattice_fixtures():
+            assert np.array_equal(index.query_many(index._points, k), scan[:, :k])
+
+    def test_tie_within_margin_of_cut(self):
+        # On the 0.1-spaced 12^3 lattice at k=65, rows 336 and 710 tie their
+        # 65th distance with a point (73, 397) whose kd-tree distance is one
+        # ulp higher. A 73-wide kd window cuts its own tie group there and
+        # leaves that point out; only a cut test with a margin sees it.
+        cloud = PointCloud(integer_lattice(12) * 0.1)
+        index = build_index(cloud)
+        queries = cloud.points[[336, 710]]
+        assert np.array_equal(index.query_many(queries, 65),
+                              full_scan_query_many(index, queries, 65))
+
+    @settings(max_examples=60, deadline=None)
+    @given(shape=st.tuples(*[st.integers(2, 8)] * 3),
+           spacing=st.sampled_from([0.1, 0.3, 1 / 3, 0.7]),
+           k=st.integers(1, 70), seed=st.integers(0, 2**32 - 1))
+    def test_non_integer_lattices_match_full_scan(self, shape, spacing, k, seed):
+        rng = np.random.default_rng(seed)
+        pts = np.stack(np.meshgrid(*[np.arange(s) * spacing for s in shape], indexing="ij"),
+                       axis=-1).reshape(-1, 3)
+        pairs = rng.integers(0, len(pts), size=(20, 2))
+        queries = np.vstack([pts, (pts[pairs[:, 0]] + pts[pairs[:, 1]]) / 2])
+        index = build_index(PointCloud(pts))
+        assert np.array_equal(index.query_many(queries, k),
+                              full_scan_query_many(index, queries, k))
+
+    def test_one_ulp_gap_takes_ball_search(self):
         # The 5th neighbor of the origin is one ulp farther than the 4th; the
         # other query has a clear gap at the cut and settles in stage 1.
         k = 4
         pts = [[i, 0.0, 0.0] for i in range(1, k + 1)] + [[0.0, np.nextafter(k, np.inf), 0.0]]
-        pts += [[10.0 + i, 10.0, 10.0] for i in range(_TIE_PAD + 2)]
+        pts += [[10.0 + i, 10.0, 10.0] for i in range(10)]
         index, spy = spied_index(PointCloud(np.array(pts)))
         queries = np.array([[0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
         got = index.query_many(queries, k)
         assert got.tolist() == [[0, 1, 2, 3], [0, 1, 2, 4]]
-        assert spy.queries == [(2, k + 1), (1, k + _TIE_PAD)]
+        assert spy.queries == [(2, k + 1)]
+        assert spy.ball_calls == 1
 
-    def test_tie_group_past_pad_takes_exhaustive_path(self):
+    def test_large_tie_group_takes_ball_search(self):
         # 30 integer points at distance exactly 5 from the origin, shuffled,
         # with a farther shell behind them; the cut at k=5 falls inside the
-        # group, which runs past the k + _TIE_PAD candidates.
+        # group, which runs far past the kd-tree's k + 1 candidates.
         pts = integer_lattice(13) - 6.0
         r2 = (pts ** 2).sum(axis=1)
         pts = np.vstack([pts[r2 == 25], pts[r2 == 36]])
         pts = pts[np.random.default_rng(0).permutation(len(pts))]
-        assert (np.einsum("ij,ij->i", pts, pts) == 25).sum() > 5 + _TIE_PAD
+        assert (np.einsum("ij,ij->i", pts, pts) == 25).sum() > 5 + 1
         index, spy = spied_index(PointCloud(pts))
         got = index.query([0.0, 0.0, 0.0], 5)
         assert got.tolist() == brute_force_knn(pts, np.zeros(3), 5).tolist()
-        assert spy.queries == [(1, 6), (1, 5 + _TIE_PAD)]
+        assert spy.queries == [(1, 6)]
         assert spy.ball_calls == 1
 
     def test_zero_distance_duplicates_at_cut(self):
@@ -546,14 +579,14 @@ class TestQueryParity:
         pts[[17, 5]] = pts[40]
         index, spy = spied_index(PointCloud(pts))
         assert index.query(pts[40], 2).tolist() == [5, 17]
-        assert spy.queries == [(1, 3), (1, 2 + _TIE_PAD)]
-        assert spy.ball_calls == 0
+        assert spy.queries == [(1, 3)]
+        assert spy.ball_calls == 1
         assert index.query(pts[40], 3).tolist() == [5, 17, 40]
 
     @pytest.mark.parametrize("lattice", [False, True])
     @pytest.mark.parametrize("dk", [-1, 0, 1])
     def test_boundary_k(self, lattice, dk):
-        # Stage 1 applies up to k = N - 1; at k >= N every row takes stage 2.
+        # At k >= N the kd-tree returns every point and no row is tied.
         pts = integer_lattice(3) if lattice else np.random.default_rng(7).random((27, 3))
         k = len(pts) + dk
         index = build_index(PointCloud(pts))
@@ -567,11 +600,11 @@ class TestExtractionParity:
     """Byte identity with the frozen global-lexsort extraction in helpers."""
 
     @staticmethod
-    def assert_identical(cloud, k):
+    def assert_identical(cloud, k, query=oracle_query_many):
         index = build_index(cloud)
         targets = np.arange(cloud.n)
         got = extract_patches(cloud, index, targets, k)
-        want = oracle_extract_patches(cloud, index, targets, k)
+        want = oracle_extract_patches(cloud, index, targets, k, query=query)
         for name, a, b in zip(("dvecs", "offsets", "axes", "scales", "indices"), got, want):
             assert np.array_equal(a, b), name
 
@@ -593,13 +626,13 @@ class TestExtractionParity:
             self.assert_identical(two_sheet_grid(gap, 0.02)[0], k)
 
     def test_exact_lattice_tie_path(self):
-        # On an unjittered 0.1-spaced lattice, distance ties at the cut run
-        # past the padded window, so query_many resolves rows exhaustively and
-        # orders them by np.linalg.norm, which differs from the batched
-        # distance in the last bit on some rows.
+        # On an unjittered 0.1-spaced lattice, distance ties at the cut send
+        # rows to query_many's ball search; the frozen oracle's own padded
+        # query misses some of them (test_tie_within_margin_of_cut), so its
+        # candidates come from the full scan here.
         g = np.arange(12) * 0.1
         pts = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
-        self.assert_identical(PointCloud(pts), 32)
+        self.assert_identical(PointCloud(pts), 32, query=full_scan_query_many)
 
 
 class TestAugmentRotations:

@@ -65,6 +65,11 @@ class TestKnnGraph:
         with pytest.raises(InsufficientNeighborhood):
             knn_graph(PointCloud(np.random.default_rng(0).random((4, 3))), k=5)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, k):
+        with pytest.raises(InvalidInput, match=rf"^k must be >= 1, got {k}$"):
+            knn_graph(PointCloud(np.random.default_rng(0).random((10, 3))), k=k)
+
 
 class TestFloodSegment:
     def test_cube_six_faces(self):

@@ -168,6 +168,11 @@ class TestGenerate:
         with pytest.raises(InvalidInput, match=rf"^{field}"):
             ShapeSpec("box", **{field: value})
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "7"])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(InvalidInput, match=r"^seed"):
+            ShapeSpec("box", seed=seed)
+
     def test_metadata_sidecar(self, tmp_path):
         res = generate(ShapeSpec("box", density=500, seed=11))
         path = tmp_path / "meta.csv"
