@@ -153,7 +153,7 @@ class SpatialIndex:
     def _ball_search(self, queries: np.ndarray, cut: np.ndarray, kk: int) -> np.ndarray:
         """(B, kk) exact neighbors of rows whose kk-th distance is cut, ties and all."""
         radius = cut * (1.0 + 1e-9) + 1e-300
-        balls = self._tree.query_ball_point(queries, radius)
+        balls = self._tree.query_ball_point(queries, radius, return_sorted=False)
         sizes = np.array([len(b) for b in balls], dtype=np.int64)
         cand = np.concatenate(balls).astype(np.int64)
         row = np.repeat(np.arange(len(balls)), sizes)

@@ -108,10 +108,6 @@ class PatchSet:
     def n(self) -> int:
         return self.labels.shape[0]
 
-    def take(self, idx: np.ndarray) -> "PatchSet":
-        return PatchSet(self.dvecs[idx], self.offsets[idx], self.scales[idx],
-                        self.labels[idx], self.origin[idx])
-
 
 @dataclass
 class TrainState:
@@ -153,12 +149,24 @@ def bce_loss(e, e_gt):
     return loss, grad
 
 
+# Target rows per extract_patches call in build_dataset. One call's
+# temporaries cost about 3 kB per row at k=16, so this bounds them at about
+# 13 MB whatever the cloud size; extraction time does not depend on it.
+_EXTRACT_CHUNK = 4096
+
+
 def build_dataset(cloud: PointCloud, cfg: TrainConfig):
     """Patch sets for training and validation from one labeled cloud.
 
     One patch per point per rotation copy. The split is drawn at the
     original-point level so all rotated copies of a point land on the same
-    side, preventing leakage.
+    side, preventing leakage. Rows are copy-major, then in ascending point
+    index.
+
+    Each patch is extracted straight into its row of the returned arrays,
+    _EXTRACT_CHUNK targets at a time, so the peak memory is the returned
+    sets (536 bytes per patch at k=16) plus one chunk's extraction
+    temporaries.
     """
     if cloud.labels is None:
         raise InvalidInput("training cloud must be fully labeled")
@@ -167,26 +175,31 @@ def build_dataset(cloud: PointCloud, cfg: TrainConfig):
             f"training needs at least {2 * cfg.k + 1} points, cloud has {cloud.n}"
         )
     copies = augment_rotations(cloud) if cfg.augment else [cloud]
-    targets = np.arange(cloud.n)
-    parts = []
-    for copy in copies:
-        index = build_index(copy)
-        dv, off, _, sc, _ = extract_patches(copy, index, targets, cfg.k)
-        parts.append((dv, off, sc))
-    full = PatchSet(
-        dvecs=np.concatenate([p[0] for p in parts]),
-        offsets=np.concatenate([p[1] for p in parts]),
-        scales=np.concatenate([p[2] for p in parts]),
-        labels=np.tile(cloud.labels, len(copies)),
-        origin=np.tile(targets, len(copies)),
-    )
     rng = np.random.default_rng(cfg.seed)
     perm = rng.permutation(cloud.n)
     n_val = max(1, int(np.floor(cfg.val_fraction * cloud.n + 0.5)))
     val_points = np.zeros(cloud.n, dtype=bool)
     val_points[perm[:n_val]] = True
-    val_mask = val_points[full.origin]
-    return full.take(np.nonzero(~val_mask)[0]), full.take(np.nonzero(val_mask)[0])
+    splits = []
+    for points in (np.nonzero(~val_points)[0], np.nonzero(val_points)[0]):
+        n = len(copies) * points.size
+        splits.append((points, PatchSet(
+            dvecs=np.empty((n, cfg.k, 3)),
+            offsets=np.empty((n, cfg.k)),
+            scales=np.empty(n),
+            labels=np.tile(cloud.labels[points], len(copies)),
+            origin=np.tile(points, len(copies)),
+        )))
+    for c, copy in enumerate(copies):
+        index = build_index(copy)
+        for points, out in splits:
+            for lo in range(0, points.size, _EXTRACT_CHUNK):
+                targets = points[lo:lo + _EXTRACT_CHUNK]
+                first = c * points.size + lo
+                rows = slice(first, first + targets.size)
+                out.dvecs[rows], out.offsets[rows], _, out.scales[rows], _ = \
+                    extract_patches(copy, index, targets, cfg.k)
+    return splits[0][1], splits[1][1]
 
 
 def adam_step(state: TrainState, grads: dict[str, np.ndarray], cfg: TrainConfig) -> TrainState:

@@ -354,6 +354,44 @@ def full_scan_query_many(index, queries, k):
     return out
 
 
+# Frozen oracle for dataset assembly: the build_dataset that extracted each
+# rotated copy whole, concatenated the copies and then indexed out the
+# train and validation rows, unchanged apart from the dropped input checks,
+# so the in-place assembly in pcedge.trainer can be checked for byte
+# identity against it.
+
+def oracle_build_dataset(cloud, cfg):
+    """build_dataset by whole-cloud extraction, concatenation and indexing."""
+    from pcedge.cloud import augment_rotations, build_index, extract_patches
+    from pcedge.trainer import PatchSet
+
+    def take(full, idx):
+        return PatchSet(full.dvecs[idx], full.offsets[idx], full.scales[idx],
+                        full.labels[idx], full.origin[idx])
+
+    copies = augment_rotations(cloud) if cfg.augment else [cloud]
+    targets = np.arange(cloud.n)
+    parts = []
+    for copy in copies:
+        index = build_index(copy)
+        dv, off, _, sc, _ = extract_patches(copy, index, targets, cfg.k)
+        parts.append((dv, off, sc))
+    full = PatchSet(
+        dvecs=np.concatenate([p[0] for p in parts]),
+        offsets=np.concatenate([p[1] for p in parts]),
+        scales=np.concatenate([p[2] for p in parts]),
+        labels=np.tile(cloud.labels, len(copies)),
+        origin=np.tile(targets, len(copies)),
+    )
+    rng = np.random.default_rng(cfg.seed)
+    perm = rng.permutation(cloud.n)
+    n_val = max(1, int(np.floor(cfg.val_fraction * cloud.n + 0.5)))
+    val_points = np.zeros(cloud.n, dtype=bool)
+    val_points[perm[:n_val]] = True
+    val_mask = val_points[full.origin]
+    return take(full, np.nonzero(~val_mask)[0]), take(full, np.nonzero(val_mask)[0])
+
+
 # Frozen oracles for post-processing: the per-row XYZ/PLY writers and the
 # deque BFS flood fill that the array code in pcedge.io and pcedge.segment
 # replaced, unchanged apart from dropped docstrings, so that code can be

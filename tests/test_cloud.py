@@ -379,6 +379,38 @@ class TestExtractPatch:
             assert np.array_equal(ni[row], patch.neighbor_indices)
             assert sc[row] == patch.scale
 
+    @pytest.mark.parametrize("k", [8, 16])
+    @pytest.mark.parametrize("direction", [(1, 0, 0), (0, 0, 1), (1, 1, 1), (1, -1, 3), (0, 2, -1)])
+    def test_collinear_neighborhoods(self, direction, k):
+        # Integer steps along an integer direction, scaled by 1/4: every
+        # coordinate, candidate mean (over 2k, a power of two) and covariance
+        # entry is exact, so each covariance has rank one and the axis comes
+        # from its 2-d null space, where the eigensolver alone picks it.
+        d = np.asarray(direction, dtype=np.float64)
+        steps = np.random.default_rng(k).choice(400, size=60, replace=False)
+        cloud = PointCloud(0.25 * steps[:, None] * d)
+        index = build_index(cloud)
+        targets = np.arange(cloud.n)
+        whole = extract_patches(cloud, index, targets, k)
+        axes = whole[2]
+        assert np.allclose(np.linalg.norm(axes, axis=1), 1.0, rtol=0, atol=1e-12)
+        assert np.abs(axes @ (d / np.linalg.norm(d))).max() < 1e-12
+        mags = np.abs(axes)
+        lead = np.argmax(mags >= mags.max(axis=1, keepdims=True) * (1.0 - 1e-12), axis=1)
+        assert (axes[np.arange(cloud.n), lead] > 0).all()
+
+        def in_batches(order, size):
+            parts = [extract_patches(cloud, index, order[lo:lo + size], k)
+                     for lo in range(0, len(order), size)]
+            return [np.concatenate(p) for p in zip(*parts)]
+
+        again = extract_patches(cloud, index, targets, k)
+        sevens = in_batches(targets, 7)
+        singles_reversed = [a[::-1] for a in in_batches(targets[::-1], 1)]
+        for other in (again, sevens, singles_reversed):
+            for a, b in zip(whole, other):
+                assert a.tobytes() == b.tobytes()
+
 
 @st.composite
 def tricky_clouds(draw, min_points=2):
@@ -453,9 +485,9 @@ class _TreeSpy:
         self.queries.append((len(x), k))
         return self.tree.query(x, k=k)
 
-    def query_ball_point(self, x, r):
+    def query_ball_point(self, x, r, **kwargs):
         self.ball_calls += 1
-        return self.tree.query_ball_point(x, r)
+        return self.tree.query_ball_point(x, r, **kwargs)
 
 
 def spied_index(cloud):

@@ -1,9 +1,13 @@
 """Network forward/backward, invariances, checkpoints."""
 
+import functools
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import (
     decode,
@@ -336,6 +340,14 @@ class TestBackward:
         assert checked > 400
 
 
+@functools.lru_cache(maxsize=1)
+def _small_checkpoint_bytes() -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.ckpt"
+        net.save_checkpoint(net.init_params(8, seed=0), path)
+        return path.read_bytes()
+
+
 class TestCheckpoint:
     def test_roundtrip_byte_identical(self, tmp_path):
         params = net.init_params(16, seed=5)
@@ -379,6 +391,20 @@ class TestCheckpoint:
         path.write_bytes(bytes(raw))
         with pytest.raises(CorruptCheckpoint):
             net.load_checkpoint(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_any_single_byte_corruption_rejected(self, data):
+        # Magic, header, tensor table or CRC: one altered byte anywhere fails
+        # the magic or the CRC check, never a parser deeper in.
+        raw = bytearray(_small_checkpoint_bytes())
+        pos = data.draw(st.integers(0, len(raw) - 1), label="position")
+        raw[pos] ^= data.draw(st.integers(1, 255), label="mask")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "c.ckpt"
+            path.write_bytes(bytes(raw))
+            with pytest.raises(CorruptCheckpoint):
+                net.load_checkpoint(path)
 
     def test_k_guard(self, tmp_path):
         params = net.init_params(16, seed=0)

@@ -5,12 +5,14 @@ import platform
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import oracle_build_dataset
 from pcedge import net, trainer
 from pcedge.cloud import PointCloud
 from pcedge.errors import (
@@ -38,6 +40,30 @@ from pcedge.trainer import (
 def small_cloud():
     """Small labeled fixture: a coarse box sampling."""
     return generate(ShapeSpec("box", size=(1.0, 0.8, 0.6), density=400, seed=3)).cloud
+
+
+@pytest.fixture(scope="module")
+def midsize_cloud():
+    """9,283 labeled points: the train split spans three default chunks."""
+    return generate(ShapeSpec("union_boxes", density=2000, seed=7)).cloud
+
+
+def tiny_cloud():
+    """50 labeled points: a 5-point validation split."""
+    rng = np.random.default_rng(4)
+    return PointCloud(rng.random((50, 3)), labels=np.arange(50) % 2)
+
+
+PATCH_FIELDS = ("dvecs", "offsets", "scales", "labels", "origin")
+
+
+def assert_identical_sets(got, want):
+    """Byte equality, dtype and shape of every field of (train, val) pairs."""
+    for g, w in zip(got, want, strict=True):
+        for field in PATCH_FIELDS:
+            a, b = getattr(g, field), getattr(w, field)
+            assert a.dtype == b.dtype and a.shape == b.shape, field
+            assert a.tobytes() == b.tobytes(), field
 
 
 class TestBceLoss:
@@ -123,6 +149,41 @@ class TestBuildDataset:
         train_set, val_set = build_dataset(small_cloud, cfg)
         assert np.array_equal(train_set.labels, small_cloud.labels[train_set.origin])
         assert np.array_equal(val_set.labels, small_cloud.labels[val_set.origin])
+
+    @pytest.mark.parametrize("k", [8, 16])
+    @pytest.mark.parametrize("augment", [True, False])
+    @pytest.mark.parametrize("which", ["small", "tiny"])
+    def test_matches_frozen_oracle(self, small_cloud, monkeypatch, which, augment, k):
+        # Chunks of 7 rows: the small cloud's 1,354 train and 150 validation
+        # points both end in a partial chunk; the tiny cloud's 5 validation
+        # points fit in less than one.
+        monkeypatch.setattr(trainer, "_EXTRACT_CHUNK", 7)
+        cloud = small_cloud if which == "small" else tiny_cloud()
+        cfg = TrainConfig(k=k, seed=5, augment=augment)
+        got = build_dataset(cloud, cfg)
+        assert got[1].n // (7 if augment else 1) == (150 if which == "small" else 5)
+        assert_identical_sets(got, oracle_build_dataset(cloud, cfg))
+
+    def test_matches_frozen_oracle_default_chunk(self, midsize_cloud):
+        cfg = TrainConfig(k=16, seed=11)
+        got = build_dataset(midsize_cloud, cfg)
+        assert got[0].n // 7 > 2 * trainer._EXTRACT_CHUNK
+        assert_identical_sets(got, oracle_build_dataset(midsize_cloud, cfg))
+
+    def test_peak_memory_is_result_plus_one_chunk(self, midsize_cloud):
+        # Extraction temporaries cost about 3 kB per row at k=16: one
+        # 4,096-row chunk plus the rotated copies take 14.3 MiB here.
+        # Holding the finished set more than once, as a concatenate-then-
+        # index assembly does, adds about 68 MiB on this cloud.
+        tracemalloc.start()
+        try:
+            sets = build_dataset(midsize_cloud, TrainConfig(k=16, seed=11))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        returned = sum(getattr(s, field).nbytes for s in sets for field in PATCH_FIELDS)
+        assert returned == 7 * midsize_cloud.n * 536
+        assert peak - returned < 16 << 20
 
 
 class TestAdamStep:
