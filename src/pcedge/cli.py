@@ -116,11 +116,13 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_predict(args) -> int:
+    if args.threads < 0:
+        raise InvalidInput(f"--threads must be >= 0 (0 = available parallelism), got {args.threads}")
     params = net.load_checkpoint(args.checkpoint)
     cloud = load_cloud(args.cloud)
     if args.dedup:
         cloud = deduplicate(cloud)
-    threads = args.threads if args.threads > 0 else (os.cpu_count() or 1)
+    threads = args.threads or os.cpu_count() or 1
     predicted, stats = trainer.predict(cloud, params, batch=args.batch, threads=threads)
     save_cloud(predicted, args.out)
     print(f"throughput: {stats['pps']:.0f} points/sec end to end "
@@ -165,9 +167,8 @@ def _cmd_info(args) -> int:
     print(f"k: {params.k}")
     print(f"heads: {params.heads}")
     print(f"tensors: {len(params.tensors)}")
-    for name in sorted(params.tensors):
-        shape = "x".join(str(d) for d in params.tensors[name].shape)
-        print(f"  {name}  {shape}")
+    for name, t in params.tensors.items():
+        print(f"  {name}  {'x'.join(map(str, t.shape))}")
     print(f"total parameters: {params.param_count()}")
     return 0
 

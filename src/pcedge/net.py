@@ -7,6 +7,7 @@ tensors as little-endian float32 with a CRC32 trailer.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -34,29 +35,43 @@ CHECKPOINT_VERSION = 1
 
 @dataclass
 class ModelParameters:
-    """Named registry of all learnable tensors plus the k/heads hyperparameters."""
+    """All learnable tensors, copied into one new float64 vector `flat` in sorted-name
+    (checkpoint) order with `tensors[name]` a view into it, plus the k/heads hyperparameters."""
 
     k: int
     heads: int
     tensors: dict[str, np.ndarray] = field(repr=False)
 
     def __post_init__(self):
-        expected = expected_shapes(self.k, self.heads)
-        if set(self.tensors) != set(expected):
-            missing = set(expected) - set(self.tensors)
-            extra = set(self.tensors) - set(expected)
+        self._shapes = dict(sorted(expected_shapes(self.k, self.heads).items()))
+        self.flat = self.pack(self.tensors)
+        self.tensors = self.unpack(self.flat)
+
+    def pack(self, named: dict[str, np.ndarray]) -> np.ndarray:
+        """`flat`-layout copy of the named tensors; ModelShapeError if one is missing, extra or misshaped."""
+        missing, extra = self._shapes.keys() - named.keys(), named.keys() - self._shapes.keys()
+        if missing or extra:
             raise ModelShapeError(f"tensor registry mismatch: missing {sorted(missing)}, extra {sorted(extra)}")
-        for name, shape in expected.items():
-            if self.tensors[name].shape != shape:
-                raise ModelShapeError(
-                    f"tensor {name} has shape {self.tensors[name].shape}, expected {shape}"
-                )
+        for name, shape in self._shapes.items():
+            if np.shape(named[name]) != shape:
+                raise ModelShapeError(f"tensor {name} has shape {np.shape(named[name])}, expected {shape}")
+        return np.concatenate([np.ravel(named[name]) for name in self._shapes], dtype=np.float64)
+
+    def unpack(self, vector: np.ndarray) -> dict[str, np.ndarray]:
+        """Named views into a vector laid out like `flat`."""
+        if np.shape(vector) != self.flat.shape:
+            raise ModelShapeError(f"parameter vector has shape {np.shape(vector)}, expected {self.flat.shape}")
+        views, pos = {}, 0
+        for name, shape in self._shapes.items():
+            views[name] = vector[pos:pos + math.prod(shape)].reshape(shape)
+            pos += views[name].size
+        return views
 
     def param_count(self) -> int:
-        return sum(int(t.size) for t in self.tensors.values())
+        return self.flat.size
 
     def copy(self) -> "ModelParameters":
-        return ModelParameters(self.k, self.heads, {n: t.copy() for n, t in self.tensors.items()})
+        return ModelParameters(self.k, self.heads, self.tensors)
 
     def validate_finite(self) -> None:
         for name, t in self.tensors.items():
@@ -107,16 +122,14 @@ def expected_shapes(k: int, heads: int) -> dict[str, tuple[int, ...]]:
 def init_params(k: int, heads: int = 2, seed: int = 0) -> ModelParameters:
     """Glorot-uniform weights, zero biases, unit layer-norm gains."""
     rng = np.random.default_rng(seed)
-    tensors: dict[str, np.ndarray] = {}
-    for name, shape in sorted(expected_shapes(k, heads).items()):
-        if name.endswith(".g") or (".ln" in name and name.endswith(".b")):
-            tensors[name] = np.ones(shape) if name.endswith(".g") else np.zeros(shape)
-        elif len(shape) == 1:
-            tensors[name] = np.zeros(shape)
-        else:
-            a = np.sqrt(6.0 / (shape[0] + shape[1]))
-            tensors[name] = rng.uniform(-a, a, size=shape)
-    return ModelParameters(k, heads, tensors)
+    params = ModelParameters(k, heads, {n: np.zeros(s) for n, s in expected_shapes(k, heads).items()})
+    for name, t in params.tensors.items():
+        if name.endswith(".g"):
+            t[...] = 1.0
+        elif t.ndim == 2:
+            a = np.sqrt(6.0 / (t.shape[0] + t.shape[1]))
+            t[...] = rng.uniform(-a, a, size=t.shape)
+    return params
 
 
 def _ensure_finite(arr: np.ndarray, what: str) -> None:
@@ -409,8 +422,8 @@ def _feature_map(dvecs, offsets, scales, f_euc, f_cos):
     )
 
 
-def backward(params: ModelParameters, cache, d_e: np.ndarray) -> dict[str, np.ndarray]:
-    """Parameter gradients given upstream dL/de from a cached forward pass."""
+def backward(params: ModelParameters, cache, d_e: np.ndarray) -> np.ndarray:
+    """Gradient vector, laid out like `params.flat`, given upstream dL/de from a cached forward pass."""
     if cache is None:
         raise StateError("backward() requires the cache from forward_batch(need_cache=True)")
     cg1, cg2, enc_caches, dec_cache, m, b, k = cache
@@ -425,7 +438,7 @@ def backward(params: ModelParameters, cache, d_e: np.ndarray) -> dict[str, np.nd
     df_euc, df_cos = dfeat[..., 4], dfeat[..., 5]
     _rbf_group_bwd(df_euc[:, :m], df_cos[:, :m], cg1, grads, "first")
     _rbf_group_bwd(df_euc[:, m:], df_cos[:, m:], cg2, grads, "second")
-    return grads
+    return params.pack(grads)
 
 
 def forward(patch: SurfacePatch, params: ModelParameters) -> float:
@@ -441,11 +454,9 @@ def forward(patch: SurfacePatch, params: ModelParameters) -> float:
 
 def save_checkpoint(params: ModelParameters, path) -> None:
     """Binary checkpoint: OSFE magic, header, named float32 tensors, CRC32."""
-    body = bytearray()
-    body += CHECKPOINT_MAGIC
+    body = bytearray(CHECKPOINT_MAGIC)
     body += struct.pack("<IHHI", CHECKPOINT_VERSION, params.k, params.heads, len(params.tensors))
-    for name in sorted(params.tensors):
-        t = params.tensors[name]
+    for name, t in params.tensors.items():
         encoded = name.encode("utf-8")
         body += struct.pack("<H", len(encoded)) + encoded
         body += struct.pack("<B", t.ndim)

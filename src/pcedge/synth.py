@@ -424,7 +424,6 @@ def generate(spec: ShapeSpec) -> SynthResult:
 
 def write_metadata(result: SynthResult, path) -> None:
     """Sidecar CSV: per-point face id and exact distance to the creases."""
+    rows = zip(range(len(result.face_ids)), result.face_ids.tolist(), result.edge_distances.tolist())
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("index,face_id,edge_distance\n")
-        for i, (fid, dist) in enumerate(zip(result.face_ids, result.edge_distances)):
-            fh.write(f"{i},{fid},{dist:.9g}\n")
+        fh.write("index,face_id,edge_distance\n" + "".join(map("%d,%d,%.9g\n".__mod__, rows)))

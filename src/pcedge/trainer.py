@@ -2,9 +2,9 @@
 Adam updates, class-balanced batching, validation, and early stopping.
 
 Training is deterministic for a fixed seed in sequential mode. With
-threads > 1 each mini-batch is sharded across a thread pool and gradients
-are reduced in fixed shard order, so results match the sequential run up to
-floating-point summation order.
+threads > 1 each mini-batch is sharded across a thread pool and the shard
+gradient vectors are summed with one vector add each, in fixed shard order,
+so results match the sequential run up to floating-point summation order.
 """
 
 from __future__ import annotations
@@ -114,8 +114,8 @@ class TrainState:
     """Adam state plus early-stopping bookkeeping."""
 
     params: net.ModelParameters
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    m: np.ndarray         # first and second moments, laid out like params.flat
+    v: np.ndarray
     step: int = 0
     best_fscore: float = -1.0
     since_improve: int = 0
@@ -123,11 +123,7 @@ class TrainState:
 
     @classmethod
     def fresh(cls, params: net.ModelParameters) -> "TrainState":
-        return cls(
-            params=params,
-            m={n: np.zeros_like(t) for n, t in params.tensors.items()},
-            v={n: np.zeros_like(t) for n, t in params.tensors.items()},
-        )
+        return cls(params=params, m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
 
 
 def bce_loss(e, e_gt):
@@ -202,25 +198,19 @@ def build_dataset(cloud: PointCloud, cfg: TrainConfig):
     return splits[0][1], splits[1][1]
 
 
-def adam_step(state: TrainState, grads: dict[str, np.ndarray], cfg: TrainConfig) -> TrainState:
-    """One in-place Adam update with bias correction."""
-    if set(grads) != set(state.params.tensors):
-        raise ModelShapeError("gradient names do not match parameter registry")
+def adam_step(state: TrainState, grad: np.ndarray, cfg: TrainConfig) -> TrainState:
+    """One in-place Adam update with bias correction; `grad` is laid out like `state.params.flat`."""
+    theta = state.params.flat
+    if grad.shape != theta.shape:
+        raise ModelShapeError(f"gradient vector has shape {grad.shape}, expected {theta.shape}")
     state.step += 1
-    t = state.step
-    bc1 = 1.0 - ADAM_BETA1 ** t
-    bc2 = 1.0 - ADAM_BETA2 ** t
-    for name, theta in state.params.tensors.items():
-        g = grads[name]
-        if g.shape != theta.shape:
-            raise ModelShapeError(f"gradient for {name} has shape {g.shape}, expected {theta.shape}")
-        m = state.m[name]
-        v = state.v[name]
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        theta -= cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+    bc1 = 1.0 - ADAM_BETA1 ** state.step
+    bc2 = 1.0 - ADAM_BETA2 ** state.step
+    state.m *= ADAM_BETA1
+    state.m += (1.0 - ADAM_BETA1) * grad
+    state.v *= ADAM_BETA2
+    state.v += (1.0 - ADAM_BETA2) * grad * grad
+    theta -= cfg.lr * (state.m / bc1) / (np.sqrt(state.v / bc2) + ADAM_EPS)
     return state
 
 
@@ -283,19 +273,16 @@ def _batch_step(train: PatchSet, idx: np.ndarray, state: TrainState, cfg: TrainC
             state.params, need_cache=True,
         )
         losses, de = bce_loss(e, train.labels[rows].astype(np.float64))
-        grads = net.backward(state.params, cache, de / total)
-        return float(np.sum(losses)), grads
+        return float(np.sum(losses)), net.backward(state.params, cache, de / total)
 
     # Without a pool the single shard runs on the calling thread.
     mapper, n_shards = (map, 1) if pool is None else (pool.map, threads)
     results = list(mapper(shard_pass, [s for s in np.array_split(idx, n_shards) if s.size]))
-    loss_sum = sum(r[0] for r in results)
-    grads = results[0][1]
+    grad = results[0][1]
     for _, g in results[1:]:
-        for name in grads:
-            grads[name] += g[name]
-    adam_step(state, grads, cfg)
-    return loss_sum / total
+        grad += g
+    adam_step(state, grad, cfg)
+    return sum(loss for loss, _ in results) / total
 
 
 def train(cloud: PointCloud, cfg: TrainConfig, threads: int = 1):
@@ -308,14 +295,14 @@ def train(cloud: PointCloud, cfg: TrainConfig, threads: int = 1):
     """
     _keep_freed_heap()
     # Rejected before the dataset build, which extracts every rotated copy.
+    if threads < 1:
+        raise InvalidInput(f"threads must be >= 1, got {threads}")
     if cloud.labels is not None and np.unique(cloud.labels).size < 2:
         raise InvalidInput("training labels contain a single class; cannot balance or learn")
     train_set, val_set = build_dataset(cloud, cfg)
-    classes = np.unique(train_set.labels)
-    if classes.size < 2:
+    if np.unique(train_set.labels).size < 2:
         raise InvalidInput("training labels contain a single class; cannot balance or learn")
-    params = net.init_params(cfg.k, seed=cfg.seed)
-    state = TrainState.fresh(params)
+    state = TrainState.fresh(net.init_params(cfg.k, seed=cfg.seed))
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
     log: list[dict] = []
     with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
@@ -368,6 +355,8 @@ def predict(cloud: PointCloud, params: net.ModelParameters, batch: int = 256,
     _keep_freed_heap()
     if batch < 1:
         raise InvalidInput("batch must be >= 1")
+    if threads < 1:
+        raise InvalidInput(f"threads must be >= 1, got {threads}")
     if cloud.n < 2 * params.k + 1:
         raise InsufficientNeighborhood(
             f"prediction needs at least {2 * params.k + 1} points, cloud has {cloud.n}"

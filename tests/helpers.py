@@ -187,7 +187,7 @@ def end_to_end_loss(dvecs, offsets, scales, y, params):
 def end_to_end_grads(dvecs, offsets, scales, y, params):
     e, cache = net.forward_batch(dvecs, offsets, scales, params, need_cache=True)
     _, de = bce_loss(e, y)
-    return net.backward(params, cache, de / y.size)
+    return params.unpack(net.backward(params, cache, de / y.size))
 
 
 def lattice_cube(n=40, jitter=0.2, seed=0):
@@ -390,6 +390,44 @@ def oracle_build_dataset(cloud, cfg):
     val_points[perm[:n_val]] = True
     val_mask = val_points[full.origin]
     return take(full, np.nonzero(~val_mask)[0]), take(full, np.nonzero(val_mask)[0])
+
+
+# Frozen oracle for the Adam update: the per-tensor adam_step that the
+# whole-vector update in pcedge.trainer replaced, unchanged apart from the
+# state it reads (any object with `params`, `step` and per-name `m`/`v`
+# dicts), so the vector update can be checked for byte identity against it.
+
+def oracle_adam_step(state, grads, cfg):
+    """adam_step with one loop over the tensor names."""
+    from pcedge.errors import ModelShapeError
+    from pcedge.trainer import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
+
+    if set(grads) != set(state.params.tensors):
+        raise ModelShapeError("gradient names do not match parameter registry")
+    state.step += 1
+    t = state.step
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
+    for name, theta in state.params.tensors.items():
+        g = grads[name]
+        if g.shape != theta.shape:
+            raise ModelShapeError(f"gradient for {name} has shape {g.shape}, expected {theta.shape}")
+        m = state.m[name]
+        v = state.v[name]
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        theta -= cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+    return state
+
+
+def oracle_write_metadata(result, path):
+    """synth.write_metadata with one f-string write per point."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("index,face_id,edge_distance\n")
+        for i, (fid, dist) in enumerate(zip(result.face_ids, result.edge_distances)):
+            fh.write(f"{i},{fid},{dist:.9g}\n")
 
 
 # Frozen oracles for post-processing: the per-row XYZ/PLY writers and the

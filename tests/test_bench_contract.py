@@ -1,0 +1,65 @@
+"""The names and call shapes of `src/` that the benchmark in `bench/` relies on.
+
+The tracer wraps pcedge functions by module attribute and counts work from
+their positional arguments, and the workloads call the library with fixed
+keywords. A rename or signature change there would fail every benchmark
+operation; these tests fail first.
+"""
+
+import ast
+import importlib.util
+import inspect
+from pathlib import Path
+
+import pytest
+
+from pcedge import net, trainer
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracer", BENCH / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _library_calls(path, owner):
+    """(function name, positional count, keyword names) of each `owner.fn(...)` call in a file."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [(node.func.attr, len(node.args), [kw.arg for kw in node.keywords])
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name) and node.func.value.id == owner]
+
+
+def test_every_wrapped_attribute_is_callable():
+    tracer = _load_tracer()
+    assert tracer.WRAPPED
+    for owner, attr, span, _ in tracer.WRAPPED:
+        assert callable(getattr(owner, attr, None)), f"{span}: {owner.__name__}.{attr} is gone"
+
+
+def test_backward_upstream_gradient_is_third_positional():
+    # The tracer counts backward's patches as len(args[2]).
+    params = list(inspect.signature(net.backward).parameters.values())
+    assert params[2].name == "d_e"
+    assert params[2].kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+
+
+def test_validate_finite_exists():
+    assert callable(net.ModelParameters.validate_finite)
+    net.init_params(8, seed=0).validate_finite()
+
+
+@pytest.mark.parametrize("fn", ["train", "predict"])
+def test_workload_calls_bind_to_signatures(fn):
+    calls = [c for c in _library_calls(BENCH / "workloads.py", "trainer") if c[0] == fn]
+    assert calls, f"bench/workloads.py no longer calls trainer.{fn}"
+    signature = inspect.signature(getattr(trainer, fn))
+    for _, n_args, keywords in calls:
+        assert "threads" in keywords
+        signature.bind(*[None] * n_args, **dict.fromkeys(keywords))
+    if fn == "predict":
+        assert all("batch" in keywords for _, _, keywords in calls)

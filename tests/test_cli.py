@@ -1,9 +1,11 @@
 """Command-line surface: flags, exit codes, file outputs."""
 
+import os
+
 import numpy as np
 import pytest
 
-from pcedge import net
+from pcedge import net, trainer
 from pcedge.cli import main
 from pcedge.io import load_cloud, save_cloud
 from pcedge.synth import ShapeSpec, generate
@@ -254,6 +256,31 @@ class TestPredictCommand:
         assert "points/sec" in err
         cloud = load_cloud(out)
         assert cloud.predictions is not None
+
+    def test_negative_threads_data_error(self, cube_file, checkpoint_file, tmp_path, capsys):
+        out = tmp_path / "pred.xyz"
+        code = main(["predict", "--cloud", str(cube_file), "--checkpoint", str(checkpoint_file),
+                     "--threads", "-1", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "pcedge predict: --threads must be >= 0 (0 = available parallelism), got -1\n"
+        assert not out.exists()
+
+    def test_threads_zero_uses_available_parallelism(self, cube_file, checkpoint_file,
+                                                     tmp_path, monkeypatch):
+        seen = []
+        original = trainer.predict
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs["threads"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "predict", spy)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        out = tmp_path / "pred.xyz"
+        assert main(["predict", "--cloud", str(cube_file), "--checkpoint", str(checkpoint_file),
+                     "--threads", "0", "--out", str(out)]) == 0
+        assert seen == [3]
 
     def test_k_mismatch_data_error(self, cube_file, tmp_path):
         ckpt = tmp_path / "k8.ckpt"

@@ -75,6 +75,53 @@ class TestParameters:
         with pytest.raises(ModelShapeError):
             net.ModelParameters(8, 2, bad)
 
+    @pytest.mark.parametrize("k", [8, 16])
+    def test_tensors_are_views_of_flat_in_sorted_order(self, k):
+        params = net.init_params(k, seed=0)
+        assert list(params.tensors) == sorted(net.expected_shapes(k, 2))
+        assert params.flat.dtype == np.float64 and params.flat.flags.c_contiguous
+        base = params.flat.__array_interface__["data"][0]
+        pos = 0
+        for name, t in params.tensors.items():
+            assert np.shares_memory(t, params.flat), name
+            assert t.__array_interface__["data"][0] == base + 8 * pos, name
+            pos += t.size
+        assert pos == params.flat.size == params.param_count()
+
+    def test_write_through_view_shows_in_flat(self):
+        params = net.init_params(8, seed=0)
+        params.tensors["dec.b3"][0] = 42.0
+        params.tensors["enc.2.attn.wq"][1, 2] = -7.0
+        views = params.unpack(params.flat)
+        assert views["dec.b3"][0] == 42.0
+        assert views["enc.2.attn.wq"][1, 2] == -7.0
+        assert np.count_nonzero(params.flat == 42.0) == 1
+
+    def test_constructor_and_copy_share_no_memory(self):
+        given = {n: t.copy() for n, t in net.init_params(8, seed=3).tensors.items()}
+        params = net.ModelParameters(8, 2, given)
+        assert not any(np.shares_memory(params.flat, t) for t in given.values())
+        twin = params.copy()
+        assert np.array_equal(twin.flat, params.flat)
+        assert not np.shares_memory(twin.flat, params.flat)
+        assert not any(np.shares_memory(twin.flat, t) for t in params.tensors.values())
+        twin.tensors["dec.w0"][0, 0] += 1.0
+        assert twin.tensors["dec.w0"][0, 0] != params.tensors["dec.w0"][0, 0]
+
+    def test_pack_rejects_registry_mismatch(self):
+        params = net.init_params(8, seed=0)
+        named = dict(params.tensors)
+        assert np.array_equal(params.pack(named), params.flat)
+        missing = {n: t for n, t in named.items() if n != "enc.1.ln2.g"}
+        with pytest.raises(ModelShapeError, match=r"missing \['enc\.1\.ln2\.g'\]"):
+            params.pack(missing)
+        with pytest.raises(ModelShapeError, match=r"extra \['dec\.w9'\]"):
+            params.pack({**named, "dec.w9": np.zeros(3)})
+        with pytest.raises(ModelShapeError, match=r"tensor rbf\.second\.cos_fc\.b has shape \(31,\)"):
+            params.pack({**named, "rbf.second.cos_fc.b": np.zeros(31)})
+        with pytest.raises(ModelShapeError, match="parameter vector"):
+            params.unpack(params.flat[:-1])
+
     def test_heads_must_divide_width(self):
         with pytest.raises(ModelShapeError):
             net.init_params(16, heads=4)
@@ -319,8 +366,8 @@ class TestBackward:
         params = net.init_params(4, seed=0)
         dvecs, offsets, scales = random_patch_arrays(rng, 3, 4)
         _, cache = net.forward_batch(dvecs, offsets, scales, params, need_cache=True)
-        grads = net.backward(params, cache, np.zeros(3))
-        assert all(np.array_equal(g, np.zeros_like(g)) for g in grads.values())
+        grad = net.backward(params, cache, np.zeros(3))
+        assert np.array_equal(grad, np.zeros_like(params.flat))
 
     def test_missing_cache_raises(self):
         params = net.init_params(4, seed=0)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from helpers import oracle_write_metadata
 from pcedge.errors import InvalidInput
 from pcedge.synth import (
     EdgeCircle,
@@ -183,3 +184,10 @@ class TestGenerate:
         first = lines[1].split(",")
         assert int(first[0]) == 0
         assert float(first[2]) == pytest.approx(res.edge_distances[0], rel=1e-6)
+
+    @pytest.mark.parametrize("kind", ["box", "cylinder", "union_boxes"])
+    def test_metadata_matches_frozen_loop(self, kind, tmp_path):
+        res = generate(ShapeSpec(kind, density=800, seed=5))
+        write_metadata(res, tmp_path / "meta.csv")
+        oracle_write_metadata(res, tmp_path / "oracle.csv")
+        assert (tmp_path / "meta.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()

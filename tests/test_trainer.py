@@ -7,12 +7,13 @@ import sys
 import time
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import oracle_build_dataset
+from helpers import oracle_adam_step, oracle_build_dataset
 from pcedge import net, trainer
 from pcedge.cloud import PointCloud
 from pcedge.errors import (
@@ -195,7 +196,7 @@ class TestAdamStep:
         grads = {n: np.zeros_like(t) for n, t in params.tensors.items()}
         g = 0.37
         grads["dec.b3"] = np.array([g])
-        adam_step(state, grads, cfg)
+        adam_step(state, params.pack(grads), cfg)
         # t=1 bias correction collapses to theta -= lr * g / (|g| + eps)
         expected = theta0 - cfg.lr * g / (abs(g) + ADAM_EPS)
         assert state.params.tensors["dec.b3"] == pytest.approx(expected, abs=1e-15)
@@ -206,7 +207,7 @@ class TestAdamStep:
         state = TrainState.fresh(params)
         grads = {n: np.zeros_like(t) for n, t in params.tensors.items()}
         for _ in range(5):
-            adam_step(state, grads, TrainConfig(k=8))
+            adam_step(state, params.pack(grads), TrainConfig(k=8))
         for name in before.tensors:
             assert np.array_equal(state.params.tensors[name], before.tensors[name])
 
@@ -218,7 +219,7 @@ class TestAdamStep:
             rng = np.random.default_rng(0)
             for _ in range(10):
                 grads = {n: rng.normal(size=t.shape) for n, t in params.tensors.items()}
-                adam_step(state, grads, TrainConfig(k=8))
+                adam_step(state, params.pack(grads), TrainConfig(k=8))
             runs.append(state.params)
         for name in runs[0].tensors:
             assert np.array_equal(runs[0].tensors[name], runs[1].tensors[name])
@@ -229,7 +230,37 @@ class TestAdamStep:
         grads = {n: np.zeros_like(t) for n, t in params.tensors.items()}
         grads["dec.b3"] = np.zeros(7)
         with pytest.raises(ModelShapeError):
-            adam_step(state, grads, TrainConfig(k=8))
+            adam_step(state, params.pack(grads), TrainConfig(k=8))
+
+    @pytest.mark.parametrize("shape", [lambda n: (n + 1,), lambda n: (n - 1,), lambda n: (n, 1)],
+                             ids=["long", "short", "column"])
+    def test_wrong_vector_length(self, shape):
+        params = net.init_params(8, seed=0)
+        state = TrainState.fresh(params)
+        before = params.flat.copy()
+        grad = np.zeros(shape(params.flat.size))
+        with pytest.raises(ModelShapeError, match="gradient vector has shape"):
+            adam_step(state, grad, TrainConfig(k=8))
+        assert state.step == 0
+        assert np.array_equal(params.flat, before)
+
+    @pytest.mark.parametrize("k", [8, 16])
+    def test_matches_frozen_per_tensor_oracle(self, k):
+        cfg = TrainConfig(k=k, lr=3e-3)
+        state = TrainState.fresh(net.init_params(k, seed=k))
+        oracle = SimpleNamespace(params=net.init_params(k, seed=k), step=0)
+        oracle.m = {n: np.zeros_like(t) for n, t in oracle.params.tensors.items()}
+        oracle.v = {n: np.zeros_like(t) for n, t in oracle.params.tensors.items()}
+        rng = np.random.default_rng(k)
+        for _ in range(10):
+            grads = {n: rng.normal(scale=rng.uniform(1e-6, 10.0), size=t.shape)
+                     for n, t in state.params.tensors.items()}
+            adam_step(state, state.params.pack(grads), cfg)
+            oracle_adam_step(oracle, grads, cfg)
+        assert state.step == oracle.step == 10
+        assert state.params.flat.tobytes() == oracle.params.flat.tobytes()
+        assert state.m.tobytes() == oracle.params.pack(oracle.m).tobytes()
+        assert state.v.tobytes() == oracle.params.pack(oracle.v).tobytes()
 
 
 class TestBatchPlan:
@@ -274,6 +305,15 @@ class TestTrain:
         monkeypatch.setattr(trainer, "extract_patches", no_extraction)
         with pytest.raises(InvalidInput):
             train(cloud, TrainConfig(k=8, max_epochs=1, augment=False))
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one_rejected(self, small_cloud, monkeypatch, threads):
+        def no_dataset(*args, **kwargs):
+            raise AssertionError("dataset built for a rejected thread count")
+
+        monkeypatch.setattr(trainer, "build_dataset", no_dataset)
+        with pytest.raises(InvalidInput, match=rf"^threads must be >= 1, got {threads}$"):
+            train(small_cloud, TrainConfig(k=8, max_epochs=1), threads=threads)
 
     def test_two_epoch_determinism(self, small_cloud):
         cfg = TrainConfig(k=8, max_epochs=2, seed=3, augment=False, batch_size=64)
@@ -328,6 +368,12 @@ class TestPredict:
         assert stats["wall_seconds"] <= wall
         assert stats["pps"] == pytest.approx(small_cloud.n / stats["wall_seconds"])
         assert 0.0 < stats["model_seconds"]
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one_rejected(self, small_cloud, threads):
+        params = net.init_params(16, seed=8)
+        with pytest.raises(InvalidInput, match=rf"^threads must be >= 1, got {threads}$"):
+            predict(small_cloud, params, threads=threads)
 
     def test_threads_invariance(self, small_cloud):
         params = net.init_params(16, seed=8)
