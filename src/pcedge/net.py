@@ -74,9 +74,9 @@ class ModelParameters:
         return ModelParameters(self.k, self.heads, self.tensors)
 
     def validate_finite(self) -> None:
-        for name, t in self.tensors.items():
-            if not np.isfinite(t).all():
-                raise NumericalError(f"tensor {name} contains non-finite values")
+        if not np.isfinite(self.flat).all():
+            name = next(name for name, t in self.tensors.items() if not np.isfinite(t).all())
+            raise NumericalError(f"tensor {name} contains non-finite values")
 
 
 def expected_shapes(k: int, heads: int) -> dict[str, tuple[int, ...]]:
@@ -303,23 +303,48 @@ def _attention_bwd(dout, b, k, cache, grads, prefix):
 # ---------------------------------------------------------------------------
 
 def _rbf_group_fwd(m_euc, m_cos, p, group):
-    """Per-neighbor descriptor pair for one k/2 group from its (B, m, m) basis
-    matrices: (B, m) f_euc and f_cos."""
-    g_euc, ce = _linear_fwd(m_euc, p[f"rbf.{group}.euc_fc.w"], p[f"rbf.{group}.euc_fc.b"])
-    g_cos, cc = _linear_fwd(m_cos, p[f"rbf.{group}.cos_fc.w"], p[f"rbf.{group}.cos_fc.b"])
-    h = np.concatenate([g_euc, g_cos], axis=-1)
-    f_euc, che = _mlp_fwd(h, p, _layers(f"rbf.{group}.euc_head", range(3)))
-    f_cos, chc = _mlp_fwd(h, p, _layers(f"rbf.{group}.cos_head", range(3)))
-    return f_euc[..., 0], f_cos[..., 0], (ce, cc, che, chc)
+    """Per-neighbor descriptor pair for one k/2 group from its (..., m, m) basis
+    matrices: (..., m) f_euc and f_cos.
+
+    The fc layers and both heads' first layers compose linearly, so with W0 = [w0_euc | w0_cos]:
+    z = relu([M_euc | M_cos] A + c), A = [W_euc_fc W0[:32] ; W_cos_fc W0[32:]] of shape (2m, 32),
+    c = b_euc_fc W0[:32] + b_cos_fc W0[32:] + [b0_euc | b0_cos]; each head runs layers 1-2 on its half of z.
+    """
+    pre = f"rbf.{group}"
+    w_e, b_e = p[f"{pre}.euc_fc.w"], p[f"{pre}.euc_fc.b"]
+    w_c, b_c = p[f"{pre}.cos_fc.w"], p[f"{pre}.cos_fc.b"]
+    m, fc = w_e.shape
+    w0 = np.concatenate([p[f"{pre}.euc_head.w0"], p[f"{pre}.cos_head.w0"]], axis=1)
+    x = np.concatenate([m_euc, m_cos], axis=-1).reshape(-1, 2 * m)
+    z = x @ np.concatenate([w_e @ w0[:fc], w_c @ w0[fc:]])
+    z += b_e @ w0[:fc] + b_c @ w0[fc:] + np.concatenate([p[f"{pre}.euc_head.b0"], p[f"{pre}.cos_head.b0"]])
+    np.maximum(z, 0.0, out=z)
+    half = z.shape[1] // 2
+    f_euc, che = _mlp_fwd(z[:, :half], p, _layers(f"{pre}.euc_head", (1, 2)))
+    f_cos, chc = _mlp_fwd(z[:, half:], p, _layers(f"{pre}.cos_head", (1, 2)))
+    rows = m_euc.shape[:-1]
+    return f_euc.reshape(rows), f_cos.reshape(rows), (x, z, w0, w_e, b_e, w_c, b_c, che, chc)
 
 
 def _rbf_group_bwd(df_euc, df_cos, cache, grads, group):
-    ce, cc, che, chc = cache
-    dh = _mlp_bwd(df_euc[..., None], che, grads, _layers(f"rbf.{group}.euc_head", range(3)))
-    dh += _mlp_bwd(df_cos[..., None], chc, grads, _layers(f"rbf.{group}.cos_head", range(3)))
-    dg_euc, dg_cos = dh[..., :32], dh[..., 32:]
-    _, grads[f"rbf.{group}.euc_fc.w"], grads[f"rbf.{group}.euc_fc.b"] = _linear_bwd(dg_euc, ce)
-    _, grads[f"rbf.{group}.cos_fc.w"], grads[f"rbf.{group}.cos_fc.b"] = _linear_bwd(dg_cos, cc)
+    """Closed-form gradients of the fused product. With G = dz gated by the ReLU,
+    P = [M_euc | M_cos]^T G and s = 1^T G: dW0 = [W_euc_fc^T P_euc + b_euc_fc s ;
+    W_cos_fc^T P_cos + b_cos_fc s], db0 = s, dW_euc_fc = P_euc W0[:32]^T, db_euc_fc = W0[:32] s."""
+    x, z, w0, w_e, b_e, w_c, b_c, che, chc = cache
+    pre = f"rbf.{group}"
+    m, fc = w_e.shape
+    half = z.shape[1] // 2
+    dz = np.empty_like(z)
+    dz[:, :half] = _mlp_bwd(df_euc.reshape(-1, 1), che, grads, _layers(f"{pre}.euc_head", (1, 2)))
+    dz[:, half:] = _mlp_bwd(df_cos.reshape(-1, 1), chc, grads, _layers(f"{pre}.cos_head", (1, 2)))
+    dz *= z > 0.0
+    pg = x.T @ dz
+    s = _col_sum(dz)
+    dw0 = np.concatenate([w_e.T @ pg[:m] + np.outer(b_e, s), w_c.T @ pg[m:] + np.outer(b_c, s)])
+    grads[f"{pre}.euc_head.w0"], grads[f"{pre}.cos_head.w0"] = dw0[:, :half], dw0[:, half:]
+    grads[f"{pre}.euc_head.b0"], grads[f"{pre}.cos_head.b0"] = s[:half], s[half:]
+    grads[f"{pre}.euc_fc.w"], grads[f"{pre}.euc_fc.b"] = pg[:m] @ w0[:fc].T, w0[:fc] @ s
+    grads[f"{pre}.cos_fc.w"], grads[f"{pre}.cos_fc.b"] = pg[m:] @ w0[fc:].T, w0[fc:] @ s
 
 
 def _encoder_layer_fwd(x2, b, k, p, i, heads):

@@ -392,6 +392,30 @@ def oracle_build_dataset(cloud, cfg):
     return take(full, np.nonzero(~val_mask)[0]), take(full, np.nonzero(val_mask)[0])
 
 
+# Frozen oracle for the RBF descriptor block: the per-layer _rbf_group_fwd and
+# _rbf_group_bwd that the fused (2m, 32) product in pcedge.net replaced,
+# unchanged apart from the net. prefixes, so the fused block can be checked
+# against the layer-by-layer composition it computes.
+
+def oracle_rbf_group_fwd(m_euc, m_cos, p, group):
+    """Both fc layers, the 64-wide h and each head's three layers, one at a time."""
+    g_euc, ce = net._linear_fwd(m_euc, p[f"rbf.{group}.euc_fc.w"], p[f"rbf.{group}.euc_fc.b"])
+    g_cos, cc = net._linear_fwd(m_cos, p[f"rbf.{group}.cos_fc.w"], p[f"rbf.{group}.cos_fc.b"])
+    h = np.concatenate([g_euc, g_cos], axis=-1)
+    f_euc, che = net._mlp_fwd(h, p, net._layers(f"rbf.{group}.euc_head", range(3)))
+    f_cos, chc = net._mlp_fwd(h, p, net._layers(f"rbf.{group}.cos_head", range(3)))
+    return f_euc[..., 0], f_cos[..., 0], (ce, cc, che, chc)
+
+
+def oracle_rbf_group_bwd(df_euc, df_cos, cache, grads, group):
+    ce, cc, che, chc = cache
+    dh = net._mlp_bwd(df_euc[..., None], che, grads, net._layers(f"rbf.{group}.euc_head", range(3)))
+    dh += net._mlp_bwd(df_cos[..., None], chc, grads, net._layers(f"rbf.{group}.cos_head", range(3)))
+    dg_euc, dg_cos = dh[..., :32], dh[..., 32:]
+    _, grads[f"rbf.{group}.euc_fc.w"], grads[f"rbf.{group}.euc_fc.b"] = net._linear_bwd(dg_euc, ce)
+    _, grads[f"rbf.{group}.cos_fc.w"], grads[f"rbf.{group}.cos_fc.b"] = net._linear_bwd(dg_cos, cc)
+
+
 # Frozen oracle for the Adam update: the per-tensor adam_step that the
 # whole-vector update in pcedge.trainer replaced, unchanged apart from the
 # state it reads (any object with `params`, `step` and per-name `m`/`v`

@@ -3,7 +3,8 @@
 The tracer wraps pcedge functions by module attribute and counts work from
 their positional arguments, and the workloads call the library with fixed
 keywords. A rename or signature change there would fail every benchmark
-operation; these tests fail first.
+operation; these tests fail first. So would a model change that moves one
+`predict` probability on the reference cloud past the benchmark's tolerance.
 """
 
 import ast
@@ -11,6 +12,7 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pcedge import net, trainer
@@ -18,8 +20,8 @@ from pcedge import net, trainer
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("bench_tracer", BENCH / "tracer.py")
+def _load_bench(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -35,7 +37,7 @@ def _library_calls(path, owner):
 
 
 def test_every_wrapped_attribute_is_callable():
-    tracer = _load_tracer()
+    tracer = _load_bench("tracer")
     assert tracer.WRAPPED
     for owner, attr, span, _ in tracer.WRAPPED:
         assert callable(getattr(owner, attr, None)), f"{span}: {owner.__name__}.{attr} is gone"
@@ -63,3 +65,14 @@ def test_workload_calls_bind_to_signatures(fn):
         signature.bind(*[None] * n_args, **dict.fromkeys(keywords))
     if fn == "predict":
         assert all("batch" in keywords for _, _, keywords in calls)
+
+
+def test_predict_passes_the_benchmark_reference_gate():
+    # The predict workload fails every operation as incorrect when one probability on
+    # the seed-7 reference cloud moves by more than its PROB_TOLERANCE (1e-9).
+    workloads = _load_bench("workloads")
+    params = workloads.load_params()
+    predicted, _ = trainer.predict(workloads.reference_cloud(workloads.DEFAULT_SEED), params,
+                                   batch=workloads.PREDICT_BATCH, threads=1)
+    reference = np.load(workloads.REFERENCE_PROBS)
+    assert workloads.check_predictions(predicted.predictions, predicted.labels, reference) == []

@@ -16,13 +16,15 @@ from helpers import (
     end_to_end_loss,
     fd_check_grads,
     group_descriptors,
+    oracle_rbf_group_bwd,
+    oracle_rbf_group_fwd,
     patch_features,
     random_patch_arrays,
     reference_forward,
 )
 from pcedge import net
 from pcedge.cloud import SurfacePatch, build_index, extract_patches
-from pcedge.errors import CorruptCheckpoint, ModelShapeError, StateError
+from pcedge.errors import CorruptCheckpoint, ModelShapeError, NumericalError, StateError
 from pcedge.rbf import _basis_matrices
 from pcedge.synth import ShapeSpec, generate
 
@@ -44,6 +46,15 @@ def make_patch(rng, k=16):
         normal_axis=np.array([0.0, 0.0, 1.0]),
         scale=float(scales[0]),
     )
+
+
+def random_rbf_params(rng, k, seed=0):
+    """init_params with every rbf.* tensor, biases included, redrawn from N(0, 0.5^2)."""
+    params = net.init_params(k, seed=seed)
+    for name, t in params.tensors.items():
+        if name.startswith("rbf."):
+            t[...] = rng.normal(scale=0.5, size=t.shape)
+    return params
 
 
 def rotation(rng):
@@ -126,6 +137,22 @@ class TestParameters:
         with pytest.raises(ModelShapeError):
             net.init_params(16, heads=4)
 
+    @pytest.mark.parametrize("name, bad", [("dec.b0", np.nan), ("enc.2.attn.wq", np.inf),
+                                           ("rbf.second.euc_head.w2", -np.inf)])
+    def test_validate_finite_names_the_tensor(self, name, bad):
+        params = net.init_params(8, seed=0)
+        params.tensors[name][...] = 0.5
+        params.tensors[name].flat[-1] = bad
+        with pytest.raises(NumericalError, match=f"^tensor {name} contains non-finite values$"):
+            params.validate_finite()
+
+    def test_validate_finite_names_the_first_tensor_in_order(self):
+        params = net.init_params(8, seed=0)
+        params.tensors["rbf.second.cos_fc.b"][0] = np.nan
+        params.tensors["enc.0.ln1.g"][3] = np.inf
+        with pytest.raises(NumericalError, match="^tensor enc.0.ln1.g contains"):
+            params.validate_finite()
+
 
 class TestRbfDos:
     def test_zero_params_zero_descriptors(self):
@@ -162,6 +189,66 @@ class TestRbfDos:
         fe2, fc2 = group_descriptors(dvecs @ rot.T, 1.2, params, "second")
         assert np.abs(fe1 - fe2).max() < 1e-12
         assert np.abs(fc1 - fc2).max() < 1e-12
+
+
+# The fused block sums in a different order from the per-layer oracle. Each
+# gradient may differ from the oracle's by this much, relative to the largest
+# entry of that oracle gradient (seen: below 1e-14).
+RBF_GRAD_RTOL = 1e-12
+
+
+def assert_grads_close(grads, oracle, names):
+    for name in names:
+        scale = max(1.0, np.abs(oracle[name]).max())
+        err = np.abs(grads[name] - oracle[name]).max()
+        assert err <= RBF_GRAD_RTOL * scale, f"{name}: {err:.3e} against largest entry {scale:.3e}"
+
+
+class TestRbfFusedBlock:
+    """The fused (2m, 32) block against the frozen per-layer composition."""
+
+    # k=32 makes 2m equal the fc width 32 and k=64 makes it equal h's width 64,
+    # so a mix-up between the 2m rows and the 32/64 columns can hide only in one of them.
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.sampled_from([4, 16, 32, 64]), b=st.integers(1, 64),
+           group=st.sampled_from(["first", "second"]), seed=st.integers(0, 2**32 - 1))
+    def test_matches_frozen_per_layer_block(self, k, b, group, seed):
+        rng = np.random.default_rng(seed)
+        p = random_rbf_params(rng, k).tensors
+        dvecs, _, scales = random_patch_arrays(rng, b, k // 2)
+        m_euc, m_cos = _basis_matrices(dvecs, scales)
+        fe, fc, cache = net._rbf_group_fwd(m_euc, m_cos, p, group)
+        oe, oc, ocache = oracle_rbf_group_fwd(m_euc, m_cos, p, group)
+        assert fe.shape == fc.shape == (b, k // 2)
+        np.testing.assert_allclose(fe, oe, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(fc, oc, rtol=1e-12, atol=1e-12)
+
+        df_euc, df_cos = rng.normal(size=(b, k // 2)), rng.normal(size=(b, k // 2))
+        grads, oracle = {}, {}
+        net._rbf_group_bwd(df_euc, df_cos, cache, grads, group)
+        oracle_rbf_group_bwd(df_euc, df_cos, ocache, oracle, group)
+        names = [n for n in p if n.startswith(f"rbf.{group}.")]
+        assert len(names) == 16 and sorted(grads) == sorted(oracle) == sorted(names)
+        for name in names:
+            assert grads[name].shape == p[name].shape
+        assert_grads_close(grads, oracle, names)
+
+    def test_end_to_end_matches_frozen_block(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        params = random_rbf_params(rng, 16, seed=4)
+        dvecs, offsets, scales = random_patch_arrays(rng, 256, 16)
+        d_e = rng.normal(size=256)
+
+        def run():
+            e, cache = net.forward_batch(dvecs, offsets, scales, params, need_cache=True)
+            return e, params.unpack(net.backward(params, cache, d_e))
+
+        e, grads = run()
+        monkeypatch.setattr(net, "_rbf_group_fwd", oracle_rbf_group_fwd)
+        monkeypatch.setattr(net, "_rbf_group_bwd", oracle_rbf_group_bwd)
+        oe, oracle = run()
+        np.testing.assert_allclose(e, oe, rtol=1e-12, atol=1e-12)
+        assert_grads_close(grads, oracle, list(params.tensors))
 
 
 class TestAssembleFeatures:
@@ -542,6 +629,27 @@ class TestGradientsPerLayer:
         grads = {}
         net._rbf_group_bwd(proj_e, proj_c, cache, grads, "first")
         tensors = {n: p[n] for n in p if n.startswith("rbf.first.")}
+        fd_check_grads(loss_fn, tensors, grads, rng=rng)
+
+    @pytest.mark.parametrize("k", [16, 64])
+    def test_rbf_group_realistic_m(self, k):
+        # m = 8 and 32 neighbours per group, with random biases so that the
+        # bias terms of the fused gradients are checked too.
+        rng = np.random.default_rng(k + 50)
+        p = random_rbf_params(rng, k, seed=k).tensors
+        dvecs, _, scales = random_patch_arrays(rng, 3, k // 2)
+        proj_e = rng.normal(size=(3, k // 2))
+        proj_c = rng.normal(size=(3, k // 2))
+        m_euc, m_cos = _basis_matrices(dvecs, scales)
+
+        def loss_fn():
+            fe, fc, _ = net._rbf_group_fwd(m_euc, m_cos, p, "second")
+            return float((fe * proj_e).sum() + (fc * proj_c).sum())
+
+        _, _, cache = net._rbf_group_fwd(m_euc, m_cos, p, "second")
+        grads = {}
+        net._rbf_group_bwd(proj_e, proj_c, cache, grads, "second")
+        tensors = {n: p[n] for n in p if n.startswith("rbf.second.")}
         fd_check_grads(loss_fn, tensors, grads, rng=rng)
 
     @pytest.mark.parametrize("seed", range(3))
