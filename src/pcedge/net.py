@@ -195,29 +195,50 @@ _MEAN_VEC = np.full(WIDTH, 1.0 / WIDTH)
 _CENTER = np.eye(WIDTH) - 1.0 / WIDTH
 
 
-def _layernorm_fwd(x, g, b):
-    """Layer norm over the WIDTH columns of (rows, WIDTH) activations.
+def _norm_fwd(x):
+    """Layer norm without gain or bias over the WIDTH columns of (rows, WIDTH)
+    activations: the normalised rows xhat and the (rows, 1) inverse deviations.
 
-    Centring and row means run as matrix products: per-row reductions and
-    broadcasts over a length-6 axis are slow in numpy.
+    Each layer norm's gain g and bias b are linear and feed straight into a
+    projection, so _folded_fwd applies them inside that projection's weights
+    and costs no pass over the rows. Centring and row means run as matrix
+    products: per-row reductions and broadcasts over a length-6 axis are slow
+    in numpy.
     """
     xhat = x @ _CENTER
     inv = (1.0 / np.sqrt((xhat * xhat) @ _MEAN_VEC + LN_EPS))[:, None]
     xhat *= inv
-    out = xhat * g
-    out += b
-    return out, (xhat, inv, g)
+    return xhat, inv
 
 
-def _layernorm_bwd(dout, cache):
-    xhat, inv, g = cache
-    dg = _col_sum(dout * xhat)
-    db = _col_sum(dout)
-    dxhat = dout * g
+def _norm_bwd(dxhat, xhat, inv):
+    """dx of _norm_fwd given dxhat, the gradient at its output."""
     dx = dxhat @ _CENTER
     dx -= xhat * ((dxhat * xhat) @ _MEAN_VEC)[:, None]
     dx *= inv
-    return dx, dg, db
+    return dx
+
+
+def _folded_fwd(xhat, g, b, w, c):
+    """(xhat * g + b) @ w + c for a layer norm's gain and bias (g, b) and the
+    projection (w, c) after it, as one product: xhat @ W' + c' with
+    W' = diag(g) w and c' = b w + c."""
+    wf = g[:, None] * w
+    out = xhat @ wf
+    out += b @ w + c
+    return out, (xhat, g, b, w, wf)
+
+
+def _folded_bwd(dout, cache):
+    """(dxhat, dw, dc, dg, db) of _folded_fwd in closed form. With s = 1^T dout
+    and P = xhat^T dout: dw = diag(g) P + b s^T, dc = s, dg = rowsum(w * P),
+    db = w s and dxhat = dout W'^T."""
+    xhat, g, b, w, wf = cache
+    s = _col_sum(dout)
+    pm = xhat.T @ dout
+    dw = g[:, None] * pm
+    dw += np.outer(b, s)
+    return dout @ wf.T, dw, s, (w * pm).sum(axis=1), w @ s
 
 
 def _softmax_cols(s):
@@ -251,17 +272,21 @@ def _scores_view(s, b, k, heads):
     return s.reshape(k, b, heads, k).transpose(1, 2, 3, 0)
 
 
-def _attention_fwd(x2, b, k, p, prefix, heads):
-    """Multi-head self-attention over the k neighbor rows (no masking).
+def _attention_fwd(xhat, b, k, p, i, heads):
+    """Multi-head self-attention of encoder layer i over the k neighbor rows
+    (no masking), reading the rows xhat that _norm_fwd normalised.
 
     Operates on flat (b*k, WIDTH) rows; positions couple only inside the
     per-head score/softmax/context stage. q, k and v come from one
-    (WIDTH, 3*WIDTH) projection with the score scale folded into q.
+    (WIDTH, 3*WIDTH) projection W = [alpha wq | wk | wv], c = [alpha bq | bk | bv],
+    with the score scale alpha folded into q and ln1's gain and bias folded
+    in by _folded_fwd.
     """
+    pre = f"enc.{i}.attn"
     alpha = 1.0 / np.sqrt(WIDTH // heads)
-    w = np.concatenate([p[f"{prefix}.wq"] * alpha, p[f"{prefix}.wk"], p[f"{prefix}.wv"]], axis=1)
-    bias = np.concatenate([p[f"{prefix}.bq"] * alpha, p[f"{prefix}.bk"], p[f"{prefix}.bv"]])
-    qkv, cqkv = _linear_fwd(x2, w, bias)
+    w = np.concatenate([p[f"{pre}.wq"] * alpha, p[f"{pre}.wk"], p[f"{pre}.wv"]], axis=1)
+    bias = np.concatenate([p[f"{pre}.bq"] * alpha, p[f"{pre}.bk"], p[f"{pre}.bv"]])
+    qkv, cqkv = _folded_fwd(xhat, p[f"enc.{i}.ln1.g"], p[f"enc.{i}.ln1.b"], w, bias)
     q, kx, v = _heads(qkv, b, k, heads, 3)
     attn_cols = np.empty((k, b * heads * k))
     attn = _scores_view(attn_cols, b, k, heads)
@@ -270,15 +295,17 @@ def _attention_fwd(x2, b, k, p, prefix, heads):
     ctx = np.empty((b * k, WIDTH))
     (ctx_h,) = _heads(ctx, b, k, heads, 1)
     np.matmul(attn, v, out=ctx_h)
-    out, co = _linear_fwd(ctx, p[f"{prefix}.wo"], p[f"{prefix}.bo"])
+    out, co = _linear_fwd(ctx, p[f"{pre}.wo"], p[f"{pre}.bo"])
     return out, (cqkv, co, q, kx, v, attn_cols, alpha)
 
 
-def _attention_bwd(dout, b, k, cache, grads, prefix):
+def _attention_bwd(dout, b, k, cache, grads, i):
+    """dxhat of _attention_fwd; fills the gradients of enc.{i}.attn.* and enc.{i}.ln1.*."""
     cqkv, co, q, kx, v, attn_cols, alpha = cache
+    pre = f"enc.{i}.attn"
     heads = q.shape[1]
     attn = _scores_view(attn_cols, b, k, heads)
-    dctx, grads[f"{prefix}.wo"], grads[f"{prefix}.bo"] = _linear_bwd(dout, co)
+    dctx, grads[f"{pre}.wo"], grads[f"{pre}.bo"] = _linear_bwd(dout, co)
     (dctx,) = _heads(dctx, b, k, heads, 1)
     dqkv = np.empty((b * k, 3 * WIDTH))
     dq, dk, dv = _heads(dqkv, b, k, heads, 3)
@@ -291,20 +318,20 @@ def _attention_bwd(dout, b, k, cache, grads, prefix):
     ds_cols *= attn_cols
     np.matmul(ds, kx, out=dq)
     np.matmul(ds.transpose(0, 1, 3, 2), q, out=dk)
-    dx, dw, db = _linear_bwd(dqkv, cqkv)
-    grads[f"{prefix}.wq"], grads[f"{prefix}.bq"] = dw[:, :WIDTH] * alpha, db[:WIDTH] * alpha
-    grads[f"{prefix}.wk"], grads[f"{prefix}.bk"] = dw[:, WIDTH:2 * WIDTH], db[WIDTH:2 * WIDTH]
-    grads[f"{prefix}.wv"], grads[f"{prefix}.bv"] = dw[:, 2 * WIDTH:], db[2 * WIDTH:]
-    return dx
+    dxhat, dw, db, grads[f"enc.{i}.ln1.g"], grads[f"enc.{i}.ln1.b"] = _folded_bwd(dqkv, cqkv)
+    grads[f"{pre}.wq"], grads[f"{pre}.bq"] = dw[:, :WIDTH] * alpha, db[:WIDTH] * alpha
+    grads[f"{pre}.wk"], grads[f"{pre}.bk"] = dw[:, WIDTH:2 * WIDTH], db[WIDTH:2 * WIDTH]
+    grads[f"{pre}.wv"], grads[f"{pre}.bv"] = dw[:, 2 * WIDTH:], db[2 * WIDTH:]
+    return dxhat
 
 
 # ---------------------------------------------------------------------------
 # Model blocks
 # ---------------------------------------------------------------------------
 
-def _rbf_group_fwd(m_euc, m_cos, p, group):
-    """Per-neighbor descriptor pair for one k/2 group from its (..., m, m) basis
-    matrices: (..., m) f_euc and f_cos.
+def _rbf_group_fwd(mats, p, group):
+    """Per-neighbor descriptor pair for one k/2 group from its (..., m, 2m) basis
+    matrices [M_euc | M_cos]: (..., m) f_euc and f_cos.
 
     The fc layers and both heads' first layers compose linearly, so with W0 = [w0_euc | w0_cos]:
     z = relu([M_euc | M_cos] A + c), A = [W_euc_fc W0[:32] ; W_cos_fc W0[32:]] of shape (2m, 32),
@@ -315,14 +342,14 @@ def _rbf_group_fwd(m_euc, m_cos, p, group):
     w_c, b_c = p[f"{pre}.cos_fc.w"], p[f"{pre}.cos_fc.b"]
     m, fc = w_e.shape
     w0 = np.concatenate([p[f"{pre}.euc_head.w0"], p[f"{pre}.cos_head.w0"]], axis=1)
-    x = np.concatenate([m_euc, m_cos], axis=-1).reshape(-1, 2 * m)
+    x = mats.reshape(-1, 2 * m)
     z = x @ np.concatenate([w_e @ w0[:fc], w_c @ w0[fc:]])
     z += b_e @ w0[:fc] + b_c @ w0[fc:] + np.concatenate([p[f"{pre}.euc_head.b0"], p[f"{pre}.cos_head.b0"]])
     np.maximum(z, 0.0, out=z)
     half = z.shape[1] // 2
     f_euc, che = _mlp_fwd(z[:, :half], p, _layers(f"{pre}.euc_head", (1, 2)))
     f_cos, chc = _mlp_fwd(z[:, half:], p, _layers(f"{pre}.cos_head", (1, 2)))
-    rows = m_euc.shape[:-1]
+    rows = mats.shape[:-1]
     return f_euc.reshape(rows), f_cos.reshape(rows), (x, z, w0, w_e, b_e, w_c, b_c, che, chc)
 
 
@@ -348,23 +375,29 @@ def _rbf_group_bwd(df_euc, df_cos, cache, grads, group):
 
 
 def _encoder_layer_fwd(x2, b, k, p, i, heads):
-    """One pre-layer-norm encoder layer on flat (b*k, WIDTH) rows."""
-    a, cl1 = _layernorm_fwd(x2, p[f"enc.{i}.ln1.g"], p[f"enc.{i}.ln1.b"])
-    x1, ca = _attention_fwd(a, b, k, p, f"enc.{i}.attn", heads)
+    """One pre-layer-norm encoder layer on flat (b*k, WIDTH) rows. ln1's gain
+    and bias are folded into the q/k/v projection and ln2's into ffn.w1."""
+    a, inv1 = _norm_fwd(x2)
+    x1, ca = _attention_fwd(a, b, k, p, i, heads)
     x1 += x2
-    h, cl2 = _layernorm_fwd(x1, p[f"enc.{i}.ln2.g"], p[f"enc.{i}.ln2.b"])
-    out, cf = _mlp_fwd(h, p, _layers(f"enc.{i}.ffn", (1, 2)))
+    h, inv2 = _norm_fwd(x1)
+    z, cf1 = _folded_fwd(h, p[f"enc.{i}.ln2.g"], p[f"enc.{i}.ln2.b"],
+                         p[f"enc.{i}.ffn.w1"], p[f"enc.{i}.ffn.b1"])
+    np.maximum(z, 0.0, out=z)
+    out, cf2 = _linear_fwd(z, p[f"enc.{i}.ffn.w2"], p[f"enc.{i}.ffn.b2"])
     out += x1
-    return out, (cl1, ca, cl2, cf)
+    return out, (a, inv1, ca, h, inv2, cf1, cf2)
 
 
 def _encoder_layer_bwd(dout, b, k, cache, grads, i):
-    cl1, ca, cl2, cf = cache
-    dh = _mlp_bwd(dout, cf, grads, _layers(f"enc.{i}.ffn", (1, 2)))
-    dx1, grads[f"enc.{i}.ln2.g"], grads[f"enc.{i}.ln2.b"] = _layernorm_bwd(dh, cl2)
+    a, inv1, ca, h, inv2, cf1, cf2 = cache
+    dz, grads[f"enc.{i}.ffn.w2"], grads[f"enc.{i}.ffn.b2"] = _linear_bwd(dout, cf2)
+    dz *= cf2[0] > 0.0
+    dh, grads[f"enc.{i}.ffn.w1"], grads[f"enc.{i}.ffn.b1"], \
+        grads[f"enc.{i}.ln2.g"], grads[f"enc.{i}.ln2.b"] = _folded_bwd(dz, cf1)
+    dx1 = _norm_bwd(dh, h, inv2)
     dx1 += dout
-    da = _attention_bwd(dx1, b, k, ca, grads, f"enc.{i}.attn")
-    dx, grads[f"enc.{i}.ln1.g"], grads[f"enc.{i}.ln1.b"] = _layernorm_bwd(da, cl1)
+    dx = _norm_bwd(_attention_bwd(dx1, b, k, ca, grads, i), a, inv1)
     dx += dx1
     return dx
 
@@ -414,10 +447,10 @@ def forward_batch(dvecs: np.ndarray, offsets: np.ndarray, scales: np.ndarray,
 
     # Basis matrices of both k/2 groups in one (2B, m, 3) batch, first group first.
     groups = dvecs.reshape(b, 2, m, 3).transpose(1, 0, 2, 3).reshape(2 * b, m, 3)
-    m_euc, m_cos = _basis_matrices(groups, np.tile(scales, 2))
-    fe1, fc1, cg1 = _rbf_group_fwd(m_euc[:b], m_cos[:b], p, "first")
-    fe2, fc2, cg2 = _rbf_group_fwd(m_euc[b:], m_cos[b:], p, "second")
-    del m_euc, m_cos
+    mats = _basis_matrices(groups, np.tile(scales, 2))
+    fe1, fc1, cg1 = _rbf_group_fwd(mats[:b], p, "first")
+    fe2, fc2, cg2 = _rbf_group_fwd(mats[b:], p, "second")
+    del mats
     if not need_cache:
         cg1 = cg2 = None
     feats = _feature_map(dvecs, offsets, scales, np.concatenate([fe1, fe2], axis=1),

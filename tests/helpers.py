@@ -97,13 +97,15 @@ def reference_forward(dvecs, offsets, scale, params):
 
 def basis_pair(dvecs, scale):
     """(m_euc, m_cos) of one (m, 3) neighbor group."""
-    m_euc, m_cos = _basis_matrices(np.asarray(dvecs, dtype=np.float64)[None], np.asarray([scale]))
-    return m_euc[0], m_cos[0]
+    m_euc, m_cos = np.split(_basis_matrices(np.asarray(dvecs, dtype=np.float64)[None],
+                                            np.asarray([scale]))[0], 2, axis=-1)
+    return m_euc, m_cos
 
 
 def group_descriptors(dvecs, scale, params, group):
     """(f_euc, f_cos) of one k/2 neighbor group from the RBF block `group`."""
-    fe, fc, _ = net._rbf_group_fwd(*basis_pair(dvecs, scale), params.tensors, group)
+    mats = _basis_matrices(np.asarray(dvecs, dtype=np.float64)[None], np.asarray([scale]))
+    fe, fc, _ = net._rbf_group_fwd(mats[0], params.tensors, group)
     return fe, fc
 
 
@@ -414,6 +416,96 @@ def oracle_rbf_group_bwd(df_euc, df_cos, cache, grads, group):
     dg_euc, dg_cos = dh[..., :32], dh[..., 32:]
     _, grads[f"rbf.{group}.euc_fc.w"], grads[f"rbf.{group}.euc_fc.b"] = net._linear_bwd(dg_euc, ce)
     _, grads[f"rbf.{group}.cos_fc.w"], grads[f"rbf.{group}.cos_fc.b"] = net._linear_bwd(dg_cos, cc)
+
+
+# Frozen oracle for the encoder layer: the _layernorm_fwd/_layernorm_bwd,
+# _attention_fwd/_attention_bwd and _encoder_layer_fwd/_encoder_layer_bwd
+# that applied each layer norm's gain and bias as their own passes, before
+# pcedge.net folded them into the projection after the norm, unchanged apart
+# from the net. prefixes and the oracle_ names, so the folded layer can be
+# checked against the composition it computes.
+
+def oracle_layernorm_fwd(x, g, b):
+    xhat = x @ net._CENTER
+    inv = (1.0 / np.sqrt((xhat * xhat) @ net._MEAN_VEC + net.LN_EPS))[:, None]
+    xhat *= inv
+    out = xhat * g
+    out += b
+    return out, (xhat, inv, g)
+
+
+def oracle_layernorm_bwd(dout, cache):
+    xhat, inv, g = cache
+    dg = net._col_sum(dout * xhat)
+    db = net._col_sum(dout)
+    dxhat = dout * g
+    dx = dxhat @ net._CENTER
+    dx -= xhat * ((dxhat * xhat) @ net._MEAN_VEC)[:, None]
+    dx *= inv
+    return dx, dg, db
+
+
+def oracle_attention_fwd(x2, b, k, p, prefix, heads):
+    WIDTH = net.WIDTH
+    alpha = 1.0 / np.sqrt(WIDTH // heads)
+    w = np.concatenate([p[f"{prefix}.wq"] * alpha, p[f"{prefix}.wk"], p[f"{prefix}.wv"]], axis=1)
+    bias = np.concatenate([p[f"{prefix}.bq"] * alpha, p[f"{prefix}.bk"], p[f"{prefix}.bv"]])
+    qkv, cqkv = net._linear_fwd(x2, w, bias)
+    q, kx, v = net._heads(qkv, b, k, heads, 3)
+    attn_cols = np.empty((k, b * heads * k))
+    attn = net._scores_view(attn_cols, b, k, heads)
+    np.matmul(q, kx.transpose(0, 1, 3, 2), out=attn)
+    net._softmax_cols(attn_cols)
+    ctx = np.empty((b * k, WIDTH))
+    (ctx_h,) = net._heads(ctx, b, k, heads, 1)
+    np.matmul(attn, v, out=ctx_h)
+    out, co = net._linear_fwd(ctx, p[f"{prefix}.wo"], p[f"{prefix}.bo"])
+    return out, (cqkv, co, q, kx, v, attn_cols, alpha)
+
+
+def oracle_attention_bwd(dout, b, k, cache, grads, prefix):
+    WIDTH = net.WIDTH
+    cqkv, co, q, kx, v, attn_cols, alpha = cache
+    heads = q.shape[1]
+    attn = net._scores_view(attn_cols, b, k, heads)
+    dctx, grads[f"{prefix}.wo"], grads[f"{prefix}.bo"] = net._linear_bwd(dout, co)
+    (dctx,) = net._heads(dctx, b, k, heads, 1)
+    dqkv = np.empty((b * k, 3 * WIDTH))
+    dq, dk, dv = net._heads(dqkv, b, k, heads, 3)
+    np.matmul(attn.transpose(0, 1, 3, 2), dctx, out=dv)
+    ds_cols = np.empty_like(attn_cols)
+    ds = net._scores_view(ds_cols, b, k, heads)
+    np.matmul(dctx, v.transpose(0, 1, 3, 2), out=ds)
+    ds_cols -= np.ones(k) @ (ds_cols * attn_cols)
+    ds_cols *= attn_cols
+    np.matmul(ds, kx, out=dq)
+    np.matmul(ds.transpose(0, 1, 3, 2), q, out=dk)
+    dx, dw, db = net._linear_bwd(dqkv, cqkv)
+    grads[f"{prefix}.wq"], grads[f"{prefix}.bq"] = dw[:, :WIDTH] * alpha, db[:WIDTH] * alpha
+    grads[f"{prefix}.wk"], grads[f"{prefix}.bk"] = dw[:, WIDTH:2 * WIDTH], db[WIDTH:2 * WIDTH]
+    grads[f"{prefix}.wv"], grads[f"{prefix}.bv"] = dw[:, 2 * WIDTH:], db[2 * WIDTH:]
+    return dx
+
+
+def oracle_encoder_layer_fwd(x2, b, k, p, i, heads):
+    a, cl1 = oracle_layernorm_fwd(x2, p[f"enc.{i}.ln1.g"], p[f"enc.{i}.ln1.b"])
+    x1, ca = oracle_attention_fwd(a, b, k, p, f"enc.{i}.attn", heads)
+    x1 += x2
+    h, cl2 = oracle_layernorm_fwd(x1, p[f"enc.{i}.ln2.g"], p[f"enc.{i}.ln2.b"])
+    out, cf = net._mlp_fwd(h, p, net._layers(f"enc.{i}.ffn", (1, 2)))
+    out += x1
+    return out, (cl1, ca, cl2, cf)
+
+
+def oracle_encoder_layer_bwd(dout, b, k, cache, grads, i):
+    cl1, ca, cl2, cf = cache
+    dh = net._mlp_bwd(dout, cf, grads, net._layers(f"enc.{i}.ffn", (1, 2)))
+    dx1, grads[f"enc.{i}.ln2.g"], grads[f"enc.{i}.ln2.b"] = oracle_layernorm_bwd(dh, cl2)
+    dx1 += dout
+    da = oracle_attention_bwd(dx1, b, k, ca, grads, f"enc.{i}.attn")
+    dx, grads[f"enc.{i}.ln1.g"], grads[f"enc.{i}.ln1.b"] = oracle_layernorm_bwd(da, cl1)
+    dx += dx1
+    return dx
 
 
 # Frozen oracle for the Adam update: the per-tensor adam_step that the

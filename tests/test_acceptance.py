@@ -54,28 +54,39 @@ def test_criterion_1_gradients():
         params = net.init_params(4, seed=seed + 100)
         p = params.tensors
 
-        # layer norm
+        # layer norm: the plain normaliser, then its gain and bias folded into
+        # a projection; with w = I and c = 0 that is the layer norm itself
         x = rng.normal(size=(6, 6))
         g, b = rng.normal(size=6), rng.normal(size=6)
         proj = rng.normal(size=(6, 6))
-        _, cache = net._layernorm_fwd(x, g, b)
-        dx, dg, db = net._layernorm_bwd(proj, cache)
+        w_ln, c_ln = np.eye(6), np.zeros(6)
+
+        def ln_loss():
+            return float((net._folded_fwd(net._norm_fwd(x)[0], g, b, w_ln, c_ln)[0] * proj).sum())
+
+        xhat, inv = net._norm_fwd(x)
+        _, cache = net._folded_fwd(xhat, g, b, w_ln, c_ln)
+        dxhat, dw, dc, dg, db = net._folded_bwd(proj, cache)
+        dx = net._norm_bwd(dxhat, xhat, inv)
         w, c = fd_check_grads(
-            lambda: float((net._layernorm_fwd(x, g, b)[0] * proj).sum()),
-            {"x": x, "g": g, "b": b}, {"x": dx, "g": dg, "b": db}, rng=rng)
+            ln_loss, {"x": x, "g": g, "b": b, "w": w_ln, "c": c_ln},
+            {"x": dx, "g": dg, "b": db, "w": dw, "c": dc}, rng=rng)
         worst, total = max(worst, w), total + c
 
-        # attention sublayer
+        # attention sublayer, on normalised rows, with ln1's gain and bias
+        # (the random g and b above) folded into its q/k/v projection
+        pa = params.copy().tensors
+        pa["enc.0.ln1.g"][:], pa["enc.0.ln1.b"][:] = g, b
         xa = rng.normal(size=(2 * 4, 6))
         proj_a = rng.normal(size=(2 * 4, 6))
-        _, cache = net._attention_fwd(xa, 2, 4, p, "enc.0.attn", 2)
+        _, cache = net._attention_fwd(xa, 2, 4, pa, 0, 2)
         grads = {}
-        dxa = net._attention_bwd(proj_a, 2, 4, cache, grads, "enc.0.attn")
-        tensors = {n: p[n] for n in p if n.startswith("enc.0.attn.")}
+        dxa = net._attention_bwd(proj_a, 2, 4, cache, grads, 0)
+        tensors = {n: pa[n] for n in pa if n.startswith(("enc.0.attn.", "enc.0.ln1."))}
         tensors["x"] = xa
         grads["x"] = dxa
         w, c = fd_check_grads(
-            lambda: float((net._attention_fwd(xa, 2, 4, p, "enc.0.attn", 2)[0] * proj_a).sum()),
+            lambda: float((net._attention_fwd(xa, 2, 4, pa, 0, 2)[0] * proj_a).sum()),
             tensors, grads, rng=rng)
         worst, total = max(worst, w), total + c
 
@@ -97,13 +108,13 @@ def test_criterion_1_gradients():
         dvg = rng.normal(size=(3, 2, 3))
         scg = rng.uniform(0.5, 2.0, size=3)
         pe, pc = rng.normal(size=(3, 2)), rng.normal(size=(3, 2))
-        _, _, cache = net._rbf_group_fwd(*_basis_matrices(dvg, scg), p, "first")
+        _, _, cache = net._rbf_group_fwd(_basis_matrices(dvg, scg), p, "first")
         grads = {}
         net._rbf_group_bwd(pe, pc, cache, grads, "first")
         tensors = {n: p[n] for n in p if n.startswith("rbf.first.")}
 
         def rbf_loss():
-            fe, fc, _ = net._rbf_group_fwd(*_basis_matrices(dvg, scg), p, "first")
+            fe, fc, _ = net._rbf_group_fwd(_basis_matrices(dvg, scg), p, "first")
             return float((fe * pe).sum() + (fc * pc).sum())
 
         w, c = fd_check_grads(rbf_loss, tensors, grads, rng=rng)

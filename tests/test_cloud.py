@@ -1,6 +1,7 @@
 """Point-cloud core: exact kNN, PCA axis, filtered-kNN patches, perturbations."""
 
 import functools
+import hashlib
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from helpers import (
 from pcedge import synth
 from pcedge.cloud import (
     PointCloud,
+    _take_rows,
     add_gaussian_noise,
     augment_rotations,
     build_index,
@@ -665,6 +667,67 @@ class TestExtractionParity:
         g = np.arange(12) * 0.1
         pts = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
         self.assert_identical(PointCloud(pts), 32, query=full_scan_query_many)
+
+
+    @staticmethod
+    def digest(parts):
+        """sha256 over the bytes of a sequence of extract_patches results, all five outputs each."""
+        h = hashlib.sha256()
+        for outputs in parts:
+            assert len(outputs) == 5
+            for a in outputs:
+                h.update(np.ascontiguousarray(a).tobytes())
+        return h.hexdigest()
+
+    @staticmethod
+    @functools.cache
+    def reference_oracle():
+        """The seed-7 reference cloud, its index and the frozen oracle's k=16 extraction."""
+        ref = synth.generate(synth.ShapeSpec("union_boxes", density=4000, seed=7)).cloud
+        index = build_index(ref)
+        return ref, index, oracle_extract_patches(ref, index, np.arange(ref.n), 16)
+
+    def test_predict_sub_batches(self):
+        # predict extracts the cloud in 256-row calls; sha256 rather than
+        # array_equal, so a 0.0 that turns into -0.0 counts as a change.
+        ref, index, want = self.reference_oracle()
+        windows = [np.arange(lo, min(lo + 256, ref.n)) for lo in range(0, ref.n, 256)]
+        got = [extract_patches(ref, index, rows, 16) for rows in windows]
+        assert self.digest(got) == self.digest([[a[rows] for a in want] for rows in windows])
+
+    def test_one_row_calls(self):
+        ref, index, want = self.reference_oracle()
+        rows = np.linspace(0, ref.n - 1, 200).astype(np.int64)
+        got = [extract_patches(ref, index, rows[j:j + 1], 16) for j in range(len(rows))]
+        assert self.digest(got) == self.digest([[a[rows[j:j + 1]] for a in want]
+                                                for j in range(len(rows))])
+        for j in range(len(rows)):
+            queries = ref.points[rows[j:j + 1]]
+            assert index.query_many(queries, 33).tobytes() == \
+                oracle_query_many(index, queries, 33).tobytes()
+        cloud = lattice_cube()[0]
+        index = build_index(cloud)
+        rows = np.arange(0, cloud.n, 97)
+        got = [extract_patches(cloud, index, rows[j:j + 1], 8) for j in range(len(rows))]
+        want = [oracle_extract_patches(cloud, index, rows[j:j + 1], 8) for j in range(len(rows))]
+        assert self.digest(got) == self.digest(want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(0, 12), m=st.integers(1, 9), data=st.data(),
+           trailing=st.sampled_from([(), (3,)]), seed=st.integers(0, 2**32 - 1))
+    def test_flat_take_matches_take_along_axis(self, n, m, data, trailing, seed):
+        # The one gather extract_patches and query_many use, on 2-D and 3-D arrays.
+        rng = np.random.default_rng(seed)
+        j = data.draw(st.integers(0, m), label="j")
+        a = rng.normal(size=(n, m) + trailing)
+        a[rng.random(a.shape) < 0.2] = -0.0
+        sel = rng.integers(0, m, size=(n, j))
+        want = np.take_along_axis(a, sel.reshape(sel.shape + (1,) * len(trailing)), axis=1)
+        got = _take_rows(a, sel)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+        ints = rng.integers(0, 1000, size=(n, m))
+        assert _take_rows(ints, sel).tobytes() == np.take_along_axis(ints, sel, axis=1).tobytes()
 
 
 class TestAugmentRotations:

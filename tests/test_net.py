@@ -16,6 +16,8 @@ from helpers import (
     end_to_end_loss,
     fd_check_grads,
     group_descriptors,
+    oracle_encoder_layer_bwd,
+    oracle_encoder_layer_fwd,
     oracle_rbf_group_bwd,
     oracle_rbf_group_fwd,
     patch_features,
@@ -216,9 +218,9 @@ class TestRbfFusedBlock:
         rng = np.random.default_rng(seed)
         p = random_rbf_params(rng, k).tensors
         dvecs, _, scales = random_patch_arrays(rng, b, k // 2)
-        m_euc, m_cos = _basis_matrices(dvecs, scales)
-        fe, fc, cache = net._rbf_group_fwd(m_euc, m_cos, p, group)
-        oe, oc, ocache = oracle_rbf_group_fwd(m_euc, m_cos, p, group)
+        mats = _basis_matrices(dvecs, scales)
+        fe, fc, cache = net._rbf_group_fwd(mats, p, group)
+        oe, oc, ocache = oracle_rbf_group_fwd(*np.split(mats, 2, axis=-1), p, group)
         assert fe.shape == fc.shape == (b, k // 2)
         np.testing.assert_allclose(fe, oe, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(fc, oc, rtol=1e-12, atol=1e-12)
@@ -244,11 +246,94 @@ class TestRbfFusedBlock:
             return e, params.unpack(net.backward(params, cache, d_e))
 
         e, grads = run()
-        monkeypatch.setattr(net, "_rbf_group_fwd", oracle_rbf_group_fwd)
+
+        def oracle_fwd(mats, p, group):
+            return oracle_rbf_group_fwd(*np.split(mats, 2, axis=-1), p, group)
+
+        monkeypatch.setattr(net, "_rbf_group_fwd", oracle_fwd)
         monkeypatch.setattr(net, "_rbf_group_bwd", oracle_rbf_group_bwd)
         oe, oracle = run()
         np.testing.assert_allclose(e, oe, rtol=1e-12, atol=1e-12)
         assert_grads_close(grads, oracle, list(params.tensors))
+
+
+def random_encoder_params(rng, k, heads, seed=0):
+    """init_params with every enc.* tensor redrawn: layer-norm gains from N(1, 0.5^2),
+    all other weights and biases, layer-norm biases included, from N(0, 0.5^2).
+
+    init_params' zero layer-norm biases would hide a dropped bias term of the
+    folded gradients, and its unit gains a gain applied in the wrong place.
+    """
+    params = net.init_params(k, heads, seed=seed)
+    for name, t in params.tensors.items():
+        if name.startswith("enc."):
+            t[...] = rng.normal(loc=1.0 if name.endswith(".g") else 0.0, scale=0.5, size=t.shape)
+    return params
+
+
+# The folded layer sums in another order than the frozen one, so each output
+# and gradient may differ from the oracle's by this much, relative to the
+# largest entry of the oracle's array (seen: below 1e-14).
+ENC_RTOL = 1e-12
+
+
+def assert_encoder_grads_close(grads, oracle, names):
+    """Each gradient within ENC_RTOL of the largest entry of the oracle's.
+
+    attn.bk is the exception: a key bias adds one constant to all of a query's
+    scores, which the softmax ignores, so its gradient is 0 in exact arithmetic
+    and only rounding noise in both codes. It is measured against the largest
+    entry of the same layer's attn.wk gradient instead.
+    """
+    for name in names:
+        scale = np.abs(oracle[name.replace(".attn.bk", ".attn.wk")]).max()
+        err = np.abs(grads[name] - oracle[name]).max()
+        assert err <= ENC_RTOL * scale, f"{name}: {err:.3e} against largest entry {scale:.3e}"
+
+
+class TestEncoderFoldedLayer:
+    """The encoder layer with its layer-norm gains and biases folded into the
+    projections after them, against the frozen layer that applied them as passes."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.sampled_from([4, 16, 32, 64]), heads=st.sampled_from([1, 2, 3, 6]),
+           b=st.integers(1, 64), i=st.integers(0, net.N_LAYERS - 1), seed=st.integers(0, 2**32 - 1))
+    def test_matches_frozen_layer(self, k, heads, b, i, seed):
+        rng = np.random.default_rng(seed)
+        p = random_encoder_params(rng, k, heads).tensors
+        x = rng.normal(size=(b * k, 6))
+        dout = rng.normal(size=(b * k, 6))
+        out, cache = net._encoder_layer_fwd(x, b, k, p, i, heads)
+        want, ocache = oracle_encoder_layer_fwd(x, b, k, p, i, heads)
+        assert np.abs(out - want).max() <= ENC_RTOL * np.abs(want).max()
+
+        grads, oracle = {}, {}
+        dx = net._encoder_layer_bwd(dout, b, k, cache, grads, i)
+        odx = oracle_encoder_layer_bwd(dout, b, k, ocache, oracle, i)
+        assert np.abs(dx - odx).max() <= ENC_RTOL * np.abs(odx).max()
+        names = [n for n in p if n.startswith(f"enc.{i}.")]
+        assert len(names) == 16 and sorted(grads) == sorted(oracle) == sorted(names)
+        for name in names:
+            assert grads[name].shape == p[name].shape
+        assert_encoder_grads_close(grads, oracle, names)
+
+    @pytest.mark.parametrize("heads", [2, 3])
+    def test_end_to_end_matches_frozen_layer(self, monkeypatch, heads):
+        rng = np.random.default_rng(31 + heads)
+        params = random_encoder_params(rng, 16, heads, seed=6)
+        dvecs, offsets, scales = random_patch_arrays(rng, 256, 16)
+        d_e = rng.normal(size=256)
+
+        def run():
+            e, cache = net.forward_batch(dvecs, offsets, scales, params, need_cache=True)
+            return e, params.unpack(net.backward(params, cache, d_e))
+
+        e, grads = run()
+        monkeypatch.setattr(net, "_encoder_layer_fwd", oracle_encoder_layer_fwd)
+        monkeypatch.setattr(net, "_encoder_layer_bwd", oracle_encoder_layer_bwd)
+        oe, oracle = run()
+        assert np.abs(e - oe).max() <= ENC_RTOL * np.abs(oe).max()
+        assert_encoder_grads_close(grads, oracle, list(params.tensors))
 
 
 class TestAssembleFeatures:
@@ -553,20 +638,25 @@ class TestGradientsPerLayer:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_layernorm(self, seed):
+        # The plain normaliser with its gain and bias folded into a projection
+        # (w, c); with w = I and c = 0 that is the layer norm itself.
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(7, 6))
         g = rng.normal(size=6)
         b = rng.normal(size=6)
         proj = rng.normal(size=(7, 6))
+        w, c = np.eye(6), np.zeros(6)
 
         def loss_fn():
-            out, _ = net._layernorm_fwd(x, g, b)
+            out, _ = net._folded_fwd(net._norm_fwd(x)[0], g, b, w, c)
             return float((out * proj).sum())
 
-        out, cache = net._layernorm_fwd(x, g, b)
-        dx, dg, db = net._layernorm_bwd(proj, cache)
-        fd_check_grads(loss_fn, {"x": x, "g": g, "b": b},
-                       {"x": dx, "g": dg, "b": db}, rng=rng)
+        xhat, inv = net._norm_fwd(x)
+        out, cache = net._folded_fwd(xhat, g, b, w, c)
+        dxhat, dw, dc, dg, db = net._folded_bwd(proj, cache)
+        dx = net._norm_bwd(dxhat, xhat, inv)
+        fd_check_grads(loss_fn, {"x": x, "g": g, "b": b, "w": w, "c": c},
+                       {"x": dx, "g": dg, "b": db, "w": dw, "c": dc}, rng=rng)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_attention(self, seed):
@@ -576,15 +666,21 @@ class TestGradientsPerLayer:
         b, k = 2, 4
         x = rng.normal(size=(b * k, 6))
         proj = rng.normal(size=(b * k, 6))
+        # ln1's gain and bias are folded into the q/k/v projection; random
+        # values make every term of their closed-form gradients count.
+        p["enc.0.ln1.g"][:] = rng.normal(size=6)
+        p["enc.0.ln1.b"][:] = rng.normal(size=6)
 
         def loss_fn():
-            out, _ = net._attention_fwd(x, b, k, p, "enc.0.attn", 2)
+            out, _ = net._attention_fwd(x, b, k, p, 0, 2)
             return float((out * proj).sum())
 
-        out, cache = net._attention_fwd(x, b, k, p, "enc.0.attn", 2)
+        out, cache = net._attention_fwd(x, b, k, p, 0, 2)
         grads = {}
-        dx = net._attention_bwd(proj, b, k, cache, grads, "enc.0.attn")
+        dx = net._attention_bwd(proj, b, k, cache, grads, 0)
         names = [f"enc.0.attn.{n}" for n in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")]
+        names += ["enc.0.ln1.g", "enc.0.ln1.b"]
+        assert sorted(grads) == sorted(names)
         tensors = {n: p[n] for n in names}
         tensors["x"] = x
         grads["x"] = dx
@@ -622,10 +718,10 @@ class TestGradientsPerLayer:
         proj_c = rng.normal(size=(3, 2))
 
         def loss_fn():
-            fe, fc, _ = net._rbf_group_fwd(*_basis_matrices(dvecs, scales), p, "first")
+            fe, fc, _ = net._rbf_group_fwd(_basis_matrices(dvecs, scales), p, "first")
             return float((fe * proj_e).sum() + (fc * proj_c).sum())
 
-        fe, fc, cache = net._rbf_group_fwd(*_basis_matrices(dvecs, scales), p, "first")
+        fe, fc, cache = net._rbf_group_fwd(_basis_matrices(dvecs, scales), p, "first")
         grads = {}
         net._rbf_group_bwd(proj_e, proj_c, cache, grads, "first")
         tensors = {n: p[n] for n in p if n.startswith("rbf.first.")}
@@ -640,13 +736,13 @@ class TestGradientsPerLayer:
         dvecs, _, scales = random_patch_arrays(rng, 3, k // 2)
         proj_e = rng.normal(size=(3, k // 2))
         proj_c = rng.normal(size=(3, k // 2))
-        m_euc, m_cos = _basis_matrices(dvecs, scales)
+        mats = _basis_matrices(dvecs, scales)
 
         def loss_fn():
-            fe, fc, _ = net._rbf_group_fwd(m_euc, m_cos, p, "second")
+            fe, fc, _ = net._rbf_group_fwd(mats, p, "second")
             return float((fe * proj_e).sum() + (fc * proj_c).sum())
 
-        _, _, cache = net._rbf_group_fwd(m_euc, m_cos, p, "second")
+        _, _, cache = net._rbf_group_fwd(mats, p, "second")
         grads = {}
         net._rbf_group_bwd(proj_e, proj_c, cache, grads, "second")
         tensors = {n: p[n] for n in p if n.startswith("rbf.second.")}
