@@ -51,9 +51,9 @@ def _build_parser() -> _Parser:
                        description="Predict edge probabilities; reports throughput (points/sec) on stderr.")
     p.add_argument("--cloud", required=True)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--batch", type=int, default=256)
+    p.add_argument("--batch", type=int, default=256, help="must be >= 1; changes nothing")
     p.add_argument("--threads", type=int, default=0,
-                   help="worker threads (0 = available parallelism; 1 = bit-reproducible)")
+                   help="worker threads (0 = available parallelism); every value gives the same bytes")
     p.add_argument("--out", required=True)
     p.add_argument("--dedup", action="store_true", help="drop exact duplicate points first")
 
@@ -116,6 +116,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_predict(args) -> int:
+    if args.batch < 1:
+        raise InvalidInput(f"--batch must be >= 1, got {args.batch}")
     if args.threads < 0:
         raise InvalidInput(f"--threads must be >= 0 (0 = available parallelism), got {args.threads}")
     params = net.load_checkpoint(args.checkpoint)

@@ -37,16 +37,15 @@ class EvalReport:
             raise InvalidInput("inconsistent report: tp + fp != n_pred")
         if self.fn > self.n_gt or min(self.tp, self.fp, self.fn) < 0:
             raise InvalidInput("inconsistent report: bad counts")
+        precision, recall, fscore = _prf(self.tp, self.fp, self.fn)
         for name, got, want in (
-            ("precision", self.precision, _safe_div(self.tp, self.tp + self.fp)),
-            ("recall", self.recall, _safe_div(self.tp, self.tp + self.fn)),
+            ("precision", self.precision, precision),
+            ("recall", self.recall, recall),
+            ("fscore", self.fscore, fscore),
             ("iou", self.iou, _safe_div(self.tp, self.tp + self.fp + self.fn)),
         ):
             if got != want:
                 raise InvalidInput(f"inconsistent report: {name} does not match counts")
-        pr = self.precision + self.recall
-        if self.fscore != (2.0 * self.precision * self.recall / pr if pr else 0.0):
-            raise InvalidInput("inconsistent report: fscore does not match precision/recall")
 
     def to_json(self) -> str:
         return json.dumps({
@@ -70,6 +69,13 @@ class EvalReport:
 
 def _safe_div(a: float, b: float) -> float:
     return a / b if b else 0.0
+
+
+def _prf(tp: int, fp: int, fn: int):
+    """(precision, recall, F-score) of match counts; 0.0 where a denominator is 0."""
+    precision = _safe_div(tp, tp + fp)
+    recall = _safe_div(tp, tp + fn)
+    return precision, recall, _safe_div(2.0 * precision * recall, precision + recall)
 
 
 def normalize_pair(pred_pts: np.ndarray, gt_pts: np.ndarray):
@@ -145,14 +151,13 @@ def evaluate(pred_cloud: PointCloud, gt_cloud: PointCloud) -> EvalReport:
     d_gt_pred = _nearest_distances(gt_n, pred_n)
     cd = _chamfer(d_pred_gt, d_gt_pred)
     tp, fp, fn = _match_counts(d_pred_gt, d_gt_pred, MATCH_RADIUS)
-    precision = _safe_div(tp, tp + fp)
-    recall = _safe_div(tp, tp + fn)
+    precision, recall, fscore = _prf(tp, fp, fn)
     return EvalReport(
         cd=cd,
         iou=_safe_div(tp, tp + fp + fn),
         precision=precision,
         recall=recall,
-        fscore=2.0 * precision * recall / (precision + recall) if precision + recall else 0.0,
+        fscore=fscore,
         tp=tp, fp=fp, fn=fn,
         n_pred=int(pred_edges.shape[0]), n_gt=int(gt_edges.shape[0]),
     )

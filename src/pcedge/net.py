@@ -148,7 +148,11 @@ def _col_sum(a2):
 
 def _linear_fwd(x, w, b):
     # One 2-d GEMM regardless of leading dims; stacked matmul would loop.
-    out = x.reshape(-1, w.shape[0]) @ w
+    # With one output column, matmul runs as a BLAS GEMV whose sum for a row
+    # depends on where the row sits in the batch; einsum sums every row alike,
+    # so a patch's probability does not depend on its window row.
+    x2 = x.reshape(-1, w.shape[0])
+    out = np.einsum("ij,jk->ik", x2, w) if w.shape[1] == 1 else x2 @ w
     out += b
     return out.reshape(x.shape[:-1] + (w.shape[1],)), (x, w)
 

@@ -1,10 +1,11 @@
 """One-shot training: dataset assembly from a single labeled cloud, BCE loss,
-Adam updates, class-balanced batching, validation, and early stopping.
+Adam updates, class-balanced batching, validation, early stopping, and
+streaming prediction.
 
-Training is deterministic for a fixed seed in sequential mode. With
-threads > 1 each mini-batch is sharded across a thread pool and the shard
-gradient vectors are summed with one vector add each, in fixed shard order,
-so results match the sequential run up to floating-point summation order.
+Training is deterministic for a fixed seed. Each mini-batch runs as one
+forward/backward pass on the calling thread. The thread count does one thing
+in `train` and `predict` alike: it spreads fixed INFER_WINDOW-row model
+windows across workers. So both are byte-identical for every thread count.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import ctypes
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +25,7 @@ from .cloud import (
     extract_patches,
 )
 from .errors import InsufficientNeighborhood, InvalidInput, ModelShapeError
+from .metrics import _prf
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -214,24 +215,32 @@ def adam_step(state: TrainState, grad: np.ndarray, cfg: TrainConfig) -> TrainSta
     return state
 
 
-def _classification_prf(pred_edge: np.ndarray, true_edge: np.ndarray):
-    tp = int(np.sum(pred_edge & true_edge))
-    fp = int(np.sum(pred_edge & ~true_edge))
-    fn = int(np.sum(~pred_edge & true_edge))
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    fscore = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return precision, recall, fscore
+INFER_WINDOW = 256
 
 
-def _forward_probs(patches: PatchSet, params: net.ModelParameters, batch: int) -> np.ndarray:
-    probs = np.empty(patches.n)
-    for lo in range(0, patches.n, batch):
-        hi = min(lo + batch, patches.n)
-        probs[lo:hi], _ = net.forward_batch(
-            patches.dvecs[lo:hi], patches.offsets[lo:hi], patches.scales[lo:hi], params
-        )
-    return probs
+def _window_probs(n: int, patches_of, params: net.ModelParameters, threads: int):
+    """Edge probabilities of n rows, run as fixed INFER_WINDOW-row model windows.
+
+    `patches_of(lo, hi)` gives the (dvecs, offsets, scales) of rows lo..hi.
+    With threads > 1 the windows run on a pool of that many workers, else on
+    the calling thread. Every row sits in the same window row either way, so
+    the result is byte-identical for every thread count. Returns
+    (probabilities, the model's seconds summed over windows).
+    """
+    probs = np.empty(n)
+
+    def run_window(lo: int) -> float:
+        hi = min(lo + INFER_WINDOW, n)
+        dvecs, offsets, scales = patches_of(lo, hi)
+        t0 = time.perf_counter()
+        probs[lo:hi], _ = net.forward_batch(dvecs, offsets, scales, params)
+        return time.perf_counter() - t0
+
+    windows = range(0, n, INFER_WINDOW)
+    if threads == 1:
+        return probs, sum(map(run_window, windows))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return probs, sum(pool.map(run_window, windows))
 
 
 def _batch_plan(train: PatchSet, cfg: TrainConfig, rng: np.random.Generator):
@@ -262,27 +271,14 @@ def _batch_plan(train: PatchSet, cfg: TrainConfig, rng: np.random.Generator):
     return batches
 
 
-def _batch_step(train: PatchSet, idx: np.ndarray, state: TrainState, cfg: TrainConfig,
-                pool: ThreadPoolExecutor | None, threads: int) -> float:
+def _batch_step(train: PatchSet, idx: np.ndarray, state: TrainState, cfg: TrainConfig) -> float:
     """Forward/backward on one mini-batch, then an Adam update; returns loss."""
-    total = idx.size
-
-    def shard_pass(rows):
-        e, cache = net.forward_batch(
-            train.dvecs[rows], train.offsets[rows], train.scales[rows],
-            state.params, need_cache=True,
-        )
-        losses, de = bce_loss(e, train.labels[rows].astype(np.float64))
-        return float(np.sum(losses)), net.backward(state.params, cache, de / total)
-
-    # Without a pool the single shard runs on the calling thread.
-    mapper, n_shards = (map, 1) if pool is None else (pool.map, threads)
-    results = list(mapper(shard_pass, [s for s in np.array_split(idx, n_shards) if s.size]))
-    grad = results[0][1]
-    for _, g in results[1:]:
-        grad += g
-    adam_step(state, grad, cfg)
-    return sum(loss for loss, _ in results) / total
+    e, cache = net.forward_batch(
+        train.dvecs[idx], train.offsets[idx], train.scales[idx], state.params, need_cache=True,
+    )
+    losses, de = bce_loss(e, train.labels[idx].astype(np.float64))
+    adam_step(state, net.backward(state.params, cache, de / idx.size), cfg)
+    return float(np.sum(losses)) / idx.size
 
 
 def train(cloud: PointCloud, cfg: TrainConfig, threads: int = 1):
@@ -305,43 +301,46 @@ def train(cloud: PointCloud, cfg: TrainConfig, threads: int = 1):
     state = TrainState.fresh(net.init_params(cfg.k, seed=cfg.seed))
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
     log: list[dict] = []
-    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
-        for epoch in range(1, cfg.max_epochs + 1):
-            started = time.perf_counter()
-            batches = _batch_plan(train_set, cfg, rng)
-            losses = [_batch_step(train_set, idx, state, cfg, pool, threads) for idx in batches]
-            probs = _forward_probs(val_set, state.params, cfg.batch_size)
-            p, r, f = _classification_prf(probs > 0.5, val_set.labels == 1)
-            log.append({
-                "epoch": epoch,
-                "mean_loss": float(np.mean(losses)),
-                "val_precision": p,
-                "val_recall": r,
-                "val_fscore": f,
-                "seconds": time.perf_counter() - started,
-            })
-            if f > state.best_fscore:
-                state.best_fscore = f
-                state.best_params = state.params.copy()
-                state.since_improve = 0
-            else:
-                state.since_improve += 1
-                if state.since_improve >= cfg.patience:
-                    break
+
+    def val_patches(lo, hi):
+        return val_set.dvecs[lo:hi], val_set.offsets[lo:hi], val_set.scales[lo:hi]
+
+    for epoch in range(1, cfg.max_epochs + 1):
+        started = time.perf_counter()
+        batches = _batch_plan(train_set, cfg, rng)
+        losses = [_batch_step(train_set, idx, state, cfg) for idx in batches]
+        probs, _ = _window_probs(val_set.n, val_patches, state.params, threads)
+        edge, true_edge = probs > 0.5, val_set.labels == 1
+        p, r, f = _prf(int(np.sum(edge & true_edge)), int(np.sum(edge & ~true_edge)),
+                       int(np.sum(~edge & true_edge)))
+        log.append({
+            "epoch": epoch,
+            "mean_loss": float(np.mean(losses)),
+            "val_precision": p,
+            "val_recall": r,
+            "val_fscore": f,
+            "seconds": time.perf_counter() - started,
+        })
+        if f > state.best_fscore:
+            state.best_fscore = f
+            state.best_params = state.params.copy()
+            state.since_improve = 0
+        else:
+            state.since_improve += 1
+            if state.since_improve >= cfg.patience:
+                break
     return state.best_params if state.best_params is not None else state.params, log
-
-
-INFER_WINDOW = 256
 
 
 def predict(cloud: PointCloud, params: net.ModelParameters, batch: int = 256,
             threads: int = 1):
     """Classify every point of a cloud; returns (cloud with predictions, stats).
 
-    Patches are extracted in streamed chunks of at most `batch` rows, so
-    memory stays bounded by O(batch * k) plus a small fixed window. The
-    model itself always runs on fixed global windows, which keeps the
-    output bit-identical for every batch size and thread count.
+    The model runs on fixed INFER_WINDOW-row windows, each extracted with
+    one `extract_patches` call, so memory stays bounded by one window per
+    worker and the output is byte-identical for every thread count. `batch`
+    must be >= 1 and changes nothing else; it is kept for callers that pass
+    it.
 
     The stats dict holds `wall_seconds`, the wall time of the whole call
     (index build, extraction and model); `pps`, points per wall second; and
@@ -354,7 +353,7 @@ def predict(cloud: PointCloud, params: net.ModelParameters, batch: int = 256,
     started = time.perf_counter()
     _keep_freed_heap()
     if batch < 1:
-        raise InvalidInput("batch must be >= 1")
+        raise InvalidInput(f"batch must be >= 1, got {batch}")
     if threads < 1:
         raise InvalidInput(f"threads must be >= 1, got {threads}")
     if cloud.n < 2 * params.k + 1:
@@ -362,27 +361,12 @@ def predict(cloud: PointCloud, params: net.ModelParameters, batch: int = 256,
             f"prediction needs at least {2 * params.k + 1} points, cloud has {cloud.n}"
         )
     index = build_index(cloud)
-    probs = np.empty(cloud.n)
-    step = min(batch, INFER_WINDOW)
 
-    def run_window(lo: int) -> float:
-        hi = min(lo + INFER_WINDOW, cloud.n)
-        dv = np.empty((hi - lo, params.k, 3))
-        off = np.empty((hi - lo, params.k))
-        sc = np.empty(hi - lo)
-        for sub in range(lo, hi, step):
-            sub_hi = min(sub + step, hi)
-            targets = np.arange(sub, sub_hi)
-            dv[sub - lo:sub_hi - lo], off[sub - lo:sub_hi - lo], _, \
-                sc[sub - lo:sub_hi - lo], _ = extract_patches(cloud, index, targets, params.k)
-        t0 = time.perf_counter()
-        probs[lo:hi], _ = net.forward_batch(dv, off, sc, params)
-        return time.perf_counter() - t0
+    def window_patches(lo, hi):
+        dvecs, offsets, _, scales, _ = extract_patches(cloud, index, np.arange(lo, hi), params.k)
+        return dvecs, offsets, scales
 
-    # With one thread the windows run on the calling thread.
-    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
-        mapper = map if pool is None else pool.map
-        model_seconds = sum(mapper(run_window, range(0, cloud.n, INFER_WINDOW)))
+    probs, model_seconds = _window_probs(cloud.n, window_patches, params, threads)
     labels = (probs > 0.5).astype(np.int64)
     predicted = cloud.with_predictions(probs, labels)
     wall_seconds = time.perf_counter() - started

@@ -10,12 +10,15 @@ operation; these tests fail first. So would a model change that moves one
 import ast
 import importlib.util
 import inspect
+import math
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pcedge import net, trainer
+from pcedge.synth import ShapeSpec, generate
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -76,3 +79,45 @@ def test_predict_passes_the_benchmark_reference_gate():
                                    batch=workloads.PREDICT_BATCH, threads=1)
     reference = np.load(workloads.REFERENCE_PROBS)
     assert workloads.check_predictions(predicted.predictions, predicted.labels, reference) == []
+
+
+def _count_calls(monkeypatch, owner, attr, counts):
+    original = getattr(owner, attr)
+
+    def counted(*args, **kwargs):
+        counts[attr] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, counted)
+
+
+@pytest.fixture(scope="module")
+def small_cloud():
+    return generate(ShapeSpec("box", density=200, seed=3)).cloud
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("batch", [7, 256, 1000])
+def test_predict_extracts_and_forwards_once_per_window(small_cloud, monkeypatch, batch, threads):
+    # The tracer's cloud.extract_calls and net.forward_calls count these wrapped
+    # attributes; each fixed 256-row model window calls each of them once.
+    counts = Counter()
+    _count_calls(monkeypatch, trainer, "extract_patches", counts)
+    _count_calls(monkeypatch, net, "forward_batch", counts)
+    trainer.predict(small_cloud, net.init_params(8, seed=0), batch=batch, threads=threads)
+    windows = math.ceil(small_cloud.n / 256)
+    assert counts == {"extract_patches": windows, "forward_batch": windows}
+
+
+def test_train_epoch_calls_do_not_depend_on_threads(small_cloud, monkeypatch):
+    cfg = trainer.TrainConfig(k=8, max_epochs=1, seed=3, augment=False, val_fraction=0.4)
+    seen = []
+    for threads in (1, 2):
+        counts = Counter()
+        _count_calls(monkeypatch, net, "forward_batch", counts)
+        _count_calls(monkeypatch, net, "backward", counts)
+        trainer.train(small_cloud, cfg, threads=threads)
+        monkeypatch.undo()
+        seen.append(counts)
+    assert seen[0] == seen[1]
+    assert seen[0]["backward"] > 0

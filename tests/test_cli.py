@@ -266,6 +266,14 @@ class TestPredictCommand:
         assert err == "pcedge predict: --threads must be >= 0 (0 = available parallelism), got -1\n"
         assert not out.exists()
 
+    def test_batch_zero_data_error(self, cube_file, checkpoint_file, tmp_path, capsys):
+        out = tmp_path / "pred.xyz"
+        code = main(["predict", "--cloud", str(cube_file), "--checkpoint", str(checkpoint_file),
+                     "--batch", "0", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "pcedge predict: --batch must be >= 1, got 0\n"
+        assert not out.exists()
+
     def test_threads_zero_uses_available_parallelism(self, cube_file, checkpoint_file,
                                                      tmp_path, monkeypatch):
         seen = []

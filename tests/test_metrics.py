@@ -8,6 +8,7 @@ from pcedge.cloud import PointCloud
 from pcedge.errors import DegenerateInput, EmptyEdgeSet, InvalidInput
 from pcedge.metrics import (
     EvalReport,
+    _prf,
     chamfer,
     evaluate,
     match_counts,
@@ -257,6 +258,16 @@ class TestEvaluate:
         with pytest.raises(InvalidInput):
             EvalReport(cd=0.0, iou=1.0, precision=0.5, recall=1.0, fscore=1.0,
                        tp=5, fp=0, fn=0, n_pred=5, n_gt=5)
+
+    @pytest.mark.parametrize("counts, want", [
+        ((0, 0, 3), (0.0, 0.0, 0.0)),    # tp + fp = 0
+        ((0, 3, 0), (0.0, 0.0, 0.0)),    # tp + fn = 0
+        ((0, 0, 0), (0.0, 0.0, 0.0)),    # every denominator 0
+        ((0, 2, 5), (0.0, 0.0, 0.0)),    # tp = 0: precision + recall = 0
+        ((3, 1, 0), (0.75, 1.0, 1.5 / 1.75)),
+    ])
+    def test_prf_zero_denominators(self, counts, want):
+        assert _prf(*counts) == want
 
     def test_report_serialization(self):
         rng = np.random.default_rng(0)

@@ -324,11 +324,20 @@ class TestTrain:
         assert [r["mean_loss"] for r in log1] == [r["mean_loss"] for r in log2]
         assert [r["val_fscore"] for r in log1] == [r["val_fscore"] for r in log2]
 
-    def test_parallel_mode_close_to_sequential(self, small_cloud):
-        cfg = TrainConfig(k=8, max_epochs=2, seed=3, augment=False, batch_size=64)
-        p1, log1 = train(small_cloud, cfg, threads=1)
-        p2, log2 = train(small_cloud, cfg, threads=4)
-        assert log2[-1]["mean_loss"] == pytest.approx(log1[-1]["mean_loss"], abs=1e-9)
+    @settings(max_examples=4, deadline=None)
+    @given(seed=st.integers(0, 50), batch_size=st.sampled_from([64, 256, 300]),
+           val_fraction=st.sampled_from([0.1, 0.4]))
+    def test_threads_give_identical_bytes(self, seed, batch_size, val_fraction):
+        # At val_fraction 0.4 the validation set spans two model windows.
+        cloud = generate(ShapeSpec("box", density=200, seed=seed)).cloud
+        cfg = TrainConfig(k=8, max_epochs=2, seed=seed, augment=False,
+                          batch_size=batch_size, val_fraction=val_fraction)
+        runs = [train(cloud, cfg, threads=threads) for threads in (1, 2, 3)]
+        want_params, want_log = runs[0]
+        for params, log in runs[1:]:
+            assert params.flat.tobytes() == want_params.flat.tobytes()
+            for row, want_row in zip(log, want_log, strict=True):
+                assert {**row, "seconds": 0} == {**want_row, "seconds": 0}
 
     def test_log_columns(self, small_cloud, tmp_path):
         cfg = TrainConfig(k=8, max_epochs=2, seed=0, augment=False, batch_size=64)
@@ -368,6 +377,12 @@ class TestPredict:
         assert stats["wall_seconds"] <= wall
         assert stats["pps"] == pytest.approx(small_cloud.n / stats["wall_seconds"])
         assert 0.0 < stats["model_seconds"]
+
+    @pytest.mark.parametrize("batch", [0, -2])
+    def test_batch_below_one_rejected(self, small_cloud, batch):
+        params = net.init_params(16, seed=8)
+        with pytest.raises(InvalidInput, match=rf"^batch must be >= 1, got {batch}$"):
+            predict(small_cloud, params, batch=batch)
 
     @pytest.mark.parametrize("threads", [0, -3])
     def test_threads_below_one_rejected(self, small_cloud, threads):
