@@ -195,8 +195,6 @@ def _stray_order(dist: np.ndarray, idx: np.ndarray):
 
 def build_index(cloud: PointCloud) -> SpatialIndex:
     """Build an exact-kNN spatial index over the cloud."""
-    if cloud.n < 1:
-        raise InvalidInput("cannot index an empty cloud")
     return SpatialIndex(cloud)
 
 
@@ -348,6 +346,8 @@ def add_gaussian_noise(cloud: PointCloud, ratio: float, seed: int) -> PointCloud
     """
     if not np.isfinite(ratio) or ratio < 0:
         raise InvalidInput(f"noise ratio must be a nonnegative scalar, got {ratio}")
+    if seed < 0:
+        raise InvalidInput(f"seed must be a nonnegative integer, got {seed!r}")
     if ratio == 0.0:
         return cloud
     sd = mean_neighbor_distance(cloud, k=16)
@@ -360,18 +360,15 @@ def downsample(cloud: PointCloud, keep_ratio: float, seed: int) -> PointCloud:
     """Keep round(keep_ratio * N) points, uniformly without replacement."""
     if not (0.0 < keep_ratio <= 1.0):
         raise InvalidInput(f"keep_ratio must be in (0, 1], got {keep_ratio}")
+    if seed < 0:
+        raise InvalidInput(f"seed must be a nonnegative integer, got {seed!r}")
     m = int(np.floor(keep_ratio * cloud.n + 0.5))
     if m < 1:
         raise InvalidInput("downsampling would leave an empty cloud")
     if m == cloud.n:
         return cloud
     rng = np.random.default_rng(seed)
-    idx = np.sort(rng.choice(cloud.n, size=m, replace=False))
-    return PointCloud(
-        cloud.points[idx],
-        None if cloud.labels is None else cloud.labels[idx],
-        None if cloud.predictions is None else cloud.predictions[idx],
-    )
+    return _subset(cloud, np.sort(rng.choice(cloud.n, size=m, replace=False)))
 
 
 def deduplicate(cloud: PointCloud) -> PointCloud:
@@ -379,7 +376,11 @@ def deduplicate(cloud: PointCloud) -> PointCloud:
     _, first = np.unique(cloud.points, axis=0, return_index=True)
     if first.size == cloud.n:
         return cloud
-    idx = np.sort(first)
+    return _subset(cloud, np.sort(first))
+
+
+def _subset(cloud: PointCloud, idx: np.ndarray) -> PointCloud:
+    """The cloud's rows idx: points, labels and predictions alike."""
     return PointCloud(
         cloud.points[idx],
         None if cloud.labels is None else cloud.labels[idx],

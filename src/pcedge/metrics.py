@@ -21,11 +21,9 @@ MATCH_RADIUS = 0.02
 
 @dataclass(frozen=True)
 class EvalReport:
+    """Chamfer distance and match counts; the rates are derived from the counts."""
+
     cd: float
-    iou: float
-    precision: float
-    recall: float
-    fscore: float
     tp: int
     fp: int
     fn: int
@@ -37,15 +35,22 @@ class EvalReport:
             raise InvalidInput("inconsistent report: tp + fp != n_pred")
         if self.fn > self.n_gt or min(self.tp, self.fp, self.fn) < 0:
             raise InvalidInput("inconsistent report: bad counts")
-        precision, recall, fscore = _prf(self.tp, self.fp, self.fn)
-        for name, got, want in (
-            ("precision", self.precision, precision),
-            ("recall", self.recall, recall),
-            ("fscore", self.fscore, fscore),
-            ("iou", self.iou, _safe_div(self.tp, self.tp + self.fp + self.fn)),
-        ):
-            if got != want:
-                raise InvalidInput(f"inconsistent report: {name} does not match counts")
+
+    @property
+    def precision(self) -> float:
+        return _prf(self.tp, self.fp, self.fn)[0]
+
+    @property
+    def recall(self) -> float:
+        return _prf(self.tp, self.fp, self.fn)[1]
+
+    @property
+    def fscore(self) -> float:
+        return _prf(self.tp, self.fp, self.fn)[2]
+
+    @property
+    def iou(self) -> float:
+        return _safe_div(self.tp, self.tp + self.fp + self.fn)
 
     def to_json(self) -> str:
         return json.dumps({
@@ -151,13 +156,5 @@ def evaluate(pred_cloud: PointCloud, gt_cloud: PointCloud) -> EvalReport:
     d_gt_pred = _nearest_distances(gt_n, pred_n)
     cd = _chamfer(d_pred_gt, d_gt_pred)
     tp, fp, fn = _match_counts(d_pred_gt, d_gt_pred, MATCH_RADIUS)
-    precision, recall, fscore = _prf(tp, fp, fn)
-    return EvalReport(
-        cd=cd,
-        iou=_safe_div(tp, tp + fp + fn),
-        precision=precision,
-        recall=recall,
-        fscore=fscore,
-        tp=tp, fp=fp, fn=fn,
-        n_pred=int(pred_edges.shape[0]), n_gt=int(gt_edges.shape[0]),
-    )
+    return EvalReport(cd=cd, tp=tp, fp=fp, fn=fn,
+                      n_pred=int(pred_edges.shape[0]), n_gt=int(gt_edges.shape[0]))

@@ -529,7 +529,7 @@ def save_checkpoint(params: ModelParameters, path) -> None:
         fh.write(bytes(body))
 
 
-def load_checkpoint(path, expect_k: int | None = None) -> ModelParameters:
+def load_checkpoint(path) -> ModelParameters:
     """Load and validate a checkpoint; tensors come back as float64."""
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -564,9 +564,6 @@ def load_checkpoint(path, expect_k: int | None = None) -> ModelParameters:
     if pos != len(raw) - 4:
         raise CorruptCheckpoint(f"{path}: trailing bytes after tensor table")
     try:
-        params = ModelParameters(k, heads, tensors)
+        return ModelParameters(k, heads, tensors)
     except ModelShapeError as exc:
         raise CorruptCheckpoint(f"{path}: {exc}") from exc
-    if expect_k is not None and params.k != expect_k:
-        raise ModelShapeError(f"checkpoint has k={params.k}, run expects k={expect_k}")
-    return params

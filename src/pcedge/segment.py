@@ -1,9 +1,9 @@
 """Surface segmentation: connected components of a kNN graph bounded by edge points.
 
-The graph links each point to its k nearest neighbors and is symmetrized.
-Edge points are cut out of it: they act as absorbing boundaries and keep
-segment id -1. Each connected component of the remaining non-edge points
-is one segment, numbered in order of its lowest member index.
+The graph links each point to its k nearest neighbors, and every link is
+followed both ways. Edge points are cut out of it: they act as absorbing
+boundaries and keep segment id -1. Each connected component of the remaining
+non-edge points is one segment, numbered in order of its lowest member index.
 """
 
 from __future__ import annotations
@@ -25,26 +25,22 @@ class SegmentationResult:
     sizes: list[int]
 
 
-def _knn_pairs(cloud: PointCloud, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetrized kNN edges as (src, dst) arrays, sorted by (src, dst), no repeats."""
+def _knn_edges(cloud: PointCloud, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Directed kNN edges as (src, dst) arrays: each point to its k nearest neighbors."""
     if k < 1:
         raise InvalidInput(f"k must be >= 1, got {k}")
     if cloud.n < k + 1:
         raise InsufficientNeighborhood(f"kNN graph needs at least {k + 1} points, cloud has {cloud.n}")
     neighbors = _knn_excluding_self(build_index(cloud), np.arange(cloud.n), k)
-
-    src = np.repeat(np.arange(cloud.n), k)
-    dst = neighbors.ravel()
-    keys = np.sort(np.concatenate([src * cloud.n + dst, dst * cloud.n + src]))
-    keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
-    return keys // cloud.n, keys % cloud.n
+    return np.repeat(np.arange(cloud.n), k), neighbors.ravel()
 
 
 def knn_graph(cloud: PointCloud, k: int = 5) -> list[np.ndarray]:
     """Symmetrized kNN adjacency lists, each sorted by neighbor index."""
-    src, dst = _knn_pairs(cloud, k)
-    bounds = np.searchsorted(src, np.arange(cloud.n + 1))
-    return [dst[bounds[i]:bounds[i + 1]] for i in range(cloud.n)]
+    src, dst = _knn_edges(cloud, k)
+    keys = np.unique(np.concatenate([src * cloud.n + dst, dst * cloud.n + src]))
+    bounds = np.searchsorted(keys, np.arange(1, cloud.n) * cloud.n)
+    return np.split(keys % cloud.n, bounds)
 
 
 def flood_segment(cloud: PointCloud, k: int = 5, attach_edges: bool = False) -> SegmentationResult:
@@ -57,7 +53,7 @@ def flood_segment(cloud: PointCloud, k: int = 5, attach_edges: bool = False) -> 
     """
     if cloud.labels is None:
         raise InvalidInput("flood_segment requires edge labels")
-    src, dst = _knn_pairs(cloud, k)
+    src, dst = _knn_edges(cloud, k)
     is_edge = cloud.labels == 1
     keep = ~(is_edge[src] | is_edge[dst])
     graph = csr_array((np.ones(int(keep.sum()), dtype=np.int8), (src[keep], dst[keep])),

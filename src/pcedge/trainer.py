@@ -89,6 +89,8 @@ class TrainConfig:
             raise InvalidInput(f"lr must be positive and finite, got {self.lr}")
         if self.batch_size < 2 or self.batch_size % 2 != 0:
             raise InvalidInput(f"batch_size must be even and >= 2, got {self.batch_size}")
+        if self.seed < 0:
+            raise InvalidInput(f"seed must be a nonnegative integer, got {self.seed!r}")
         if self.max_epochs < 1 or self.patience < 1:
             raise InvalidInput("max_epochs and patience must be >= 1")
         if self.balance not in BALANCE_MODES:
@@ -112,15 +114,12 @@ class PatchSet:
 
 @dataclass
 class TrainState:
-    """Adam state plus early-stopping bookkeeping."""
+    """Adam state: the parameters, their moments and the step count."""
 
     params: net.ModelParameters
     m: np.ndarray         # first and second moments, laid out like params.flat
     v: np.ndarray
     step: int = 0
-    best_fscore: float = -1.0
-    since_improve: int = 0
-    best_params: net.ModelParameters | None = None
 
     @classmethod
     def fresh(cls, params: net.ModelParameters) -> "TrainState":
@@ -301,6 +300,7 @@ def train(cloud: PointCloud, cfg: TrainConfig, threads: int = 1):
     state = TrainState.fresh(net.init_params(cfg.k, seed=cfg.seed))
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
     log: list[dict] = []
+    best_fscore, best_params, since_best = -1.0, None, 0
 
     def val_patches(lo, hi):
         return val_set.dvecs[lo:hi], val_set.offsets[lo:hi], val_set.scales[lo:hi]
@@ -321,15 +321,13 @@ def train(cloud: PointCloud, cfg: TrainConfig, threads: int = 1):
             "val_fscore": f,
             "seconds": time.perf_counter() - started,
         })
-        if f > state.best_fscore:
-            state.best_fscore = f
-            state.best_params = state.params.copy()
-            state.since_improve = 0
+        if f > best_fscore:
+            best_fscore, best_params, since_best = f, state.params.copy(), 0
         else:
-            state.since_improve += 1
-            if state.since_improve >= cfg.patience:
+            since_best += 1
+            if since_best >= cfg.patience:
                 break
-    return state.best_params if state.best_params is not None else state.params, log
+    return best_params, log
 
 
 def predict(cloud: PointCloud, params: net.ModelParameters, batch: int = 256,

@@ -81,6 +81,24 @@ def test_predict_passes_the_benchmark_reference_gate():
     assert workloads.check_predictions(predicted.predictions, predicted.labels, reference) == []
 
 
+def test_postprocess_passes_the_benchmark_checks(tmp_path):
+    # The postprocess workload checks report.tp/fp/fn and seg.segment_ids/sizes/count
+    # against its kd-tree and connected-components oracles, and reads report.fscore.
+    workloads = _load_bench("workloads")
+    workload = workloads.Postprocess()
+    s = workload.inputs(workloads.DEFAULT_SEED, 500.0, tmp_path / "postprocess.xyz")
+    failures, fscore = workload.check(s, workload.run(s))
+    assert failures == []
+    assert 0.0 <= fscore <= 1.0
+
+
+def test_train_passes_the_benchmark_checks():
+    workloads = _load_bench("workloads")
+    cloud = workloads.reference_cloud(workloads.DEFAULT_SEED, workloads.DENSITY["train"][1])
+    params, log = trainer.train(cloud, trainer.TrainConfig(**workloads.TRAIN_CONFIG), threads=1)
+    assert workloads.check_training(params, log) == []
+
+
 def _count_calls(monkeypatch, owner, attr, counts):
     original = getattr(owner, attr)
 

@@ -112,6 +112,12 @@ MALFORMED_CONFIGS = {
     "lr_nan": "k = 8\nmax_epochs = 1\nlr = nan\n",
     "lr_inf": "k = 8\nmax_epochs = 1\nlr = inf\n",
     "k_odd": "k = 7\nmax_epochs = 1\n",
+    "seed_negative": "k = 8\nmax_epochs = 1\nseed = -1\n",
+}
+
+MALFORMED_PERTURB = {
+    "noise_seed_negative": ["--noise", "0.03", "--seed", "-1"],
+    "keep_seed_negative": ["--keep", "0.5", "--seed", "-1"],
 }
 
 
@@ -152,6 +158,15 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert code == 2
         assert err.count("\n") == 1 and err.startswith("pcedge synth: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_PERTURB))
+    def test_perturb_value(self, case, cube_file, tmp_path, capsys):
+        out = tmp_path / "o.xyz"
+        code = main(["perturb", "--cloud", str(cube_file), *MALFORMED_PERTURB[case], "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "pcedge perturb: seed must be a nonnegative integer, got -1\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_CONFIGS))

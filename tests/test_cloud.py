@@ -767,6 +767,12 @@ class TestNoise:
         cloud = PointCloud(np.random.default_rng(0).random((30, 3)))
         assert add_gaussian_noise(cloud, 0.0, 1) is cloud
 
+    @pytest.mark.parametrize("ratio", [0.0, 0.05])
+    def test_negative_seed_rejected(self, ratio):
+        cloud = PointCloud(np.random.default_rng(0).random((30, 3)))
+        with pytest.raises(InvalidInput, match="seed must be a nonnegative integer"):
+            add_gaussian_noise(cloud, ratio, -1)
+
     def test_sd_on_lattice_matches_enumeration(self):
         pts = np.column_stack([np.arange(100.0), np.zeros(100), np.zeros(100)])
         cloud = PointCloud(pts)
@@ -815,6 +821,12 @@ class TestDownsample:
     def test_keep_all_identity(self):
         cloud = PointCloud(np.random.default_rng(0).random((10, 3)))
         assert downsample(cloud, 1.0, 0) is cloud
+
+    @pytest.mark.parametrize("keep", [1.0, 0.5])
+    def test_negative_seed_rejected(self, keep):
+        cloud = PointCloud(np.random.default_rng(0).random((10, 3)))
+        with pytest.raises(InvalidInput, match="seed must be a nonnegative integer"):
+            downsample(cloud, keep, -1)
 
     def test_counts_and_membership(self):
         rng = np.random.default_rng(0)

@@ -1,5 +1,7 @@
 """Evaluation metrics: normalization, Chamfer, matching, full reports."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -230,14 +232,16 @@ class TestEvaluate:
 
         pred_n, gt_n = normalize_pair(pred_pts[pred_labels == 1], gt_pts[gt_labels == 1])
         tp, fp, fn = match_counts(pred_n, gt_n)
+        got = evaluate(pred, gt)
+        assert got == EvalReport(cd=chamfer(pred_n, gt_n), tp=tp, fp=fp, fn=fn,
+                                 n_pred=len(pred_n), n_gt=len(gt_n))
         precision = tp / (tp + fp) if tp + fp else 0.0
         recall = tp / (tp + fn) if tp + fn else 0.0
-        want = EvalReport(
-            cd=chamfer(pred_n, gt_n), iou=tp / (tp + fp + fn) if tp + fp + fn else 0.0,
-            precision=precision, recall=recall,
-            fscore=2.0 * precision * recall / (precision + recall) if precision + recall else 0.0,
-            tp=tp, fp=fp, fn=fn, n_pred=len(pred_n), n_gt=len(gt_n))
-        assert evaluate(pred, gt) == want
+        assert got.precision == precision
+        assert got.recall == recall
+        assert got.fscore == (2.0 * precision * recall / (precision + recall)
+                              if precision + recall else 0.0)
+        assert got.iou == (tp / (tp + fp + fn) if tp + fp + fn else 0.0)
 
     def test_empty_edge_sets_raise(self):
         rng = np.random.default_rng(0)
@@ -255,9 +259,13 @@ class TestEvaluate:
             evaluate(PointCloud(pts), PointCloud(pts, [1] * 5))
 
     def test_report_internal_consistency_guard(self):
-        with pytest.raises(InvalidInput):
-            EvalReport(cd=0.0, iou=1.0, precision=0.5, recall=1.0, fscore=1.0,
-                       tp=5, fp=0, fn=0, n_pred=5, n_gt=5)
+        for tp, fp, fn, n_pred, n_gt, reason in (
+            (5, 1, 0, 5, 5, r"tp \+ fp != n_pred"),
+            (6, -1, 0, 5, 5, "bad counts"),
+            (5, 0, 6, 5, 5, "bad counts"),
+        ):
+            with pytest.raises(InvalidInput, match=reason):
+                EvalReport(cd=0.0, tp=tp, fp=fp, fn=fn, n_pred=n_pred, n_gt=n_gt)
 
     @pytest.mark.parametrize("counts, want", [
         ((0, 0, 3), (0.0, 0.0, 0.0)),    # tp + fp = 0
@@ -276,4 +284,6 @@ class TestEvaluate:
         rep = evaluate(PointCloud(pts, labels), PointCloud(pts, labels))
         js = rep.to_json()
         assert js.startswith("{") and "\n" not in js
+        assert list(json.loads(js)) == ["cd", "iou", "precision", "recall", "fscore",
+                                        "tp", "fp", "fn", "n_pred", "n_gt"]
         assert "F-score" in rep.to_table()

@@ -625,13 +625,6 @@ class TestCheckpoint:
             with pytest.raises(CorruptCheckpoint):
                 net.load_checkpoint(path)
 
-    def test_k_guard(self, tmp_path):
-        params = net.init_params(16, seed=0)
-        path = tmp_path / "c.ckpt"
-        net.save_checkpoint(params, path)
-        with pytest.raises(ModelShapeError):
-            net.load_checkpoint(path, expect_k=8)
-
 
 class TestGradientsPerLayer:
     """Finite differences against each layer in isolation."""

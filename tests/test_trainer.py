@@ -6,12 +6,13 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import oracle_adam_step, oracle_build_dataset
 from pcedge import net, trainer
@@ -339,6 +340,26 @@ class TestTrain:
             for row, want_row in zip(log, want_log, strict=True):
                 assert {**row, "seconds": 0} == {**want_row, "seconds": 0}
 
+    @settings(max_examples=3, deadline=None)
+    @given(seed=st.integers(0, 50), patience=st.integers(1, 3))
+    @example(seed=1, patience=2)
+    @example(seed=12, patience=1)
+    def test_early_stopping_keeps_first_best_epoch(self, seed, patience):
+        # With lr 1e-2 the validation F-score rises and dips within a few
+        # epochs, and on 60 validation points it often repeats a value. Both
+        # examples repeat their best F-score and stop before max_epochs.
+        cloud = generate(ShapeSpec("box", density=200, seed=seed)).cloud
+        cfg = TrainConfig(k=8, lr=1e-2, batch_size=64, max_epochs=8, seed=seed, augment=False,
+                          patience=patience, val_fraction=0.05)
+        params, log = train(cloud, cfg)
+        fscores = [row["val_fscore"] for row in log]
+        best = fscores.index(max(fscores)) + 1
+        assert len(log) == min(best + patience, cfg.max_epochs)
+        cut_params, cut_log = train(cloud, replace(cfg, max_epochs=best))
+        assert params.flat.tobytes() == cut_params.flat.tobytes()
+        for row, want_row in zip(cut_log, log[:best], strict=True):
+            assert {**row, "seconds": 0} == {**want_row, "seconds": 0}
+
     def test_log_columns(self, small_cloud, tmp_path):
         cfg = TrainConfig(k=8, max_epochs=2, seed=0, augment=False, batch_size=64)
         _, log = train(small_cloud, cfg)
@@ -467,9 +488,10 @@ class TestConfigFile:
 
     def test_invalid_values_rejected(self, tmp_path):
         path = tmp_path / "cfg.txt"
-        path.write_text("k = 7\n")
-        with pytest.raises(InvalidInput):
-            parse_config(path)
+        for text, field in (("k = 7\n", "k"), ("seed = -1\n", "seed")):
+            path.write_text(text)
+            with pytest.raises(InvalidInput, match=rf"^{path}: {field} must be"):
+                parse_config(path)
 
     @pytest.mark.parametrize("value, expected", [
         ("1", True), ("0", False), ("TRUE", True), ("False", False), ("Yes", True), ("no", False),
