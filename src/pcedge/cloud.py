@@ -20,6 +20,12 @@ from .errors import (
     InvalidInput,
 )
 
+# Rows per block of a kNN query and of mean_neighbor_distance's pass. At
+# k = 33 a block's temporaries take about 1 MB. predict's 256-row windows
+# fit in one block, build_dataset's 4,096-row chunks take four.
+_QUERY_BLOCK = 1024
+
+
 @dataclass(frozen=True)
 class PointCloud:
     """Immutable point set with optional per-point labels and predictions.
@@ -128,6 +134,10 @@ class SpatialIndex:
         every row is settled. The other rows, whose cut falls inside a tie,
         take one batched ball search: every point within the kk-th distance
         plus that margin, sorted by (row, distance, index).
+
+        Rows are independent, so they run in blocks of _QUERY_BLOCK: beside
+        the result, a query holds one block's temporaries however many rows
+        it has.
         """
         queries = np.asarray(queries, dtype=np.float64)
         if queries.ndim != 2 or queries.shape[1] != 3:
@@ -135,20 +145,26 @@ class SpatialIndex:
         if k < 1:
             raise InvalidInput("k must be >= 1")
         kk = min(k, self.n)
+        out = np.empty((queries.shape[0], kk), dtype=np.int64)
+        for lo in range(0, queries.shape[0], _QUERY_BLOCK):
+            self._query_block(queries[lo:lo + _QUERY_BLOCK], kk, out[lo:lo + _QUERY_BLOCK])
+        return out
+
+    def _query_block(self, queries: np.ndarray, kk: int, out: np.ndarray) -> None:
+        """query_many's two paths on one block of rows, written into out."""
         m = min(kk + 1, self.n)
         _, idx = self._tree.query(queries, k=m)
         idx = idx.reshape(queries.shape[0], m).astype(np.int64, copy=False)
         dist = _norms(np.take(self._points, idx, axis=0) - queries[:, None, :])
         stray, order = _stray_order(dist, idx)
         idx[stray] = _take_rows(idx[stray], order)
+        out[:] = idx[:, :kk]
         if m == kk:
-            return idx
+            return
         dist[stray] = _take_rows(dist[stray], order)
-        idx = idx[:, :kk]
         tied = np.nonzero(dist[:, kk] <= dist[:, kk - 1] * (1.0 + 1e-9))[0]
         if tied.size:
-            idx[tied] = self._ball_search(queries[tied], dist[tied, kk - 1], kk)
-        return idx
+            out[tied] = self._ball_search(queries[tied], dist[tied, kk - 1], kk)
 
     def _ball_search(self, queries: np.ndarray, cut: np.ndarray, kk: int) -> np.ndarray:
         """(B, kk) exact neighbors of rows whose kk-th distance is cut, ties and all."""
@@ -316,11 +332,20 @@ def augment_rotations(cloud: PointCloud) -> list[PointCloud]:
 
 
 def mean_neighbor_distance(cloud: PointCloud, k: int = 16) -> float:
-    """Mean Euclidean distance from each point to its k nearest neighbors."""
+    """Mean Euclidean distance from each point to its k nearest neighbors.
+
+    The (N, k) distances are filled one block of points at a time and
+    averaged in one pass, so the mean does not depend on the block size.
+    """
     if cloud.n < k + 1:
         raise InsufficientNeighborhood(f"need at least {k + 1} points, cloud has {cloud.n}")
-    neighbors = _knn_excluding_self(build_index(cloud), np.arange(cloud.n), k)
-    return float(np.linalg.norm(cloud.points[neighbors] - cloud.points[:, None, :], axis=2).mean())
+    index = build_index(cloud)
+    dist = np.empty((cloud.n, k))
+    for lo in range(0, cloud.n, _QUERY_BLOCK):
+        targets = np.arange(lo, min(lo + _QUERY_BLOCK, cloud.n))
+        neighbors = _knn_excluding_self(index, targets, k)
+        dist[targets] = np.linalg.norm(cloud.points[neighbors] - cloud.points[targets, None, :], axis=2)
+    return float(dist.mean())
 
 
 def _knn_excluding_self(index: SpatialIndex, targets: np.ndarray, k: int) -> np.ndarray:

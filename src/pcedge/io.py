@@ -17,7 +17,8 @@ element is the one read. Every such rejection is an InvalidInput naming
 the file.
 
 The writers format every row with one %-format string (`%.17g` for
-floats, `%d` for integers), so floats round-trip exactly.
+floats, `%d` for integers), so floats round-trip exactly. They stream:
+after the header, rows are formatted and written a fixed block at a time.
 """
 
 from __future__ import annotations
@@ -79,14 +80,27 @@ def _label_column(values: np.ndarray, path) -> np.ndarray:
     return values.astype(np.int64)
 
 
-def _format_rows(columns: list[tuple[str, np.ndarray]]) -> str:
-    """One text line per point: each column formatted by its %-spec, space separated."""
+# Rows formatted and written at a time by write_rows.
+_WRITE_BLOCK = 4096
+
+
+def write_rows(path, header: str, columns: list[tuple[str, np.ndarray]], sep: str = " ") -> None:
+    """Write header, then one text line per point: each column by its %-spec, sep between.
+
+    Rows are formatted and written _WRITE_BLOCK at a time to the open file,
+    so the text of the whole file is never held in memory. Columns of
+    unequal length raise InvalidInput before the file is opened.
+    """
     n = len(columns[0][1])
     for _, col in columns:
         if len(col) != n:
             raise InvalidInput(f"column of length {len(col)} does not match {n} points")
-    row = " ".join(spec for spec, _ in columns) + "\n"
-    return "".join(map(row.__mod__, zip(*(np.asarray(col).tolist() for _, col in columns))))
+    row = sep.join(spec for spec, _ in columns) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header)
+        for lo in range(0, n, _WRITE_BLOCK):
+            block = zip(*(np.asarray(col[lo:lo + _WRITE_BLOCK]).tolist() for _, col in columns))
+            fh.write("".join(map(row.__mod__, block)))
 
 
 def _xyz_columns(points: np.ndarray) -> list[tuple[str, np.ndarray]]:
@@ -109,7 +123,7 @@ def write_xyz(cloud: PointCloud, path, segments: np.ndarray | None = None) -> No
         columns.append(("%d", segments))
     elif cloud.labels is not None:
         columns.append(("%d", cloud.labels))
-    Path(path).write_text(_format_rows(columns), encoding="utf-8")
+    write_rows(path, "", columns)
 
 
 def read_ply(path) -> PointCloud:
@@ -182,7 +196,7 @@ def write_ply(cloud: PointCloud, path, segments: np.ndarray | None = None) -> No
         header.append("property int segment")
         columns.append(("%d", segments))
     header.append("end_header")
-    Path(path).write_text("\n".join(header) + "\n" + _format_rows(columns), encoding="utf-8")
+    write_rows(path, "\n".join(header) + "\n", columns)
 
 
 _FORMATS = {".xyz": (read_xyz, write_xyz), ".txt": (read_xyz, write_xyz),

@@ -25,22 +25,38 @@ class SegmentationResult:
     sizes: list[int]
 
 
-def _knn_edges(cloud: PointCloud, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Directed kNN edges as (src, dst) arrays: each point to its k nearest neighbors."""
+def _knn_neighbors(cloud: PointCloud, k: int) -> np.ndarray:
+    """(N, k) kNN matrix: row i holds the k nearest neighbors of point i."""
     if k < 1:
         raise InvalidInput(f"k must be >= 1, got {k}")
     if cloud.n < k + 1:
         raise InsufficientNeighborhood(f"kNN graph needs at least {k + 1} points, cloud has {cloud.n}")
-    neighbors = _knn_excluding_self(build_index(cloud), np.arange(cloud.n), k)
-    return np.repeat(np.arange(cloud.n), k), neighbors.ravel()
+    return _knn_excluding_self(build_index(cloud), np.arange(cloud.n), k)
 
 
 def knn_graph(cloud: PointCloud, k: int = 5) -> list[np.ndarray]:
     """Symmetrized kNN adjacency lists, each sorted by neighbor index."""
-    src, dst = _knn_edges(cloud, k)
+    neighbors = _knn_neighbors(cloud, k)
+    src, dst = np.repeat(np.arange(cloud.n), k), neighbors.ravel()
     keys = np.unique(np.concatenate([src * cloud.n + dst, dst * cloud.n + src]))
     bounds = np.searchsorted(keys, np.arange(1, cloud.n) * cloud.n)
     return np.split(keys % cloud.n, bounds)
+
+
+def _interior_graph(neighbors: np.ndarray, is_edge: np.ndarray) -> csr_array:
+    """CSR graph whose row i holds i's kNN edges between non-edge points.
+
+    Built straight from the (N, k) neighbor matrix: the row pointers count
+    each row's kept neighbors. The weights are float64 because
+    connected_components would otherwise copy the graph to float64. The
+    matrix and mask die on return, before connected_components runs.
+    """
+    n = len(neighbors)
+    keep = ~is_edge[neighbors]
+    keep[is_edge] = False
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
+    return csr_array((np.ones(int(indptr[-1])), neighbors[keep], indptr), shape=(n, n))
 
 
 def flood_segment(cloud: PointCloud, k: int = 5, attach_edges: bool = False) -> SegmentationResult:
@@ -53,11 +69,8 @@ def flood_segment(cloud: PointCloud, k: int = 5, attach_edges: bool = False) -> 
     """
     if cloud.labels is None:
         raise InvalidInput("flood_segment requires edge labels")
-    src, dst = _knn_edges(cloud, k)
     is_edge = cloud.labels == 1
-    keep = ~(is_edge[src] | is_edge[dst])
-    graph = csr_array((np.ones(int(keep.sum()), dtype=np.int8), (src[keep], dst[keep])),
-                      shape=(cloud.n, cloud.n))
+    graph = _interior_graph(_knn_neighbors(cloud, k), is_edge)
     _, comp = connected_components(graph, directed=False)
 
     interior = np.nonzero(~is_edge)[0]

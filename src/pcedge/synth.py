@@ -16,6 +16,10 @@ import numpy as np
 
 from .cloud import PointCloud
 from .errors import InvalidInput
+from .io import write_rows
+
+# The most points generate will sample; a denser spec is rejected before sampling.
+MAX_POINTS = 100_000_000
 
 SHAPE_KINDS = ("box", "cylinder", "sphere", "prism", "l_bracket", "union_boxes")
 
@@ -390,13 +394,18 @@ def generate(spec: ShapeSpec) -> SynthResult:
     """Sample a labeled cloud for the given shape.
 
     Each face is sampled with a count proportional to its area using a
-    per-face child seed. Labels are edge iff the exact distance to the
+    per-face child seed. Counts above MAX_POINTS in total raise InvalidInput
+    before any face is sampled. Labels are edge iff the exact distance to the
     crease curves is below tau.
     """
     faces, curves = _BUILDERS[spec.kind](spec.size)
+    counts = [int(round(spec.density * face.area)) for face in faces]
+    if sum(counts) > MAX_POINTS:
+        raise InvalidInput(
+            f"density {spec.density} asks for {sum(counts)} points, more than MAX_POINTS = {MAX_POINTS}"
+        )
     points_parts, face_id_parts = [], []
-    for face_id, face in enumerate(faces):
-        count = int(round(spec.density * face.area))
+    for face_id, (face, count) in enumerate(zip(faces, counts)):
         if count == 0:
             continue
         rng = np.random.default_rng(np.random.SeedSequence([spec.seed, face_id]))
@@ -424,6 +433,6 @@ def generate(spec: ShapeSpec) -> SynthResult:
 
 def write_metadata(result: SynthResult, path) -> None:
     """Sidecar CSV: per-point face id and exact distance to the creases."""
-    rows = zip(range(len(result.face_ids)), result.face_ids.tolist(), result.edge_distances.tolist())
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("index,face_id,edge_distance\n" + "".join(map("%d,%d,%.9g\n".__mod__, rows)))
+    write_rows(path, "index,face_id,edge_distance\n",
+               [("%d", np.arange(len(result.face_ids))), ("%d", result.face_ids),
+                ("%.9g", result.edge_distances)], sep=",")

@@ -104,6 +104,7 @@ MALFORMED_SYNTH = {
     "size_inf": ["--size", "1,inf,1"],
     "tau_nan": ["--tau", "nan"],
     "seed_negative": ["--seed", "-1"],
+    "density_huge": ["--density", "1e15"],
 }
 
 # Each would otherwise run a short training (or fail after the dataset build).

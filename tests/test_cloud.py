@@ -13,8 +13,12 @@ from helpers import (
     gapped_lattice_cube,
     lattice_cube,
     oracle_extract_patches,
+    oracle_mean_neighbor_distance,
     oracle_query_many,
+    peak_traced,
+    union_boxes,
 )
+import pcedge.cloud
 from pcedge import synth
 from pcedge.cloud import (
     PointCloud,
@@ -628,6 +632,49 @@ class TestQueryParity:
         got = index.query_many(queries, k)
         want = np.array([brute_force_knn(pts, q, k) for q in queries])
         assert np.array_equal(got, want)
+
+
+class TestQueryBlocks:
+    """Whole-cloud passes in blocks of _QUERY_BLOCK rows give the unblocked results."""
+
+    @pytest.mark.parametrize("k", [1, 6, 33])
+    def test_tied_lattices_across_blocks(self, monkeypatch, k):
+        monkeypatch.setattr(pcedge.cloud, "_QUERY_BLOCK", 7)
+        fixtures = TestQueryParity.lattice_fixtures()
+        # lattice_cube and the 0.1-spaced 12^3 lattice, with their full scans.
+        for index, scan in (fixtures[0], fixtures[4]):
+            got = index.query_many(index._points, k)
+            assert np.array_equal(got, oracle_query_many(index, index._points, k))
+            assert np.array_equal(got, scan[:, :k])
+
+    @pytest.mark.parametrize("k", [1, 6, 33])
+    def test_empty_queries(self, monkeypatch, k):
+        monkeypatch.setattr(pcedge.cloud, "_QUERY_BLOCK", 7)
+        empty = np.empty((0, 3))
+        for cloud in (lattice_cube()[0], PointCloud(integer_lattice(3)[:20])):
+            index = build_index(cloud)
+            got = index.query_many(empty, k)
+            assert got.shape == (0, min(k, cloud.n)) and got.dtype == np.int64
+            assert np.array_equal(got, oracle_query_many(index, empty, k))
+            assert np.array_equal(got, full_scan_query_many(index, empty, k))
+
+    @pytest.mark.parametrize("block", [7, pytest.param(None, id="default")])
+    def test_noise_scale_matches_frozen_oracle(self, monkeypatch, block):
+        if block is not None:
+            monkeypatch.setattr(pcedge.cloud, "_QUERY_BLOCK", block)
+        dup = integer_lattice(6) * 0.1
+        for cloud in (union_boxes(4000.0).cloud, lattice_cube()[0],
+                      PointCloud(np.vstack([dup, dup[:40]]))):
+            assert mean_neighbor_distance(cloud, 16) == oracle_mean_neighbor_distance(cloud, 16)
+
+    @pytest.mark.parametrize("density", [4000.0, 16000.0])
+    def test_noise_scale_memory_budget(self, density):
+        # The whole (N, 16, 3) difference array and its temporaries held
+        # about 1,200 B/point; the blocked pass holds the (N, 16) distances,
+        # the kd-tree's index array and one block.
+        cloud = union_boxes(density).cloud
+        _, peak = peak_traced(lambda: mean_neighbor_distance(cloud, 16))
+        assert peak <= 300 * cloud.n, f"{peak / cloud.n:.0f} B/point"
 
 
 class TestExtractionParity:

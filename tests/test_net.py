@@ -2,7 +2,6 @@
 
 import functools
 import tempfile
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +20,7 @@ from helpers import (
     oracle_rbf_group_bwd,
     oracle_rbf_group_fwd,
     patch_features,
+    peak_traced,
     random_patch_arrays,
     reference_forward,
 )
@@ -465,12 +465,7 @@ class TestFullForward:
         dvecs, offsets, scales = random_patch_arrays(np.random.default_rng(3), 256, 16)
         params = net.init_params(16, seed=3)
         cached, _ = net.forward_batch(dvecs, offsets, scales, params, need_cache=True)
-        tracemalloc.start()
-        try:
-            got, cache = net.forward_batch(dvecs, offsets, scales, params)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        (got, cache), peak = peak_traced(lambda: net.forward_batch(dvecs, offsets, scales, params))
         assert cache is None
         assert np.array_equal(got, cached)
         assert peak < 8e6, f"inference forward peaked at {peak / 1e6:.1f} MB"

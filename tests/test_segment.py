@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import gapped_lattice_cube, lattice_cube, oracle_flood_segment, oracle_knn_graph
+from helpers import (
+    gapped_lattice_cube,
+    lattice_cube,
+    oracle_flood_segment,
+    oracle_knn_graph,
+    peak_traced,
+    union_boxes,
+)
 from pcedge.cloud import PointCloud
 from pcedge.errors import InsufficientNeighborhood, InvalidInput
 from pcedge.segment import flood_segment, knn_graph
@@ -203,3 +210,13 @@ class TestFrozenBfsParity:
                       PointCloud(cube.cloud.points, thick)):
             for attach_edges in (False, True):
                 self.assert_identical(cloud, k, attach_edges)
+
+
+@pytest.mark.parametrize("density", [4000.0, 16000.0])
+def test_flood_segment_memory_budget(density):
+    # Graph pairs as int64 src/dst arrays, converted from COO to CSR, held
+    # about 490 B/point; the CSR graph built from the (N, k) neighbor matrix
+    # keeps the whole pass near 165.
+    cloud = union_boxes(density).cloud
+    _, peak = peak_traced(lambda: flood_segment(cloud, k=5))
+    assert peak <= 300 * cloud.n, f"{peak / cloud.n:.0f} B/point"

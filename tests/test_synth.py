@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import oracle_write_metadata
+from pcedge import io, synth
 from pcedge.errors import InvalidInput
 from pcedge.synth import (
     EdgeCircle,
@@ -146,6 +147,16 @@ class TestGenerate:
         actual = counts / res.cloud.n
         assert np.abs(actual / expected - 1.0).max() < 0.03
 
+    def test_point_count_cap(self, monkeypatch):
+        # A box at density 100 asks for 600 points: one per unit of area on
+        # each of its six unit faces.
+        spec = ShapeSpec("box", density=100, seed=0)
+        monkeypatch.setattr(synth, "MAX_POINTS", 600)
+        assert generate(spec).cloud.n == 600
+        monkeypatch.setattr(synth, "MAX_POINTS", 599)
+        with pytest.raises(InvalidInput, match=r"^density 100 asks for 600 points, more than MAX_POINTS = 599"):
+            generate(spec)
+
     def test_density_too_low(self):
         with pytest.raises(InvalidInput):
             generate(ShapeSpec("box", density=2.0, seed=0))
@@ -188,6 +199,14 @@ class TestGenerate:
     @pytest.mark.parametrize("kind", ["box", "cylinder", "union_boxes"])
     def test_metadata_matches_frozen_loop(self, kind, tmp_path):
         res = generate(ShapeSpec(kind, density=800, seed=5))
+        write_metadata(res, tmp_path / "meta.csv")
+        oracle_write_metadata(res, tmp_path / "oracle.csv")
+        assert (tmp_path / "meta.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+    def test_metadata_across_row_blocks(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(io, "_WRITE_BLOCK", 7)
+        res = generate(ShapeSpec("prism", density=20, seed=5))
+        assert res.cloud.n % 7 != 0
         write_metadata(res, tmp_path / "meta.csv")
         oracle_write_metadata(res, tmp_path / "oracle.csv")
         assert (tmp_path / "meta.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()

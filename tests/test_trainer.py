@@ -5,7 +5,6 @@ import platform
 import subprocess
 import sys
 import time
-import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -14,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import oracle_adam_step, oracle_build_dataset
+from helpers import oracle_adam_step, oracle_build_dataset, peak_traced
 from pcedge import net, trainer
 from pcedge.cloud import PointCloud
 from pcedge.errors import (
@@ -177,12 +176,7 @@ class TestBuildDataset:
         # 4,096-row chunk plus the rotated copies take 14.3 MiB here.
         # Holding the finished set more than once, as a concatenate-then-
         # index assembly does, adds about 68 MiB on this cloud.
-        tracemalloc.start()
-        try:
-            sets = build_dataset(midsize_cloud, TrainConfig(k=16, seed=11))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        sets, peak = peak_traced(lambda: build_dataset(midsize_cloud, TrainConfig(k=16, seed=11)))
         returned = sum(getattr(s, field).nbytes for s in sets for field in PATCH_FIELDS)
         assert returned == 7 * midsize_cloud.n * 536
         assert peak - returned < 16 << 20
