@@ -18,12 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import net
-from .cloud import (
-    PointCloud,
-    augment_rotations,
-    build_index,
-    extract_patches,
-)
+from .cloud import _ROTATIONS_90, PointCloud, build_index, extract_patches
 from .errors import InsufficientNeighborhood, InvalidInput, ModelShapeError
 from .metrics import _prf
 
@@ -97,19 +92,50 @@ class TrainConfig:
             raise InvalidInput(f"balance must be one of {BALANCE_MODES}, got {self.balance!r}")
 
 
+# Every matrix in _ROTATIONS_90 is a signed permutation, so column i of a
+# patch's dvecs in rotated copy c is column _COPY_COLUMNS[c, i] of its
+# unrotated dvecs, negated where _COPY_NEGATED[c, i].
+_COPY_COLUMNS = np.abs(np.array(_ROTATIONS_90)).argmax(axis=2)
+_COPY_NEGATED = np.array(_ROTATIONS_90).min(axis=2) < 0
+
+
 @dataclass
 class PatchSet:
-    """Patch features for a set of samples, plus labels and provenance."""
+    """Patches of m points in one or more rotated copies, plus labels and provenance.
 
-    dvecs: np.ndarray     # (n, k, 3)
-    offsets: np.ndarray   # (n, k)
-    scales: np.ndarray    # (n,)
-    labels: np.ndarray    # (n,)
-    origin: np.ndarray    # (n,) original point index each patch derives from
+    Only the unrotated copy's features are stored, one row per point. Row r
+    of the set is point row r % m in copy r // m, where copy c is the cloud
+    rotated by cloud._ROTATIONS_90[c]; `labels` and `origin` hold one entry
+    per row. A rotated copy has the same neighbours, offsets and scale, and
+    `gather` derives its dvecs from the stored ones.
+    """
+
+    dvecs: np.ndarray     # (m, k, 3)
+    offsets: np.ndarray   # (m, k)
+    scales: np.ndarray    # (m,)
+    labels: np.ndarray    # (copies * m,)
+    origin: np.ndarray    # (copies * m,) original point index each patch derives from
 
     @property
     def n(self) -> int:
         return self.labels.shape[0]
+
+    @property
+    def copies(self) -> int:
+        return self.n // self.scales.shape[0]
+
+    def gather(self, rows: np.ndarray):
+        """(dvecs, offsets, scales) of the given rows, as new arrays.
+
+        A negated column is computed as 0.0 - x. Extraction from the rotated
+        cloud takes (-c) - (-t) for candidate c and target t, which equals
+        0.0 - (c - t) bit for bit, +0.0 where c == t included; -x would give
+        -0.0 there.
+        """
+        copy, point = np.divmod(rows, self.scales.shape[0])
+        dvecs = np.take_along_axis(self.dvecs[point], _COPY_COLUMNS[copy][:, None, :], axis=2)
+        np.subtract(0.0, dvecs, out=dvecs, where=_COPY_NEGATED[copy][:, None, :])
+        return dvecs, self.offsets[point], self.scales[point]
 
 
 @dataclass
@@ -154,15 +180,17 @@ _EXTRACT_CHUNK = 4096
 def build_dataset(cloud: PointCloud, cfg: TrainConfig):
     """Patch sets for training and validation from one labeled cloud.
 
-    One patch per point per rotation copy. The split is drawn at the
+    With augmentation each point gives one row in each of the seven copies
+    of cloud._ROTATIONS_90, else one row. The split is drawn at the
     original-point level so all rotated copies of a point land on the same
     side, preventing leakage. Rows are copy-major, then in ascending point
     index.
 
-    Each patch is extracted straight into its row of the returned arrays,
-    _EXTRACT_CHUNK targets at a time, so the peak memory is the returned
-    sets (536 bytes per patch at k=16) plus one chunk's extraction
-    temporaries.
+    The cloud is indexed and extracted once: each patch goes straight into
+    its row of the returned base arrays, _EXTRACT_CHUNK targets at a time,
+    and the rotated copies are derived when rows are gathered. So the peak
+    memory is the returned sets (520 bytes per point at k=16, plus 16 per
+    row) plus one chunk's extraction temporaries.
     """
     if cloud.labels is None:
         raise InvalidInput("training cloud must be fully labeled")
@@ -170,32 +198,28 @@ def build_dataset(cloud: PointCloud, cfg: TrainConfig):
         raise InsufficientNeighborhood(
             f"training needs at least {2 * cfg.k + 1} points, cloud has {cloud.n}"
         )
-    copies = augment_rotations(cloud) if cfg.augment else [cloud]
+    copies = len(_ROTATIONS_90) if cfg.augment else 1
     rng = np.random.default_rng(cfg.seed)
     perm = rng.permutation(cloud.n)
     n_val = max(1, int(np.floor(cfg.val_fraction * cloud.n + 0.5)))
     val_points = np.zeros(cloud.n, dtype=bool)
     val_points[perm[:n_val]] = True
-    splits = []
+    index = build_index(cloud)
+    sets = []
     for points in (np.nonzero(~val_points)[0], np.nonzero(val_points)[0]):
-        n = len(copies) * points.size
-        splits.append((points, PatchSet(
-            dvecs=np.empty((n, cfg.k, 3)),
-            offsets=np.empty((n, cfg.k)),
-            scales=np.empty(n),
-            labels=np.tile(cloud.labels[points], len(copies)),
-            origin=np.tile(points, len(copies)),
-        )))
-    for c, copy in enumerate(copies):
-        index = build_index(copy)
-        for points, out in splits:
-            for lo in range(0, points.size, _EXTRACT_CHUNK):
-                targets = points[lo:lo + _EXTRACT_CHUNK]
-                first = c * points.size + lo
-                rows = slice(first, first + targets.size)
-                out.dvecs[rows], out.offsets[rows], _, out.scales[rows], _ = \
-                    extract_patches(copy, index, targets, cfg.k)
-    return splits[0][1], splits[1][1]
+        out = PatchSet(
+            dvecs=np.empty((points.size, cfg.k, 3)),
+            offsets=np.empty((points.size, cfg.k)),
+            scales=np.empty(points.size),
+            labels=np.tile(cloud.labels[points], copies),
+            origin=np.tile(points, copies),
+        )
+        for lo in range(0, points.size, _EXTRACT_CHUNK):
+            rows = slice(lo, lo + _EXTRACT_CHUNK)
+            out.dvecs[rows], out.offsets[rows], _, out.scales[rows], _ = \
+                extract_patches(cloud, index, points[rows], cfg.k)
+        sets.append(out)
+    return sets[0], sets[1]
 
 
 def adam_step(state: TrainState, grad: np.ndarray, cfg: TrainConfig) -> TrainState:
@@ -272,9 +296,7 @@ def _batch_plan(train: PatchSet, cfg: TrainConfig, rng: np.random.Generator):
 
 def _batch_step(train: PatchSet, idx: np.ndarray, state: TrainState, cfg: TrainConfig) -> float:
     """Forward/backward on one mini-batch, then an Adam update; returns loss."""
-    e, cache = net.forward_batch(
-        train.dvecs[idx], train.offsets[idx], train.scales[idx], state.params, need_cache=True,
-    )
+    e, cache = net.forward_batch(*train.gather(idx), state.params, need_cache=True)
     losses, de = bce_loss(e, train.labels[idx].astype(np.float64))
     adam_step(state, net.backward(state.params, cache, de / idx.size), cfg)
     return float(np.sum(losses)) / idx.size
@@ -289,7 +311,7 @@ def train(cloud: PointCloud, cfg: TrainConfig, threads: int = 1):
     `_keep_freed_heap`).
     """
     _keep_freed_heap()
-    # Rejected before the dataset build, which extracts every rotated copy.
+    # Rejected before the dataset build, which extracts every point.
     if threads < 1:
         raise InvalidInput(f"threads must be >= 1, got {threads}")
     if cloud.labels is not None and np.unique(cloud.labels).size < 2:
@@ -302,14 +324,12 @@ def train(cloud: PointCloud, cfg: TrainConfig, threads: int = 1):
     log: list[dict] = []
     best_fscore, best_params, since_best = -1.0, None, 0
 
-    def val_patches(lo, hi):
-        return val_set.dvecs[lo:hi], val_set.offsets[lo:hi], val_set.scales[lo:hi]
-
     for epoch in range(1, cfg.max_epochs + 1):
         started = time.perf_counter()
         batches = _batch_plan(train_set, cfg, rng)
         losses = [_batch_step(train_set, idx, state, cfg) for idx in batches]
-        probs, _ = _window_probs(val_set.n, val_patches, state.params, threads)
+        probs, _ = _window_probs(val_set.n, lambda lo, hi: val_set.gather(np.arange(lo, hi)),
+                                 state.params, threads)
         edge, true_edge = probs > 0.5, val_set.labels == 1
         p, r, f = _prf(int(np.sum(edge & true_edge)), int(np.sum(edge & ~true_edge)),
                        int(np.sum(~edge & true_edge)))

@@ -414,6 +414,36 @@ def oracle_build_dataset(cloud, cfg):
     return take(full, np.nonzero(~val_mask)[0]), take(full, np.nonzero(val_mask)[0])
 
 
+# Frozen oracle for the rotated copies build_dataset derives: the base
+# extraction's rows written out once per rotation, each dvec column taken
+# from the rotation matrix entry by entry and negated as 0.0 - x, so the
+# rows PatchSet.gather derives can be checked byte for byte, sign bits
+# included, against the set they stand for.
+
+def oracle_derived_dataset(cloud, cfg):
+    """(train, val) one-copy PatchSets holding every row of build_dataset's sets, written out."""
+    from dataclasses import replace
+
+    from pcedge.cloud import _ROTATIONS_90
+    from pcedge.trainer import PatchSet
+
+    def materialise(base):
+        copies = len(_ROTATIONS_90) if cfg.augment else 1
+        parts = []
+        for rot in _ROTATIONS_90[:copies]:
+            part = np.empty_like(base.dvecs)
+            for i in range(3):
+                j = int(np.flatnonzero(rot[i])[0])
+                column = base.dvecs[:, :, j]
+                part[:, :, i] = column if rot[i, j] > 0 else 0.0 - column
+            parts.append(part)
+        return PatchSet(np.concatenate(parts), np.tile(base.offsets, (copies, 1)),
+                        np.tile(base.scales, copies), np.tile(base.labels, copies),
+                        np.tile(base.origin, copies))
+
+    return tuple(materialise(base) for base in oracle_build_dataset(cloud, replace(cfg, augment=False)))
+
+
 # Frozen oracle for the RBF descriptor block: the per-layer _rbf_group_fwd and
 # _rbf_group_bwd that the fused (2m, 32) product in pcedge.net replaced,
 # unchanged apart from the net. prefixes, so the fused block can be checked

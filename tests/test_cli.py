@@ -1,6 +1,9 @@
 """Command-line surface: flags, exit codes, file outputs."""
 
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -218,6 +221,14 @@ class TestInfoCommand:
         assert "heads: 2" in out
         count = int(out.rsplit("total parameters:", 1)[1].strip())
         assert 30_000 <= count <= 70_000
+
+    def test_runs_as_module(self, checkpoint_file):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-m", "pcedge", "info", "--checkpoint", str(checkpoint_file)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert "k: 16" in done.stdout
 
 
 class TestEvalCommand:

@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import oracle_adam_step, oracle_build_dataset, peak_traced
+from helpers import oracle_adam_step, oracle_build_dataset, oracle_derived_dataset, peak_traced
 from pcedge import net, trainer
-from pcedge.cloud import PointCloud
+from pcedge.cloud import PointCloud, augment_rotations
 from pcedge.errors import (
     InsufficientNeighborhood,
     InvalidInput,
@@ -24,6 +24,7 @@ from pcedge.errors import (
 from pcedge.synth import ShapeSpec, generate
 from pcedge.trainer import (
     ADAM_EPS,
+    PatchSet,
     TrainConfig,
     TrainState,
     _batch_plan,
@@ -55,6 +56,12 @@ def tiny_cloud():
     return PointCloud(rng.random((50, 3)), labels=np.arange(50) % 2)
 
 
+def jittered_cloud(cloud):
+    """The cloud moved off its exact planes by uniform noise of 1e-3."""
+    rng = np.random.default_rng(6)
+    return PointCloud(cloud.points + rng.uniform(-1e-3, 1e-3, cloud.points.shape), labels=cloud.labels)
+
+
 PATCH_FIELDS = ("dvecs", "offsets", "scales", "labels", "origin")
 
 
@@ -65,6 +72,35 @@ def assert_identical_sets(got, want):
             a, b = getattr(g, field), getattr(w, field)
             assert a.dtype == b.dtype and a.shape == b.shape, field
             assert a.tobytes() == b.tobytes(), field
+
+
+def gathered(patch_set):
+    """Every row of a PatchSet, written out as a one-copy set."""
+    return PatchSet(*patch_set.gather(np.arange(patch_set.n)), patch_set.labels, patch_set.origin)
+
+
+def assert_derived_sets(got, cloud, cfg, jittered):
+    """build_dataset's sets against the direct-extraction and the derived-rows oracles.
+
+    The stored rows are copy 0 of the direct oracle byte for byte, and the
+    gathered rows equal the written-out derived oracle byte for byte. On a
+    jittered cloud, with no exact plane ties, each rotated copy's direct
+    extraction picks the same neighbours in the same order: the gathered
+    dvecs equal it byte for byte, the offsets and scales within rounding.
+    """
+    direct = oracle_build_dataset(cloud, cfg)
+    for g, d in zip(got, direct, strict=True):
+        m = g.scales.shape[0]
+        assert g.copies == (7 if cfg.augment else 1) and g.n == d.n == g.copies * m
+        copy0 = PatchSet(d.dvecs[:m], d.offsets[:m], d.scales[:m], d.labels, d.origin)
+        assert_identical_sets([g], [copy0])
+    rows = [gathered(g) for g in got]
+    assert_identical_sets(rows, oracle_derived_dataset(cloud, cfg))
+    if jittered:
+        for r, d in zip(rows, direct):
+            assert r.dvecs.tobytes() == d.dvecs.tobytes()
+            assert np.all(np.abs(r.offsets - d.offsets) <= 1e-12 * d.scales[:, None])
+            assert np.all(np.abs(r.scales - d.scales) <= 1e-14 * d.scales)
 
 
 class TestBceLoss:
@@ -111,6 +147,8 @@ class TestBuildDataset:
         n_val = int(np.floor(0.1 * n + 0.5))
         assert val_set.n == 7 * n_val
         assert train_set.n == 7 * (n - n_val)
+        assert train_set.copies == val_set.copies == 7
+        assert train_set.scales.shape == (n - n_val,) and val_set.dvecs.shape == (n_val, 16, 3)
 
     def test_counts_without_augmentation(self, small_cloud):
         cfg = TrainConfig(seed=0, augment=False)
@@ -153,33 +191,60 @@ class TestBuildDataset:
 
     @pytest.mark.parametrize("k", [8, 16])
     @pytest.mark.parametrize("augment", [True, False])
-    @pytest.mark.parametrize("which", ["small", "tiny"])
+    @pytest.mark.parametrize("which", ["small", "tiny", "jittered"])
     def test_matches_frozen_oracle(self, small_cloud, monkeypatch, which, augment, k):
         # Chunks of 7 rows: the small cloud's 1,354 train and 150 validation
         # points both end in a partial chunk; the tiny cloud's 5 validation
-        # points fit in less than one.
+        # points fit in less than one. The tiny cloud's points are uniform
+        # random, so it has no plane ties either.
         monkeypatch.setattr(trainer, "_EXTRACT_CHUNK", 7)
-        cloud = small_cloud if which == "small" else tiny_cloud()
+        cloud = {"small": small_cloud, "tiny": tiny_cloud(), "jittered": jittered_cloud(small_cloud)}[which]
         cfg = TrainConfig(k=k, seed=5, augment=augment)
         got = build_dataset(cloud, cfg)
-        assert got[1].n // (7 if augment else 1) == (150 if which == "small" else 5)
-        assert_identical_sets(got, oracle_build_dataset(cloud, cfg))
+        assert got[1].n // (7 if augment else 1) == (5 if which == "tiny" else 150)
+        assert_derived_sets(got, cloud, cfg, jittered=which != "small")
 
     def test_matches_frozen_oracle_default_chunk(self, midsize_cloud):
         cfg = TrainConfig(k=16, seed=11)
         got = build_dataset(midsize_cloud, cfg)
-        assert got[0].n // 7 > 2 * trainer._EXTRACT_CHUNK
-        assert_identical_sets(got, oracle_build_dataset(midsize_cloud, cfg))
+        assert got[0].scales.shape[0] > 2 * trainer._EXTRACT_CHUNK
+        assert_derived_sets(got, midsize_cloud, cfg, jittered=False)
 
     def test_peak_memory_is_result_plus_one_chunk(self, midsize_cloud):
         # Extraction temporaries cost about 3 kB per row at k=16: one
-        # 4,096-row chunk plus the rotated copies take 14.3 MiB here.
-        # Holding the finished set more than once, as a concatenate-then-
-        # index assembly does, adds about 68 MiB on this cloud.
+        # 4,096-row chunk takes about 12 MiB. The returned sets store one
+        # copy's features, 520 B per point, and a label and an origin per
+        # (copy, point) row. Holding all seven copies' features, as an
+        # extraction of each rotated copy does, takes 33.2 MiB here, and the
+        # peak 48.6 MiB; storing one copy peaks at 18.9 MiB.
         sets, peak = peak_traced(lambda: build_dataset(midsize_cloud, TrainConfig(k=16, seed=11)))
         returned = sum(getattr(s, field).nbytes for s in sets for field in PATCH_FIELDS)
-        assert returned == 7 * midsize_cloud.n * 536
+        assert returned == midsize_cloud.n * (520 + 7 * 16) == 5_866_856
         assert peak - returned < 16 << 20
+        assert peak < 24 << 20
+
+
+class TestGather:
+    def test_rotation_table_matches_augment_rotations(self):
+        # Each copy's gathered dvecs are the dvecs extraction takes from the
+        # rotated cloud, candidate minus target. A fifth of the coordinates
+        # are exactly 0, and a fifth of the candidate coordinates equal
+        # their target's, so exact-zero dvec entries fall in every negated
+        # column: they must come out +0.0, as the subtraction gives them.
+        # Here each column holds at least 20 of them.
+        rng = np.random.default_rng(8)
+        targets, cand = rng.normal(size=(50, 3)), rng.normal(size=(50, 16, 3))
+        targets[rng.random(targets.shape) < 0.2] = 0.0
+        cand[rng.random(cand.shape) < 0.2] = 0.0
+        share = rng.random(cand.shape) < 0.2
+        cand[share] = np.broadcast_to(targets[:, None, :], cand.shape)[share]
+        base = cand - targets[:, None, :]
+        assert (base == 0.0).sum(axis=(0, 1)).min() > 20 and not np.signbit(base[base == 0.0]).any()
+        rows = PatchSet(base, np.ones((50, 16)), np.ones(50), np.zeros(7 * 50), np.tile(np.arange(50), 7))
+        dvecs, _, _ = rows.gather(np.arange(rows.n))
+        for c, rotated in enumerate(augment_rotations(PointCloud(np.concatenate([targets, cand.reshape(-1, 3)])))):
+            want = rotated.points[50:].reshape(50, 16, 3) - rotated.points[:50, None, :]
+            assert dvecs[c * 50:(c + 1) * 50].tobytes() == want.tobytes(), c
 
 
 class TestAdamStep:
@@ -309,6 +374,16 @@ class TestTrain:
         monkeypatch.setattr(trainer, "build_dataset", no_dataset)
         with pytest.raises(InvalidInput, match=rf"^threads must be >= 1, got {threads}$"):
             train(small_cloud, TrainConfig(k=8, max_epochs=1), threads=threads)
+
+    @pytest.mark.parametrize("k", [8, 16])
+    def test_derived_rows_train_like_written_out_rows(self, small_cloud, monkeypatch, k):
+        cfg = TrainConfig(k=k, max_epochs=2, seed=3, batch_size=128)
+        derived = train(small_cloud, cfg)
+        monkeypatch.setattr(trainer, "build_dataset", oracle_derived_dataset)
+        written = train(small_cloud, cfg)
+        assert derived[0].flat.tobytes() == written[0].flat.tobytes()
+        for a, b in zip(derived[1], written[1], strict=True):
+            assert {**a, "seconds": 0} == {**b, "seconds": 0}
 
     def test_two_epoch_determinism(self, small_cloud):
         cfg = TrainConfig(k=8, max_epochs=2, seed=3, augment=False, batch_size=64)
