@@ -20,9 +20,10 @@ from .errors import (
     InvalidInput,
 )
 
-# Rows per block of a kNN query and of mean_neighbor_distance's pass. At
-# k = 33 a block's temporaries take about 1 MB. predict's 256-row windows
-# fit in one block, build_dataset's 4,096-row chunks take four.
+# Rows per block of a kNN query, of a patch extraction and of
+# mean_neighbor_distance's pass. At k = 33 a query block's temporaries take
+# about 1 MB, and at k = 16 an extraction block's about 3 MB. predict's
+# 256-row windows fit in one block.
 _QUERY_BLOCK = 1024
 
 
@@ -224,7 +225,7 @@ def pca_min_axis(vectors: np.ndarray) -> np.ndarray:
     pts = np.asarray(vectors, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 3:
         raise InvalidInput("pca_min_axis needs at least 3 three-dimensional points")
-    return _min_axes(pts[None])[0]
+    return _min_axes(pts[None], [0])[0]
 
 
 def _fix_sign(axes: np.ndarray) -> np.ndarray:
@@ -240,13 +241,13 @@ def _fix_sign(axes: np.ndarray) -> np.ndarray:
     return axes * np.where(lead < 0.0, -1.0, 1.0)[:, None]
 
 
-def _min_axes(neighborhoods: np.ndarray) -> np.ndarray:
-    """Batched minimal-variance axes: (B, m, 3) points -> (B, 3) unit axes."""
+def _min_axes(neighborhoods: np.ndarray, targets) -> np.ndarray:
+    """Batched minimal-variance axes: (B, m, 3) points -> (B, 3) unit axes; errors name targets[b]."""
     centered = neighborhoods - neighborhoods.mean(axis=1, keepdims=True)
     cov = np.einsum("bmi,bmj->bij", centered, centered)
     traces = np.trace(cov, axis1=1, axis2=2)
     if (traces == 0.0).any():
-        bad = int(np.nonzero(traces == 0.0)[0][0])
+        bad = int(targets[np.nonzero(traces == 0.0)[0][0]])
         raise DegenerateNeighborhood(f"neighborhood of target {bad} has coincident points")
     _, vecs = np.linalg.eigh(cov)
     return _fix_sign(vecs[:, :, 0])
@@ -273,10 +274,15 @@ def extract_patches(cloud: PointCloud, index: SpatialIndex, targets: np.ndarray,
     Returns (dvecs (B,k,3), offsets (B,k), axes (B,3), scales (B,), neighbor
     indices (B,k)). Rows are ordered by nondecreasing dvec norm, ties by
     neighbor index. Safe to call concurrently against one shared index.
+
+    Targets run in blocks of _QUERY_BLOCK, so beside the result a call
+    holds one block's temporaries however many targets it has.
     """
     if k % 2 != 0 or not (4 <= k <= 64):
         raise InvalidInput(f"k must be even and in [4, 64], got {k}")
     targets = np.asarray(targets, dtype=np.int64)
+    if targets.ndim != 1:
+        raise InvalidInput(f"targets must be a 1-d index array, got shape {targets.shape}")
     n = cloud.n
     if targets.size and (targets.min() < 0 or targets.max() >= n):
         raise InvalidInput("target indices out of range")
@@ -287,6 +293,18 @@ def extract_patches(cloud: PointCloud, index: SpatialIndex, targets: np.ndarray,
         raise InsufficientNeighborhood(
             f"need at least {k + 1} points for k={k}, cloud has {n}"
         )
+    b = targets.size
+    out = (np.empty((b, k, 3)), np.empty((b, k)), np.empty((b, 3)), np.empty(b),
+           np.empty((b, k), dtype=np.int64))
+    for lo in range(0, b, _QUERY_BLOCK):
+        rows = slice(lo, lo + _QUERY_BLOCK)
+        for dst, src in zip(out, _extract_block(cloud, index, targets[rows], k, n_cand)):
+            dst[rows] = src
+    return out
+
+
+def _extract_block(cloud: PointCloud, index: SpatialIndex, targets: np.ndarray, k: int, n_cand: int):
+    """extract_patches on one block of targets, as new arrays."""
     cand = _knn_excluding_self(index, targets, n_cand)
     cand_pts = np.take(cloud.points, cand, axis=0)
     dvecs_all = cand_pts - np.take(cloud.points, targets, axis=0)[:, None, :]
@@ -295,7 +313,7 @@ def extract_patches(cloud: PointCloud, index: SpatialIndex, targets: np.ndarray,
         bad = int(targets[np.nonzero(cdist[:, 0] == 0.0)[0][0]])
         raise DuplicatePoint(f"cloud contains a duplicate of point {bad}")
 
-    axes = _min_axes(cand_pts)
+    axes = _min_axes(cand_pts, targets)
     off_all = np.abs(np.einsum("bkd,bd->bk", dvecs_all, axes))
 
     # Keep the k smallest offsets. With cand in (distance, index) order, a

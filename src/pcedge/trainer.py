@@ -13,7 +13,7 @@ from __future__ import annotations
 import ctypes
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -43,9 +43,9 @@ def _keep_freed_heap() -> None:
     a 256-patch inference forward, more for a training step) and frees them
     on return. glibc's default trim threshold is far smaller and rises only
     after a large mmapped block has been freed, so until then every window
-    handed its heap back to the kernel and faulted it in again: about 340k
-    minor faults per `predict` call on an 18.6k-point cloud, against under
-    100 with the thresholds fixed at the values glibc's own rule reaches.
+    handed its heap back to the kernel and faulted it in again: about 105k
+    minor faults and 1.5-2.0 s per `predict` on an 18.6k-point cloud, against
+    none and 1.0-1.4 s with the thresholds glibc's own rule reaches.
 
     The setting is process-wide and outlives the call, as glibc's dynamic
     thresholds would. Calling it again changes nothing. Where the C library
@@ -171,12 +171,6 @@ def bce_loss(e, e_gt):
     return loss, grad
 
 
-# Target rows per extract_patches call in build_dataset. One call's
-# temporaries cost about 3 kB per row at k=16, so this bounds them at about
-# 13 MB whatever the cloud size; extraction time does not depend on it.
-_EXTRACT_CHUNK = 4096
-
-
 def build_dataset(cloud: PointCloud, cfg: TrainConfig):
     """Patch sets for training and validation from one labeled cloud.
 
@@ -186,11 +180,11 @@ def build_dataset(cloud: PointCloud, cfg: TrainConfig):
     side, preventing leakage. Rows are copy-major, then in ascending point
     index.
 
-    The cloud is indexed and extracted once: each patch goes straight into
-    its row of the returned base arrays, _EXTRACT_CHUNK targets at a time,
-    and the rotated copies are derived when rows are gathered. So the peak
+    The cloud is indexed once and each split's points are extracted in one
+    `extract_patches` call, which bounds its own temporaries to one block;
+    the rotated copies are derived when rows are gathered. So the peak
     memory is the returned sets (520 bytes per point at k=16, plus 16 per
-    row) plus one chunk's extraction temporaries.
+    row) plus one extraction block's temporaries.
     """
     if cloud.labels is None:
         raise InvalidInput("training cloud must be fully labeled")
@@ -205,21 +199,15 @@ def build_dataset(cloud: PointCloud, cfg: TrainConfig):
     val_points = np.zeros(cloud.n, dtype=bool)
     val_points[perm[:n_val]] = True
     index = build_index(cloud)
-    sets = []
-    for points in (np.nonzero(~val_points)[0], np.nonzero(val_points)[0]):
-        out = PatchSet(
-            dvecs=np.empty((points.size, cfg.k, 3)),
-            offsets=np.empty((points.size, cfg.k)),
-            scales=np.empty(points.size),
-            labels=np.tile(cloud.labels[points], copies),
-            origin=np.tile(points, copies),
-        )
-        for lo in range(0, points.size, _EXTRACT_CHUNK):
-            rows = slice(lo, lo + _EXTRACT_CHUNK)
-            out.dvecs[rows], out.offsets[rows], _, out.scales[rows], _ = \
-                extract_patches(cloud, index, points[rows], cfg.k)
-        sets.append(out)
-    return sets[0], sets[1]
+
+    # A function, so the axes and neighbours it drops are freed before the
+    # next split is extracted.
+    def patch_set(points):
+        dvecs, offsets, _, scales, _ = extract_patches(cloud, index, points, cfg.k)
+        return PatchSet(dvecs, offsets, scales, labels=np.tile(cloud.labels[points], copies),
+                        origin=np.tile(points, copies))
+
+    return patch_set(np.nonzero(~val_points)[0]), patch_set(np.nonzero(val_points)[0])
 
 
 def adam_step(state: TrainState, grad: np.ndarray, cfg: TrainConfig) -> TrainState:
@@ -280,18 +268,11 @@ def _batch_plan(train: PatchSet, cfg: TrainConfig, rng: np.random.Generator):
     minority_is_edge = edge_pool.size <= flat_pool.size
     minority, majority = (edge_pool, flat_pool) if minority_is_edge else (flat_pool, edge_pool)
     need = n_batches * half
-    stream = []
-    while sum(len(s) for s in stream) < need:
-        stream.append(majority[rng.permutation(majority.size)])
-    major_stream = np.concatenate(stream)[:need]
+    laps = -(-need // majority.size)
+    major_stream = np.concatenate([majority[rng.permutation(majority.size)] for _ in range(laps)])[:need]
     minor_stream = minority[rng.integers(0, minority.size, size=need)]
-    batches = []
-    for b in range(n_batches):
-        sl = slice(b * half, (b + 1) * half)
-        edge_half = minor_stream[sl] if minority_is_edge else major_stream[sl]
-        flat_half = major_stream[sl] if minority_is_edge else minor_stream[sl]
-        batches.append(np.concatenate([edge_half, flat_half]))
-    return batches
+    edge, flat = (minor_stream, major_stream) if minority_is_edge else (major_stream, minor_stream)
+    return list(np.concatenate([edge.reshape(n_batches, half), flat.reshape(n_batches, half)], axis=1))
 
 
 def _batch_step(train: PatchSet, idx: np.ndarray, state: TrainState, cfg: TrainConfig) -> float:
@@ -406,16 +387,13 @@ def write_log(log: list[dict], path) -> None:
 
 
 _BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+_CASTS = {"int": int, "float": float, "str": str, "bool": lambda v: _BOOLS[v.lower()]}
 
 
 def parse_config(path) -> TrainConfig:
-    """Read a plain "key = value" config file into a TrainConfig."""
+    """Read a plain "key = value" config file into a TrainConfig, whose fields name the keys."""
     kwargs: dict = {}
-    casts = {
-        "k": int, "lr": float, "batch_size": int, "max_epochs": int, "seed": int,
-        "balance": str, "val_fraction": float, "patience": int,
-        "augment": lambda v: _BOOLS[v.lower()],
-    }
+    casts = {f.name: _CASTS[f.type] for f in fields(TrainConfig)}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()

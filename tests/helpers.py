@@ -335,7 +335,7 @@ def oracle_extract_patches(cloud, index, targets, k, query=oracle_query_many):
         bad = int(targets[np.nonzero(cdist[:, 0] == 0.0)[0][0]])
         raise DuplicatePoint(f"cloud contains a duplicate of point {bad}")
 
-    axes = _min_axes(cloud.points[cand])
+    axes = _min_axes(cloud.points[cand], targets)
     off_all = np.abs(np.einsum("bkd,bd->bk", dvecs_all, axes))
 
     sel = _argsort_rows(off_all, cdist, cand)[:, :k]
@@ -442,6 +442,36 @@ def oracle_derived_dataset(cloud, cfg):
                         np.tile(base.origin, copies))
 
     return tuple(materialise(base) for base in oracle_build_dataset(cloud, replace(cfg, augment=False)))
+
+
+# Frozen oracle for the balanced mini-batch plan: trainer._batch_plan's
+# "balanced-batches" branch as it was written with a growing list of
+# majority permutations and a per-batch loop, so the vectorised plan can be
+# checked batch for batch, and for the generator state it leaves, against it.
+
+def oracle_batch_plan(train, cfg, rng):
+    """Balanced batches: each half of one class, majority without and minority with replacement."""
+    n = train.n
+    bz = cfg.batch_size
+    half = bz // 2
+    n_batches = max(1, -(-n // bz))
+    edge_pool = np.nonzero(train.labels == 1)[0]
+    flat_pool = np.nonzero(train.labels == 0)[0]
+    minority_is_edge = edge_pool.size <= flat_pool.size
+    minority, majority = (edge_pool, flat_pool) if minority_is_edge else (flat_pool, edge_pool)
+    need = n_batches * half
+    stream = []
+    while sum(len(s) for s in stream) < need:
+        stream.append(majority[rng.permutation(majority.size)])
+    major_stream = np.concatenate(stream)[:need]
+    minor_stream = minority[rng.integers(0, minority.size, size=need)]
+    batches = []
+    for b in range(n_batches):
+        sl = slice(b * half, (b + 1) * half)
+        edge_half = minor_stream[sl] if minority_is_edge else major_stream[sl]
+        flat_half = major_stream[sl] if minority_is_edge else minor_stream[sl]
+        batches.append(np.concatenate([edge_half, flat_half]))
+    return batches
 
 
 # Frozen oracle for the RBF descriptor block: the per-layer _rbf_group_fwd and

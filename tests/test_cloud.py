@@ -2,6 +2,7 @@
 
 import functools
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -361,6 +362,29 @@ class TestExtractPatch:
         with pytest.raises(InvalidInput):
             extract_patch(cloud, build_index(cloud), 0, 7)
 
+    @pytest.mark.parametrize("targets", [np.int64(5), np.arange(4).reshape(2, 2)], ids=["0d", "2d"])
+    def test_targets_not_1d_rejected(self, targets):
+        cloud = PointCloud(np.random.default_rng(0).random((100, 3)))
+        want = f"targets must be a 1-d index array, got shape {targets.shape}"
+        with pytest.raises(InvalidInput, match=f"^{re.escape(want)}$"):
+            extract_patches(cloud, build_index(cloud), targets, 8)
+
+    @pytest.mark.parametrize("block", [7, pytest.param(None, id="default")])
+    def test_degenerate_neighborhood_names_the_point(self, monkeypatch, block):
+        # 40 copies of (10, 10, 10) are the 32 candidates of the one point
+        # near them, so its PCA axis is undefined. Alone or 21st in a run of
+        # 7-row blocks, the message names the point, not its row.
+        if block is not None:
+            monkeypatch.setattr(pcedge.cloud, "_QUERY_BLOCK", block)
+        rng = np.random.default_rng(0)
+        pts = np.vstack([rng.random((400, 3)), np.tile([10.0, 10.0, 10.0], (40, 1)), [[10.5, 10.0, 10.0]]])
+        cloud = PointCloud(pts)
+        index = build_index(cloud)
+        for targets in (np.array([440]), np.r_[np.arange(20), 440]):
+            with pytest.raises(DegenerateNeighborhood,
+                               match=r"^neighborhood of target 440 has coincident points$"):
+                extract_patches(cloud, index, targets, 16)
+
     def test_concurrent_extraction_matches_sequential(self):
         rng = np.random.default_rng(4)
         cloud = PointCloud(rng.random((400, 3)))
@@ -667,6 +691,16 @@ class TestQueryBlocks:
                       PointCloud(np.vstack([dup, dup[:40]]))):
             assert mean_neighbor_distance(cloud, 16) == oracle_mean_neighbor_distance(cloud, 16)
 
+    def test_extraction_memory_budget(self):
+        # Extraction temporaries cost about 2.7 kB per target at k=16: about
+        # 190 MiB for these 74,443 points at once, about 3 MiB for one block.
+        cloud = union_boxes(16000.0).cloud
+        index = build_index(cloud)
+        result, peak = peak_traced(lambda: extract_patches(cloud, index, np.arange(cloud.n), 16))
+        returned = sum(a.nbytes for a in result)
+        assert returned == cloud.n * (16 * 24 + 16 * 8 + 24 + 8 + 16 * 8)
+        assert peak - returned < 8 << 20, f"{(peak - returned) / 2**20:.1f} MiB"
+
     @pytest.mark.parametrize("density", [4000.0, 16000.0])
     def test_noise_scale_memory_budget(self, density):
         # The whole (N, 16, 3) difference array and its temporaries held
@@ -705,6 +739,15 @@ class TestExtractionParity:
             self.assert_identical(make()[0], k)
         for gap in (0.05, 0.03):
             self.assert_identical(two_sheet_grid(gap, 0.02)[0], k)
+
+    def test_blocks_of_seven(self, monkeypatch):
+        # Every block boundary, a partial last block, and the lattice's
+        # ball-search rows spread over many blocks.
+        monkeypatch.setattr(pcedge.cloud, "_QUERY_BLOCK", 7)
+        self.assert_identical(lattice_cube()[0], 16)
+        g = np.arange(12) * 0.1
+        pts = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
+        self.assert_identical(PointCloud(pts), 32, query=full_scan_query_many)
 
     def test_exact_lattice_tie_path(self):
         # On an unjittered 0.1-spaced lattice, distance ties at the cut send

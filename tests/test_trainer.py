@@ -13,10 +13,18 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import oracle_adam_step, oracle_build_dataset, oracle_derived_dataset, peak_traced
+from helpers import (
+    oracle_adam_step,
+    oracle_batch_plan,
+    oracle_build_dataset,
+    oracle_derived_dataset,
+    peak_traced,
+)
+import pcedge.cloud
 from pcedge import net, trainer
 from pcedge.cloud import PointCloud, augment_rotations
 from pcedge.errors import (
+    DegenerateNeighborhood,
     InsufficientNeighborhood,
     InvalidInput,
     ModelShapeError,
@@ -46,7 +54,7 @@ def small_cloud():
 
 @pytest.fixture(scope="module")
 def midsize_cloud():
-    """9,283 labeled points: the train split spans three default chunks."""
+    """9,283 labeled points: the train split spans nine extraction blocks, the last one partial."""
     return generate(ShapeSpec("union_boxes", density=2000, seed=7)).cloud
 
 
@@ -193,34 +201,32 @@ class TestBuildDataset:
     @pytest.mark.parametrize("augment", [True, False])
     @pytest.mark.parametrize("which", ["small", "tiny", "jittered"])
     def test_matches_frozen_oracle(self, small_cloud, monkeypatch, which, augment, k):
-        # Chunks of 7 rows: the small cloud's 1,354 train and 150 validation
-        # points both end in a partial chunk; the tiny cloud's 5 validation
-        # points fit in less than one. The tiny cloud's points are uniform
-        # random, so it has no plane ties either.
-        monkeypatch.setattr(trainer, "_EXTRACT_CHUNK", 7)
+        # Extraction blocks of 7 rows: the small cloud's 1,354 train and 150
+        # validation points both end in a partial block; the tiny cloud's 5
+        # validation points fit in less than one. The tiny cloud's points are
+        # uniform random, so it has no plane ties either.
+        monkeypatch.setattr(pcedge.cloud, "_QUERY_BLOCK", 7)
         cloud = {"small": small_cloud, "tiny": tiny_cloud(), "jittered": jittered_cloud(small_cloud)}[which]
         cfg = TrainConfig(k=k, seed=5, augment=augment)
         got = build_dataset(cloud, cfg)
         assert got[1].n // (7 if augment else 1) == (5 if which == "tiny" else 150)
         assert_derived_sets(got, cloud, cfg, jittered=which != "small")
 
-    def test_matches_frozen_oracle_default_chunk(self, midsize_cloud):
+    def test_matches_frozen_oracle_default_block(self, midsize_cloud):
         cfg = TrainConfig(k=16, seed=11)
         got = build_dataset(midsize_cloud, cfg)
-        assert got[0].scales.shape[0] > 2 * trainer._EXTRACT_CHUNK
+        assert got[0].scales.shape[0] > 2 * pcedge.cloud._QUERY_BLOCK
         assert_derived_sets(got, midsize_cloud, cfg, jittered=False)
 
-    def test_peak_memory_is_result_plus_one_chunk(self, midsize_cloud):
-        # Extraction temporaries cost about 3 kB per row at k=16: one
-        # 4,096-row chunk takes about 12 MiB. The returned sets store one
-        # copy's features, 520 B per point, and a label and an origin per
-        # (copy, point) row. Holding all seven copies' features, as an
-        # extraction of each rotated copy does, takes 33.2 MiB here, and the
-        # peak 48.6 MiB; storing one copy peaks at 18.9 MiB.
+    def test_peak_memory_is_result_plus_one_block(self, midsize_cloud):
+        # Extraction temporaries cost about 2.7 kB per row at k=16, about
+        # 3 MiB for one 1,024-row block. The returned sets store one copy's
+        # features, 520 B per point, and a label and an origin per
+        # (copy, point) row.
         sets, peak = peak_traced(lambda: build_dataset(midsize_cloud, TrainConfig(k=16, seed=11)))
         returned = sum(getattr(s, field).nbytes for s in sets for field in PATCH_FIELDS)
         assert returned == midsize_cloud.n * (520 + 7 * 16) == 5_866_856
-        assert peak - returned < 16 << 20
+        assert peak - returned < 8 << 20
         assert peak < 24 << 20
 
 
@@ -349,6 +355,26 @@ class TestBatchPlan:
         batches = _batch_plan(train_set, cfg, np.random.default_rng(1))
         seen = np.concatenate(batches)
         assert sorted(seen.tolist()) == list(range(100))
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(2, 700), edge_share=st.floats(0.0, 1.0), half=st.integers(1, 160),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n=2, edge_share=0.5, half=1, seed=0)      # one edge, one flat point
+    @example(n=300, edge_share=0.5, half=150, seed=3)  # equal classes: edges are the minority
+    @example(n=20, edge_share=0.9, half=160, seed=4)   # majority smaller than one half batch
+    def test_balanced_plan_matches_frozen_oracle(self, n, edge_share, half, seed):
+        # Same batches, and the generator left in the same state.
+        n_edge = min(max(1, round(edge_share * n)), n - 1)
+        labels = np.random.default_rng(seed).permutation(np.r_[np.ones(n_edge, int), np.zeros(n - n_edge, int)])
+        train_set = self._patchset(labels, np.random.default_rng(0))
+        cfg = TrainConfig(k=8, batch_size=2 * half)
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _batch_plan(train_set, cfg, got_rng)
+        want = oracle_batch_plan(train_set, cfg, want_rng)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 class TestTrain:
@@ -511,6 +537,16 @@ class TestPredict:
         with pytest.raises(InsufficientNeighborhood):
             predict(cloud, params)
 
+    def test_degenerate_neighborhood_names_the_point(self):
+        # Point 300 sits in the second 256-row window, 45th row; its 32
+        # candidates are 40 copies of (10, 10, 10), which come later.
+        rng = np.random.default_rng(0)
+        pts = np.vstack([rng.random((300, 3)), [[10.5, 10.0, 10.0]], rng.random((299, 3)),
+                         np.tile([10.0, 10.0, 10.0], (40, 1))])
+        with pytest.raises(DegenerateNeighborhood,
+                           match=r"^neighborhood of target 300 has coincident points$"):
+            predict(PointCloud(pts), net.init_params(16))
+
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc allocator thresholds")
     def test_windows_reuse_freed_heap(self):
         # A fresh process: in this one, earlier tests have already set or
@@ -552,8 +588,20 @@ class TestConfigFile:
     def test_unknown_key(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text("momentum = 0.9\n")
-        with pytest.raises(InvalidInput):
+        with pytest.raises(InvalidInput, match=rf"^{path}:1: unknown config key 'momentum'$"):
             parse_config(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("k = 8\nlr 0.1\n", ":2: expected 'key = value'"),
+        ("k = eight\n", ":1: bad value for k: invalid literal for int() with base 10: 'eight'"),
+        ("val_fraction = a tenth\n", ":1: bad value for val_fraction: could not convert string to float: 'a tenth'"),
+    ])
+    def test_malformed_lines_rejected(self, tmp_path, text, message):
+        path = tmp_path / "cfg.txt"
+        path.write_text(text)
+        with pytest.raises(InvalidInput) as exc:
+            parse_config(path)
+        assert str(exc.value) == f"{path}{message}"
 
     def test_invalid_values_rejected(self, tmp_path):
         path = tmp_path / "cfg.txt"
