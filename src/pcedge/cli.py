@@ -167,7 +167,7 @@ def _cmd_info(args) -> int:
     params = net.load_checkpoint(args.checkpoint)
     print(f"checkpoint: {args.checkpoint}")
     print(f"k: {params.k}")
-    print(f"heads: {params.heads}")
+    print(f"heads: {net.HEADS}")
     print(f"tensors: {len(params.tensors)}")
     for name, t in params.tensors.items():
         print(f"  {name}  {'x'.join(map(str, t.shape))}")

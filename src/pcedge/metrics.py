@@ -116,12 +116,12 @@ def _chamfer(d_pred_gt: np.ndarray, d_gt_pred: np.ndarray) -> float:
     return float(d_pred_gt.mean() + d_gt_pred.mean())
 
 
-def match_counts(pred_pts: np.ndarray, gt_pts: np.ndarray, radius: float = MATCH_RADIUS):
+def match_counts(pred_pts: np.ndarray, gt_pts: np.ndarray):
     """Coverage matching: (tp, fp, fn) with a strict distance threshold.
 
     A predicted point is a TP when some ground-truth point lies strictly
-    within the radius; a ground-truth point with no predicted point within
-    the radius is an FN. No one-to-one assignment is attempted.
+    within MATCH_RADIUS; a ground-truth point with no predicted point within
+    MATCH_RADIUS is an FN. No one-to-one assignment is attempted.
     """
     pred_pts = np.asarray(pred_pts, dtype=np.float64).reshape(-1, 3)
     gt_pts = np.asarray(gt_pts, dtype=np.float64).reshape(-1, 3)
@@ -129,13 +129,12 @@ def match_counts(pred_pts: np.ndarray, gt_pts: np.ndarray, radius: float = MATCH
         return 0, 0, gt_pts.shape[0]
     if gt_pts.shape[0] == 0:
         return 0, pred_pts.shape[0], 0
-    return _match_counts(_nearest_distances(pred_pts, gt_pts), _nearest_distances(gt_pts, pred_pts),
-                         radius)
+    return _match_counts(_nearest_distances(pred_pts, gt_pts), _nearest_distances(gt_pts, pred_pts))
 
 
-def _match_counts(d_pred_gt: np.ndarray, d_gt_pred: np.ndarray, radius: float):
-    tp = int(np.sum(d_pred_gt < radius))
-    fn = int(np.sum(d_gt_pred >= radius))
+def _match_counts(d_pred_gt: np.ndarray, d_gt_pred: np.ndarray):
+    tp = int(np.sum(d_pred_gt < MATCH_RADIUS))
+    fn = int(np.sum(d_gt_pred >= MATCH_RADIUS))
     return tp, d_pred_gt.shape[0] - tp, fn
 
 
@@ -155,6 +154,6 @@ def evaluate(pred_cloud: PointCloud, gt_cloud: PointCloud) -> EvalReport:
     d_pred_gt = _nearest_distances(pred_n, gt_n)
     d_gt_pred = _nearest_distances(gt_n, pred_n)
     cd = _chamfer(d_pred_gt, d_gt_pred)
-    tp, fp, fn = _match_counts(d_pred_gt, d_gt_pred, MATCH_RADIUS)
+    tp, fp, fn = _match_counts(d_pred_gt, d_gt_pred)
     return EvalReport(cd=cd, tp=tp, fp=fp, fn=fn,
                       n_pred=int(pred_edges.shape[0]), n_gt=int(gt_edges.shape[0]))

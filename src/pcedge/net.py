@@ -25,6 +25,7 @@ from .errors import (
 from .rbf import _basis_matrices
 
 WIDTH = 6            # feature columns per neighbor row
+HEADS = 2            # attention heads, each over WIDTH // HEADS columns
 FFN_HIDDEN = 24
 N_LAYERS = 4
 DEC_DIMS = (256, 64, 32, 1)
@@ -36,14 +37,13 @@ CHECKPOINT_VERSION = 1
 @dataclass
 class ModelParameters:
     """All learnable tensors, copied into one new float64 vector `flat` in sorted-name
-    (checkpoint) order with `tensors[name]` a view into it, plus the k/heads hyperparameters."""
+    (checkpoint) order with `tensors[name]` a view into it, plus the k hyperparameter."""
 
     k: int
-    heads: int
     tensors: dict[str, np.ndarray] = field(repr=False)
 
     def __post_init__(self):
-        self._shapes = dict(sorted(expected_shapes(self.k, self.heads).items()))
+        self._shapes = dict(sorted(expected_shapes(self.k).items()))
         self.flat = self.pack(self.tensors)
         self.tensors = self.unpack(self.flat)
 
@@ -71,7 +71,7 @@ class ModelParameters:
         return self.flat.size
 
     def copy(self) -> "ModelParameters":
-        return ModelParameters(self.k, self.heads, self.tensors)
+        return ModelParameters(self.k, self.tensors)
 
     def validate_finite(self) -> None:
         if not np.isfinite(self.flat).all():
@@ -79,12 +79,10 @@ class ModelParameters:
             raise NumericalError(f"tensor {name} contains non-finite values")
 
 
-def expected_shapes(k: int, heads: int) -> dict[str, tuple[int, ...]]:
+def expected_shapes(k: int) -> dict[str, tuple[int, ...]]:
     """Canonical tensor names and shapes for the architecture at a given k."""
     if k % 2 != 0 or k < 2:
         raise ModelShapeError(f"k must be even and >= 2, got {k}")
-    if heads < 1 or WIDTH % heads != 0:
-        raise ModelShapeError(f"heads must divide {WIDTH}, got {heads}")
     m = k // 2
     shapes: dict[str, tuple[int, ...]] = {}
     for g in ("first", "second"):
@@ -119,10 +117,10 @@ def expected_shapes(k: int, heads: int) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def init_params(k: int, heads: int = 2, seed: int = 0) -> ModelParameters:
+def init_params(k: int, seed: int = 0) -> ModelParameters:
     """Glorot-uniform weights, zero biases, unit layer-norm gains."""
     rng = np.random.default_rng(seed)
-    params = ModelParameters(k, heads, {n: np.zeros(s) for n, s in expected_shapes(k, heads).items()})
+    params = ModelParameters(k, {n: np.zeros(s) for n, s in expected_shapes(k).items()})
     for name, t in params.tensors.items():
         if name.endswith(".g"):
             t[...] = 1.0
@@ -258,25 +256,25 @@ def _softmax_cols(s):
     return s
 
 
-def _heads(x2, b, k, heads, parts):
-    """(b*k, parts*WIDTH) rows -> `parts` views of shape (b, heads, k, WIDTH/heads).
+def _heads(x2, b, k, parts):
+    """(b*k, parts*WIDTH) rows -> `parts` views of shape (b, HEADS, k, WIDTH/HEADS).
 
     The views share memory with x2; matmul reads and writes them in place.
     """
-    v = x2.reshape(b, k, parts, heads, WIDTH // heads)
+    v = x2.reshape(b, k, parts, HEADS, WIDTH // HEADS)
     return [v[:, :, j].transpose(0, 2, 1, 3) for j in range(parts)]
 
 
-def _scores_view(s, b, k, heads):
-    """(b, heads, k_i, k_j) view of a (k_j, b*heads*k_i) score array.
+def _scores_view(s, b, k):
+    """(b, HEADS, k_i, k_j) view of a (k_j, b*HEADS*k_i) score array.
 
     Row j of the array holds the scores of key j for every (patch, head,
     query i), which is the layout _softmax_cols wants.
     """
-    return s.reshape(k, b, heads, k).transpose(1, 2, 3, 0)
+    return s.reshape(k, b, HEADS, k).transpose(1, 2, 3, 0)
 
 
-def _attention_fwd(xhat, b, k, p, i, heads):
+def _attention_fwd(xhat, b, k, p, i):
     """Multi-head self-attention of encoder layer i over the k neighbor rows
     (no masking), reading the rows xhat that _norm_fwd normalised.
 
@@ -287,17 +285,17 @@ def _attention_fwd(xhat, b, k, p, i, heads):
     in by _folded_fwd.
     """
     pre = f"enc.{i}.attn"
-    alpha = 1.0 / np.sqrt(WIDTH // heads)
+    alpha = 1.0 / np.sqrt(WIDTH // HEADS)
     w = np.concatenate([p[f"{pre}.wq"] * alpha, p[f"{pre}.wk"], p[f"{pre}.wv"]], axis=1)
     bias = np.concatenate([p[f"{pre}.bq"] * alpha, p[f"{pre}.bk"], p[f"{pre}.bv"]])
     qkv, cqkv = _folded_fwd(xhat, p[f"enc.{i}.ln1.g"], p[f"enc.{i}.ln1.b"], w, bias)
-    q, kx, v = _heads(qkv, b, k, heads, 3)
-    attn_cols = np.empty((k, b * heads * k))
-    attn = _scores_view(attn_cols, b, k, heads)
+    q, kx, v = _heads(qkv, b, k, 3)
+    attn_cols = np.empty((k, b * HEADS * k))
+    attn = _scores_view(attn_cols, b, k)
     np.matmul(q, kx.transpose(0, 1, 3, 2), out=attn)
     _softmax_cols(attn_cols)
     ctx = np.empty((b * k, WIDTH))
-    (ctx_h,) = _heads(ctx, b, k, heads, 1)
+    (ctx_h,) = _heads(ctx, b, k, 1)
     np.matmul(attn, v, out=ctx_h)
     out, co = _linear_fwd(ctx, p[f"{pre}.wo"], p[f"{pre}.bo"])
     return out, (cqkv, co, q, kx, v, attn_cols, alpha)
@@ -307,15 +305,14 @@ def _attention_bwd(dout, b, k, cache, grads, i):
     """dxhat of _attention_fwd; fills the gradients of enc.{i}.attn.* and enc.{i}.ln1.*."""
     cqkv, co, q, kx, v, attn_cols, alpha = cache
     pre = f"enc.{i}.attn"
-    heads = q.shape[1]
-    attn = _scores_view(attn_cols, b, k, heads)
+    attn = _scores_view(attn_cols, b, k)
     dctx, grads[f"{pre}.wo"], grads[f"{pre}.bo"] = _linear_bwd(dout, co)
-    (dctx,) = _heads(dctx, b, k, heads, 1)
+    (dctx,) = _heads(dctx, b, k, 1)
     dqkv = np.empty((b * k, 3 * WIDTH))
-    dq, dk, dv = _heads(dqkv, b, k, heads, 3)
+    dq, dk, dv = _heads(dqkv, b, k, 3)
     np.matmul(attn.transpose(0, 1, 3, 2), dctx, out=dv)
     ds_cols = np.empty_like(attn_cols)
-    ds = _scores_view(ds_cols, b, k, heads)
+    ds = _scores_view(ds_cols, b, k)
     np.matmul(dctx, v.transpose(0, 1, 3, 2), out=ds)
     # Softmax backward: ds = p * (dp - sum_j dp * p), summed along axis 0.
     ds_cols -= np.ones(k) @ (ds_cols * attn_cols)
@@ -378,11 +375,11 @@ def _rbf_group_bwd(df_euc, df_cos, cache, grads, group):
     grads[f"{pre}.cos_fc.w"], grads[f"{pre}.cos_fc.b"] = pg[m:] @ w0[fc:].T, w0[fc:] @ s
 
 
-def _encoder_layer_fwd(x2, b, k, p, i, heads):
+def _encoder_layer_fwd(x2, b, k, p, i):
     """One pre-layer-norm encoder layer on flat (b*k, WIDTH) rows. ln1's gain
     and bias are folded into the q/k/v projection and ln2's into ffn.w1."""
     a, inv1 = _norm_fwd(x2)
-    x1, ca = _attention_fwd(a, b, k, p, i, heads)
+    x1, ca = _attention_fwd(a, b, k, p, i)
     x1 += x2
     h, inv2 = _norm_fwd(x1)
     z, cf1 = _folded_fwd(h, p[f"enc.{i}.ln2.g"], p[f"enc.{i}.ln2.b"],
@@ -464,7 +461,7 @@ def forward_batch(dvecs: np.ndarray, offsets: np.ndarray, scales: np.ndarray,
     x = feats.reshape(b * k, WIDTH)
     enc_caches = []
     for i in range(N_LAYERS):
-        x, c = _encoder_layer_fwd(x, b, k, p, i, params.heads)
+        x, c = _encoder_layer_fwd(x, b, k, p, i)
         if need_cache:
             enc_caches.append(c)
         del c
@@ -517,7 +514,7 @@ def forward(patch: SurfacePatch, params: ModelParameters) -> float:
 def save_checkpoint(params: ModelParameters, path) -> None:
     """Binary checkpoint: OSFE magic, header, named float32 tensors, CRC32."""
     body = bytearray(CHECKPOINT_MAGIC)
-    body += struct.pack("<IHHI", CHECKPOINT_VERSION, params.k, params.heads, len(params.tensors))
+    body += struct.pack("<IHHI", CHECKPOINT_VERSION, params.k, HEADS, len(params.tensors))
     for name, t in params.tensors.items():
         encoded = name.encode("utf-8")
         body += struct.pack("<H", len(encoded)) + encoded
@@ -543,6 +540,8 @@ def load_checkpoint(path) -> ModelParameters:
     version, k, heads, count = struct.unpack("<IHHI", raw[4:16])
     if version != CHECKPOINT_VERSION:
         raise CorruptCheckpoint(f"{path}: unsupported version {version}")
+    if heads != HEADS:
+        raise CorruptCheckpoint(f"{path}: unsupported heads {heads}, expected {HEADS}")
     pos = 16
     tensors: dict[str, np.ndarray] = {}
     try:
@@ -564,6 +563,6 @@ def load_checkpoint(path) -> ModelParameters:
     if pos != len(raw) - 4:
         raise CorruptCheckpoint(f"{path}: trailing bytes after tensor table")
     try:
-        return ModelParameters(k, heads, tensors)
+        return ModelParameters(k, tensors)
     except ModelShapeError as exc:
         raise CorruptCheckpoint(f"{path}: {exc}") from exc

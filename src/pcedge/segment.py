@@ -59,13 +59,11 @@ def _interior_graph(neighbors: np.ndarray, is_edge: np.ndarray) -> csr_array:
     return csr_array((np.ones(int(indptr[-1])), neighbors[keep], indptr), shape=(n, n))
 
 
-def flood_segment(cloud: PointCloud, k: int = 5, attach_edges: bool = False) -> SegmentationResult:
+def flood_segment(cloud: PointCloud, k: int = 5) -> SegmentationResult:
     """Partition non-edge points into segments bounded by edge points.
 
     Segments are numbered in ascending order of their lowest member
-    index, which makes the ids deterministic. With attach_edges=True every
-    edge point is afterwards assigned the segment of its nearest non-edge
-    point.
+    index, which makes the ids deterministic. Edge points keep id -1.
     """
     if cloud.labels is None:
         raise InvalidInput("flood_segment requires edge labels")
@@ -81,9 +79,4 @@ def flood_segment(cloud: PointCloud, k: int = 5, attach_edges: bool = False) -> 
     ids[interior] = rank[inverse]
     count = int(first.size)
     sizes = np.bincount(ids[interior], minlength=count).tolist()
-
-    if attach_edges and count > 0 and is_edge.any():
-        index = build_index(PointCloud(cloud.points[interior]))
-        nearest = index.query_many(cloud.points[is_edge], 1)[:, 0]
-        ids[np.nonzero(is_edge)[0]] = ids[interior[nearest]]
     return SegmentationResult(segment_ids=ids, count=count, sizes=sizes)

@@ -21,17 +21,6 @@ from .io import write_rows
 # The most points generate will sample; a denser spec is rejected before sampling.
 MAX_POINTS = 100_000_000
 
-SHAPE_KINDS = ("box", "cylinder", "sphere", "prism", "l_bracket", "union_boxes")
-
-_DEFAULT_SIZES = {
-    "box": (1.0, 1.0, 1.0),
-    "cylinder": (0.5, 1.2),
-    "sphere": (0.6,),
-    "prism": (1.0, 1.0),
-    "l_bracket": (1.0, 1.0, 0.4, 0.6),
-    "union_boxes": (1.0, 0.75, 0.55, 0.85, 0.6, 0.5, 0.45, 0.3, 0.18),
-}
-
 
 @dataclass(frozen=True)
 class EdgeSegment:
@@ -62,11 +51,10 @@ class ShapeSpec:
             raise InvalidInput(f"unknown shape kind {self.kind!r}, choose from {SHAPE_KINDS}")
         if not 0 < self.density < math.inf:
             raise InvalidInput(f"density must be positive and finite, got {self.density}")
-        size = tuple(float(v) for v in (self.size or _DEFAULT_SIZES[self.kind]))
-        if len(size) != len(_DEFAULT_SIZES[self.kind]):
-            raise InvalidInput(
-                f"{self.kind} takes {len(_DEFAULT_SIZES[self.kind])} size parameters, got {len(size)}"
-            )
+        default_size = _SHAPES[self.kind][1]
+        size = tuple(float(v) for v in (self.size or default_size))
+        if len(size) != len(default_size):
+            raise InvalidInput(f"{self.kind} takes {len(default_size)} size parameters, got {len(size)}")
         if not all(0 < v < math.inf for v in size):
             raise InvalidInput(f"size parameters must be positive and finite, got {size}")
         object.__setattr__(self, "size", size)
@@ -380,14 +368,16 @@ def _build_union_boxes(size):
     return faces, curves
 
 
-_BUILDERS = {
-    "box": _build_box,
-    "cylinder": _build_cylinder,
-    "sphere": _build_sphere,
-    "prism": _build_prism,
-    "l_bracket": _build_l_bracket,
-    "union_boxes": _build_union_boxes,
+# Each shape kind's builder, size -> (faces, curves), and its default size.
+_SHAPES = {
+    "box": (_build_box, (1.0, 1.0, 1.0)),
+    "cylinder": (_build_cylinder, (0.5, 1.2)),
+    "sphere": (_build_sphere, (0.6,)),
+    "prism": (_build_prism, (1.0, 1.0)),
+    "l_bracket": (_build_l_bracket, (1.0, 1.0, 0.4, 0.6)),
+    "union_boxes": (_build_union_boxes, (1.0, 0.75, 0.55, 0.85, 0.6, 0.5, 0.45, 0.3, 0.18)),
 }
+SHAPE_KINDS = tuple(_SHAPES)
 
 
 def generate(spec: ShapeSpec) -> SynthResult:
@@ -398,7 +388,7 @@ def generate(spec: ShapeSpec) -> SynthResult:
     before any face is sampled. Labels are edge iff the exact distance to the
     crease curves is below tau.
     """
-    faces, curves = _BUILDERS[spec.kind](spec.size)
+    faces, curves = _SHAPES[spec.kind][0](spec.size)
     counts = [int(round(spec.density * face.area)) for face in faces]
     if sum(counts) > MAX_POINTS:
         raise InvalidInput(

@@ -26,7 +26,6 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 PROB_CLAMP = 1e-7
-BALANCE_MODES = ("none", "balanced-batches")
 
 # glibc mallopt parameters, and the thresholds its dynamic rule settles on
 # for 64-bit once a large block has been freed.
@@ -70,7 +69,6 @@ class TrainConfig:
     batch_size: int = 256
     max_epochs: int = 200
     seed: int = 0
-    balance: str = "balanced-batches"
     val_fraction: float = 0.1
     patience: int = 20
     augment: bool = True
@@ -88,8 +86,6 @@ class TrainConfig:
             raise InvalidInput(f"seed must be a nonnegative integer, got {self.seed!r}")
         if self.max_epochs < 1 or self.patience < 1:
             raise InvalidInput("max_epochs and patience must be >= 1")
-        if self.balance not in BALANCE_MODES:
-            raise InvalidInput(f"balance must be one of {BALANCE_MODES}, got {self.balance!r}")
 
 
 # Every matrix in _ROTATIONS_90 is a signed permutation, so column i of a
@@ -255,14 +251,9 @@ def _window_probs(n: int, patches_of, params: net.ModelParameters, threads: int)
 
 
 def _batch_plan(train: PatchSet, cfg: TrainConfig, rng: np.random.Generator):
-    """Index arrays of the epoch's mini-batches, per the balancing mode."""
-    n = train.n
-    bz = cfg.batch_size
-    if cfg.balance == "none":
-        perm = rng.permutation(n)
-        return [perm[lo:lo + bz] for lo in range(0, n, bz)]
-    half = bz // 2
-    n_batches = max(1, -(-n // bz))
+    """Index arrays of the epoch's class-balanced mini-batches: half edge rows, half flat rows."""
+    half = cfg.batch_size // 2
+    n_batches = max(1, -(-train.n // cfg.batch_size))
     edge_pool = np.nonzero(train.labels == 1)[0]
     flat_pool = np.nonzero(train.labels == 0)[0]
     minority_is_edge = edge_pool.size <= flat_pool.size
@@ -387,7 +378,7 @@ def write_log(log: list[dict], path) -> None:
 
 
 _BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
-_CASTS = {"int": int, "float": float, "str": str, "bool": lambda v: _BOOLS[v.lower()]}
+_CASTS = {"int": int, "float": float, "bool": lambda v: _BOOLS[v.lower()]}
 
 
 def parse_config(path) -> TrainConfig:

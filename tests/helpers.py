@@ -44,7 +44,7 @@ def reference_forward(dvecs, offsets, scale, params):
     p = params.tensors
     k = params.k
     m = k // 2
-    heads = params.heads
+    heads = net.HEADS
     dh = 6 // heads
 
     f_euc = np.zeros(k)
@@ -141,7 +141,7 @@ def patch_features(patch, params):
 def encode(x, params):
     """The encoder layers on one (rows, 6) map."""
     for i in range(net.N_LAYERS):
-        x, _ = net._encoder_layer_fwd(x, 1, x.shape[0], params.tensors, i, params.heads)
+        x, _ = net._encoder_layer_fwd(x, 1, x.shape[0], params.tensors, i)
     return x
 
 
@@ -444,8 +444,8 @@ def oracle_derived_dataset(cloud, cfg):
     return tuple(materialise(base) for base in oracle_build_dataset(cloud, replace(cfg, augment=False)))
 
 
-# Frozen oracle for the balanced mini-batch plan: trainer._batch_plan's
-# "balanced-batches" branch as it was written with a growing list of
+# Frozen oracle for the balanced mini-batch plan: trainer._batch_plan
+# as it was written with a growing list of
 # majority permutations and a per-batch loop, so the vectorised plan can be
 # checked batch for batch, and for the generator state it leaves, against it.
 
@@ -502,8 +502,8 @@ def oracle_rbf_group_bwd(df_euc, df_cos, cache, grads, group):
 # _attention_fwd/_attention_bwd and _encoder_layer_fwd/_encoder_layer_bwd
 # that applied each layer norm's gain and bias as their own passes, before
 # pcedge.net folded them into the projection after the norm, unchanged apart
-# from the net. prefixes and the oracle_ names, so the folded layer can be
-# checked against the composition it computes.
+# from the net. prefixes, the oracle_ names and the fixed net.HEADS, so the
+# folded layer can be checked against the composition it computes.
 
 def oracle_layernorm_fwd(x, g, b):
     xhat = x @ net._CENTER
@@ -525,19 +525,19 @@ def oracle_layernorm_bwd(dout, cache):
     return dx, dg, db
 
 
-def oracle_attention_fwd(x2, b, k, p, prefix, heads):
+def oracle_attention_fwd(x2, b, k, p, prefix):
     WIDTH = net.WIDTH
-    alpha = 1.0 / np.sqrt(WIDTH // heads)
+    alpha = 1.0 / np.sqrt(WIDTH // net.HEADS)
     w = np.concatenate([p[f"{prefix}.wq"] * alpha, p[f"{prefix}.wk"], p[f"{prefix}.wv"]], axis=1)
     bias = np.concatenate([p[f"{prefix}.bq"] * alpha, p[f"{prefix}.bk"], p[f"{prefix}.bv"]])
     qkv, cqkv = net._linear_fwd(x2, w, bias)
-    q, kx, v = net._heads(qkv, b, k, heads, 3)
-    attn_cols = np.empty((k, b * heads * k))
-    attn = net._scores_view(attn_cols, b, k, heads)
+    q, kx, v = net._heads(qkv, b, k, 3)
+    attn_cols = np.empty((k, b * net.HEADS * k))
+    attn = net._scores_view(attn_cols, b, k)
     np.matmul(q, kx.transpose(0, 1, 3, 2), out=attn)
     net._softmax_cols(attn_cols)
     ctx = np.empty((b * k, WIDTH))
-    (ctx_h,) = net._heads(ctx, b, k, heads, 1)
+    (ctx_h,) = net._heads(ctx, b, k, 1)
     np.matmul(attn, v, out=ctx_h)
     out, co = net._linear_fwd(ctx, p[f"{prefix}.wo"], p[f"{prefix}.bo"])
     return out, (cqkv, co, q, kx, v, attn_cols, alpha)
@@ -546,15 +546,14 @@ def oracle_attention_fwd(x2, b, k, p, prefix, heads):
 def oracle_attention_bwd(dout, b, k, cache, grads, prefix):
     WIDTH = net.WIDTH
     cqkv, co, q, kx, v, attn_cols, alpha = cache
-    heads = q.shape[1]
-    attn = net._scores_view(attn_cols, b, k, heads)
+    attn = net._scores_view(attn_cols, b, k)
     dctx, grads[f"{prefix}.wo"], grads[f"{prefix}.bo"] = net._linear_bwd(dout, co)
-    (dctx,) = net._heads(dctx, b, k, heads, 1)
+    (dctx,) = net._heads(dctx, b, k, 1)
     dqkv = np.empty((b * k, 3 * WIDTH))
-    dq, dk, dv = net._heads(dqkv, b, k, heads, 3)
+    dq, dk, dv = net._heads(dqkv, b, k, 3)
     np.matmul(attn.transpose(0, 1, 3, 2), dctx, out=dv)
     ds_cols = np.empty_like(attn_cols)
-    ds = net._scores_view(ds_cols, b, k, heads)
+    ds = net._scores_view(ds_cols, b, k)
     np.matmul(dctx, v.transpose(0, 1, 3, 2), out=ds)
     ds_cols -= np.ones(k) @ (ds_cols * attn_cols)
     ds_cols *= attn_cols
@@ -567,9 +566,9 @@ def oracle_attention_bwd(dout, b, k, cache, grads, prefix):
     return dx
 
 
-def oracle_encoder_layer_fwd(x2, b, k, p, i, heads):
+def oracle_encoder_layer_fwd(x2, b, k, p, i):
     a, cl1 = oracle_layernorm_fwd(x2, p[f"enc.{i}.ln1.g"], p[f"enc.{i}.ln1.b"])
-    x1, ca = oracle_attention_fwd(a, b, k, p, f"enc.{i}.attn", heads)
+    x1, ca = oracle_attention_fwd(a, b, k, p, f"enc.{i}.attn")
     x1 += x2
     h, cl2 = oracle_layernorm_fwd(x1, p[f"enc.{i}.ln2.g"], p[f"enc.{i}.ln2.b"])
     out, cf = net._mlp_fwd(h, p, net._layers(f"enc.{i}.ffn", (1, 2)))
@@ -706,11 +705,10 @@ def oracle_knn_graph(cloud, k=5):
     return [out_dst[bounds[i]:bounds[i + 1]] for i in range(cloud.n)]
 
 
-def oracle_flood_segment(cloud, k=5, attach_edges=False):
+def oracle_flood_segment(cloud, k=5):
     """flood_segment as a deque BFS from the lowest-index unvisited non-edge point."""
     from collections import deque
 
-    from pcedge.cloud import PointCloud, build_index
     from pcedge.segment import SegmentationResult
 
     adjacency = oracle_knn_graph(cloud, k)
@@ -735,11 +733,4 @@ def oracle_flood_segment(cloud, k=5, attach_edges=False):
                     queue.append(nb)
         sizes.append(size)
         count += 1
-
-    if attach_edges and count > 0 and is_edge.any():
-        interior = np.nonzero(~is_edge)[0]
-        if interior.size:
-            index = build_index(PointCloud(cloud.points[interior]))
-            nearest = index.query_many(cloud.points[is_edge], 1)[:, 0]
-            ids[np.nonzero(is_edge)[0]] = ids[interior[nearest]]
     return SegmentationResult(segment_ids=ids, count=count, sizes=sizes)

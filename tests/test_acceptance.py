@@ -79,28 +79,28 @@ def test_criterion_1_gradients():
         pa["enc.0.ln1.g"][:], pa["enc.0.ln1.b"][:] = g, b
         xa = rng.normal(size=(2 * 4, 6))
         proj_a = rng.normal(size=(2 * 4, 6))
-        _, cache = net._attention_fwd(xa, 2, 4, pa, 0, 2)
+        _, cache = net._attention_fwd(xa, 2, 4, pa, 0)
         grads = {}
         dxa = net._attention_bwd(proj_a, 2, 4, cache, grads, 0)
         tensors = {n: pa[n] for n in pa if n.startswith(("enc.0.attn.", "enc.0.ln1."))}
         tensors["x"] = xa
         grads["x"] = dxa
         w, c = fd_check_grads(
-            lambda: float((net._attention_fwd(xa, 2, 4, pa, 0, 2)[0] * proj_a).sum()),
+            lambda: float((net._attention_fwd(xa, 2, 4, pa, 0)[0] * proj_a).sum()),
             tensors, grads, rng=rng)
         worst, total = max(worst, w), total + c
 
         # full encoder layer (layer norms + attention + feed-forward)
         xe = rng.normal(size=(2 * 4, 6))
         proj_e = rng.normal(size=(2 * 4, 6))
-        _, cache = net._encoder_layer_fwd(xe, 2, 4, p, 2, 2)
+        _, cache = net._encoder_layer_fwd(xe, 2, 4, p, 2)
         grads = {}
         dxe = net._encoder_layer_bwd(proj_e, 2, 4, cache, grads, 2)
         tensors = {n: p[n] for n in p if n.startswith("enc.2.")}
         tensors["x"] = xe
         grads["x"] = dxe
         w, c = fd_check_grads(
-            lambda: float((net._encoder_layer_fwd(xe, 2, 4, p, 2, 2)[0] * proj_e).sum()),
+            lambda: float((net._encoder_layer_fwd(xe, 2, 4, p, 2)[0] * proj_e).sum()),
             tensors, grads, rng=rng)
         worst, total = max(worst, w), total + c
 

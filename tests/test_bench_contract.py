@@ -53,6 +53,14 @@ def test_backward_upstream_gradient_is_third_positional():
     assert params[2].kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
 
 
+def test_resaving_the_benchmark_checkpoint_reproduces_it(tmp_path):
+    # Pins the checkpoint format the committed file was written in.
+    committed = BENCH / "data" / "ref_k16_e5.ckpt"
+    resaved = tmp_path / "resaved.ckpt"
+    net.save_checkpoint(net.load_checkpoint(committed), resaved)
+    assert resaved.read_bytes() == committed.read_bytes()
+
+
 def test_validate_finite_exists():
     assert callable(net.ModelParameters.validate_finite)
     net.init_params(8, seed=0).validate_finite()

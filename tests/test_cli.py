@@ -1,8 +1,11 @@
 """Command-line surface: flags, exit codes, file outputs."""
 
 import os
+import re
+import struct
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +13,7 @@ import pytest
 
 from pcedge import net, trainer
 from pcedge.cli import main
+from pcedge.errors import CorruptCheckpoint
 from pcedge.io import load_cloud, save_cloud
 from pcedge.synth import ShapeSpec, generate
 
@@ -69,6 +73,19 @@ class TestDataErrors:
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(b"JUNKJUNKJUNKJUNKJUNKJUNK")
         assert main(["info", "--checkpoint", str(bad)]) == 2
+
+    def test_checkpoint_with_other_heads(self, checkpoint_file, tmp_path, capsys):
+        # Header bytes 10-11 hold the heads field. The CRC is recomputed, so
+        # only the heads check can refuse the file.
+        body = bytearray(checkpoint_file.read_bytes()[:-4])
+        body[10:12] = struct.pack("<H", 3)
+        bad = tmp_path / "heads3.ckpt"
+        bad.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(body)))
+        message = f"{bad}: unsupported heads 3, expected 2"
+        with pytest.raises(CorruptCheckpoint, match=f"^{re.escape(message)}$"):
+            net.load_checkpoint(bad)
+        assert main(["info", "--checkpoint", str(bad)]) == 2
+        assert capsys.readouterr().err == f"pcedge info: {message}\n"
 
     def test_eval_empty_edges(self, tmp_path):
         rng = np.random.default_rng(0)

@@ -31,11 +31,11 @@ from pcedge.rbf import _basis_matrices
 from pcedge.synth import ShapeSpec, generate
 
 
-def zero_params(k, heads=2):
+def zero_params(k):
     """All tensors zero except unit layer-norm gains."""
-    shapes = net.expected_shapes(k, heads)
+    shapes = net.expected_shapes(k)
     tensors = {n: (np.ones(s) if n.endswith(".g") else np.zeros(s)) for n, s in shapes.items()}
-    return net.ModelParameters(k, heads, tensors)
+    return net.ModelParameters(k, tensors)
 
 
 def make_patch(rng, k=16):
@@ -83,15 +83,15 @@ class TestParameters:
         bad = {n: t.copy() for n, t in params.tensors.items()}
         bad["dec.w0"] = np.zeros((3, 3))
         with pytest.raises(ModelShapeError):
-            net.ModelParameters(8, 2, bad)
+            net.ModelParameters(8, bad)
         del bad["dec.w0"]
         with pytest.raises(ModelShapeError):
-            net.ModelParameters(8, 2, bad)
+            net.ModelParameters(8, bad)
 
     @pytest.mark.parametrize("k", [8, 16])
     def test_tensors_are_views_of_flat_in_sorted_order(self, k):
         params = net.init_params(k, seed=0)
-        assert list(params.tensors) == sorted(net.expected_shapes(k, 2))
+        assert list(params.tensors) == sorted(net.expected_shapes(k))
         assert params.flat.dtype == np.float64 and params.flat.flags.c_contiguous
         base = params.flat.__array_interface__["data"][0]
         pos = 0
@@ -112,7 +112,7 @@ class TestParameters:
 
     def test_constructor_and_copy_share_no_memory(self):
         given = {n: t.copy() for n, t in net.init_params(8, seed=3).tensors.items()}
-        params = net.ModelParameters(8, 2, given)
+        params = net.ModelParameters(8, given)
         assert not any(np.shares_memory(params.flat, t) for t in given.values())
         twin = params.copy()
         assert np.array_equal(twin.flat, params.flat)
@@ -134,10 +134,6 @@ class TestParameters:
             params.pack({**named, "rbf.second.cos_fc.b": np.zeros(31)})
         with pytest.raises(ModelShapeError, match="parameter vector"):
             params.unpack(params.flat[:-1])
-
-    def test_heads_must_divide_width(self):
-        with pytest.raises(ModelShapeError):
-            net.init_params(16, heads=4)
 
     @pytest.mark.parametrize("name, bad", [("dec.b0", np.nan), ("enc.2.attn.wq", np.inf),
                                            ("rbf.second.euc_head.w2", -np.inf)])
@@ -257,14 +253,14 @@ class TestRbfFusedBlock:
         assert_grads_close(grads, oracle, list(params.tensors))
 
 
-def random_encoder_params(rng, k, heads, seed=0):
+def random_encoder_params(rng, k, seed=0):
     """init_params with every enc.* tensor redrawn: layer-norm gains from N(1, 0.5^2),
     all other weights and biases, layer-norm biases included, from N(0, 0.5^2).
 
     init_params' zero layer-norm biases would hide a dropped bias term of the
     folded gradients, and its unit gains a gain applied in the wrong place.
     """
-    params = net.init_params(k, heads, seed=seed)
+    params = net.init_params(k, seed=seed)
     for name, t in params.tensors.items():
         if name.startswith("enc."):
             t[...] = rng.normal(loc=1.0 if name.endswith(".g") else 0.0, scale=0.5, size=t.shape)
@@ -296,15 +292,15 @@ class TestEncoderFoldedLayer:
     projections after them, against the frozen layer that applied them as passes."""
 
     @settings(max_examples=40, deadline=None)
-    @given(k=st.sampled_from([4, 16, 32, 64]), heads=st.sampled_from([1, 2, 3, 6]),
-           b=st.integers(1, 64), i=st.integers(0, net.N_LAYERS - 1), seed=st.integers(0, 2**32 - 1))
-    def test_matches_frozen_layer(self, k, heads, b, i, seed):
+    @given(k=st.sampled_from([4, 16, 32, 64]), b=st.integers(1, 64),
+           i=st.integers(0, net.N_LAYERS - 1), seed=st.integers(0, 2**32 - 1))
+    def test_matches_frozen_layer(self, k, b, i, seed):
         rng = np.random.default_rng(seed)
-        p = random_encoder_params(rng, k, heads).tensors
+        p = random_encoder_params(rng, k).tensors
         x = rng.normal(size=(b * k, 6))
         dout = rng.normal(size=(b * k, 6))
-        out, cache = net._encoder_layer_fwd(x, b, k, p, i, heads)
-        want, ocache = oracle_encoder_layer_fwd(x, b, k, p, i, heads)
+        out, cache = net._encoder_layer_fwd(x, b, k, p, i)
+        want, ocache = oracle_encoder_layer_fwd(x, b, k, p, i)
         assert np.abs(out - want).max() <= ENC_RTOL * np.abs(want).max()
 
         grads, oracle = {}, {}
@@ -317,10 +313,9 @@ class TestEncoderFoldedLayer:
             assert grads[name].shape == p[name].shape
         assert_encoder_grads_close(grads, oracle, names)
 
-    @pytest.mark.parametrize("heads", [2, 3])
-    def test_end_to_end_matches_frozen_layer(self, monkeypatch, heads):
-        rng = np.random.default_rng(31 + heads)
-        params = random_encoder_params(rng, 16, heads, seed=6)
+    def test_end_to_end_matches_frozen_layer(self, monkeypatch):
+        rng = np.random.default_rng(33)
+        params = random_encoder_params(rng, 16, seed=6)
         dvecs, offsets, scales = random_patch_arrays(rng, 256, 16)
         d_e = rng.normal(size=256)
 
@@ -570,7 +565,7 @@ class TestCheckpoint:
         loaded = net.load_checkpoint(p1)
         net.save_checkpoint(loaded, p2)
         assert p1.read_bytes() == p2.read_bytes()
-        assert loaded.k == 16 and loaded.heads == 2
+        assert loaded.k == 16
         for name in params.tensors:
             assert np.array_equal(loaded.tensors[name],
                                   params.tensors[name].astype(np.float32).astype(np.float64))
@@ -660,10 +655,10 @@ class TestGradientsPerLayer:
         p["enc.0.ln1.b"][:] = rng.normal(size=6)
 
         def loss_fn():
-            out, _ = net._attention_fwd(x, b, k, p, 0, 2)
+            out, _ = net._attention_fwd(x, b, k, p, 0)
             return float((out * proj).sum())
 
-        out, cache = net._attention_fwd(x, b, k, p, 0, 2)
+        out, cache = net._attention_fwd(x, b, k, p, 0)
         grads = {}
         dx = net._attention_bwd(proj, b, k, cache, grads, 0)
         names = [f"enc.0.attn.{n}" for n in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")]
@@ -684,10 +679,10 @@ class TestGradientsPerLayer:
         proj = rng.normal(size=(b * k, 6))
 
         def loss_fn():
-            out, _ = net._encoder_layer_fwd(x, b, k, p, 1, 2)
+            out, _ = net._encoder_layer_fwd(x, b, k, p, 1)
             return float((out * proj).sum())
 
-        out, cache = net._encoder_layer_fwd(x, b, k, p, 1, 2)
+        out, cache = net._encoder_layer_fwd(x, b, k, p, 1)
         grads = {}
         dx = net._encoder_layer_bwd(proj, b, k, cache, grads, 1)
         tensors = {n: p[n] for n in p if n.startswith("enc.1.")}

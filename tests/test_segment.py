@@ -138,12 +138,6 @@ class TestFloodSegment:
             base_ids = {int(b) for b in base.segment_ids[members] if b >= 0}
             assert len(base_ids) <= 1
 
-    def test_attach_edges_option(self):
-        cloud, _, _, _ = lattice_cube(seed=1)
-        result = flood_segment(cloud, k=5, attach_edges=True)
-        assert (result.segment_ids >= 0).all()
-        assert result.count == 6
-
     def test_missing_labels(self):
         with pytest.raises(InvalidInput):
             flood_segment(PointCloud(np.random.default_rng(0).random((30, 3))), k=5)
@@ -187,19 +181,19 @@ class TestFrozenBfsParity:
     """Identity with the deque BFS flood fill frozen in helpers."""
 
     @staticmethod
-    def assert_identical(cloud, k, attach_edges):
-        got = flood_segment(cloud, k=k, attach_edges=attach_edges)
-        want = oracle_flood_segment(cloud, k=k, attach_edges=attach_edges)
+    def assert_identical(cloud, k):
+        got = flood_segment(cloud, k=k)
+        want = oracle_flood_segment(cloud, k=k)
         assert np.array_equal(got.segment_ids, want.segment_ids)
         assert got.segment_ids.dtype == want.segment_ids.dtype
         assert got.count == want.count and type(got.count) is int
         assert got.sizes == want.sizes and all(type(s) is int for s in got.sizes)
 
     @settings(max_examples=200, deadline=None)
-    @given(case=labelled_clouds(), attach_edges=st.booleans())
-    def test_property(self, case, attach_edges):
+    @given(case=labelled_clouds())
+    def test_property(self, case):
         cloud, k = case
-        self.assert_identical(cloud, k, attach_edges)
+        self.assert_identical(cloud, k)
         assert [a.tolist() for a in knn_graph(cloud, k)] == [a.tolist() for a in oracle_knn_graph(cloud, k)]
 
     @pytest.mark.parametrize("k", [5, 8])
@@ -208,8 +202,7 @@ class TestFrozenBfsParity:
                  < 2.0 * 1.5 / np.sqrt(3000)).astype(int)
         for cloud in (lattice_cube()[0], gapped_lattice_cube()[0], cube.cloud,
                       PointCloud(cube.cloud.points, thick)):
-            for attach_edges in (False, True):
-                self.assert_identical(cloud, k, attach_edges)
+            self.assert_identical(cloud, k)
 
 
 @pytest.mark.parametrize("density", [4000.0, 16000.0])

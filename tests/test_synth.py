@@ -1,5 +1,7 @@
 """Synthetic shape generator: sampling, labels, analytic distances."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -170,6 +172,16 @@ class TestGenerate:
             ShapeSpec("box", density=-5)
         with pytest.raises(InvalidInput):  # disjoint boxes
             generate(ShapeSpec("union_boxes", size=(1, 1, 1, 1, 1, 1, 5, 5, 5), density=500))
+
+    def test_kind_and_size_diagnostics(self):
+        kinds = ("box", "cylinder", "sphere", "prism", "l_bracket", "union_boxes")
+        assert synth.SHAPE_KINDS == kinds
+        with pytest.raises(InvalidInput, match=re.escape(f"unknown shape kind 'torus', choose from {kinds}") + "$"):
+            ShapeSpec("torus")
+        for kind, n in zip(kinds, (3, 2, 1, 2, 4, 9)):
+            assert len(ShapeSpec(kind).size) == n
+            with pytest.raises(InvalidInput, match=rf"^{kind} takes {n} size parameters, got {n + 1}$"):
+                ShapeSpec(kind, size=(1.0,) * (n + 1))
 
     @pytest.mark.parametrize("field, value", [
         ("density", float("nan")), ("density", float("inf")),

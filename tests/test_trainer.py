@@ -2,10 +2,11 @@
 
 import os
 import platform
+import re
 import subprocess
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -22,6 +23,7 @@ from helpers import (
 )
 import pcedge.cloud
 from pcedge import net, trainer
+from pcedge.cli import main
 from pcedge.cloud import PointCloud, augment_rotations
 from pcedge.errors import (
     DegenerateNeighborhood,
@@ -29,6 +31,7 @@ from pcedge.errors import (
     InvalidInput,
     ModelShapeError,
 )
+from pcedge.io import save_cloud
 from pcedge.synth import ShapeSpec, generate
 from pcedge.trainer import (
     ADAM_EPS,
@@ -347,15 +350,6 @@ class TestBatchPlan:
             assert idx.size == 64
             assert train_set.labels[idx].sum() == 32
 
-    def test_none_mode_covers_everything(self):
-        rng = np.random.default_rng(0)
-        labels = np.r_[np.ones(10, dtype=int), np.zeros(90, dtype=int)]
-        train_set = self._patchset(labels, rng)
-        cfg = TrainConfig(k=8, batch_size=32, balance="none")
-        batches = _batch_plan(train_set, cfg, np.random.default_rng(1))
-        seen = np.concatenate(batches)
-        assert sorted(seen.tolist()) == list(range(100))
-
     @settings(max_examples=300, deadline=None)
     @given(n=st.integers(2, 700), edge_share=st.floats(0.0, 1.0), half=st.integers(1, 160),
            seed=st.integers(0, 2**32 - 1))
@@ -468,9 +462,9 @@ class TestTrain:
 
 class TestPredict:
     def test_zero_params_half_probability(self, small_cloud):
-        shapes = net.expected_shapes(16, 2)
+        shapes = net.expected_shapes(16)
         tensors = {n: (np.ones(s) if n.endswith(".g") else np.zeros(s)) for n, s in shapes.items()}
-        params = net.ModelParameters(16, 2, tensors)
+        params = net.ModelParameters(16, tensors)
         out, _ = predict(small_cloud, params, batch=128)
         assert np.array_equal(out.predictions, np.full(small_cloud.n, 0.5))
         assert out.labels.sum() == 0  # strict > 0.5
@@ -579,11 +573,27 @@ class TestConfigFile:
         path.write_text(
             "# one-shot run\n"
             "k = 8\nlr = 0.0003\nbatch_size = 64\nmax_epochs = 5\n"
-            "seed = 42\nbalance = none\nval_fraction = 0.2\npatience = 3\naugment = false\n"
+            "seed = 42\nval_fraction = 0.2\npatience = 3\naugment = false\n"
         )
         cfg = parse_config(path)
         assert cfg == TrainConfig(k=8, lr=3e-4, batch_size=64, max_epochs=5, seed=42,
-                                  balance="none", val_fraction=0.2, patience=3, augment=False)
+                                  val_fraction=0.2, patience=3, augment=False)
+
+    def test_readme_lists_every_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        bullet = re.search(r"mirroring\s+`TrainConfig`:(.*?)\.", readme, re.DOTALL)
+        assert bullet, "README no longer lists the config keys after `TrainConfig`:"
+        assert re.findall(r"`(\w+)`", bullet.group(1)) == [f.name for f in fields(TrainConfig)]
+
+    def test_balance_key_rejected_by_train(self, small_cloud, tmp_path, capsys):
+        # Mini-batches are always class-balanced; the old switch is an unknown key.
+        cloud, cfg, ckpt = tmp_path / "c.xyz", tmp_path / "cfg.txt", tmp_path / "m.ckpt"
+        save_cloud(small_cloud, cloud)
+        cfg.write_text("balance = none\n")
+        code = main(["train", "--cloud", str(cloud), "--config", str(cfg), "--out-checkpoint", str(ckpt)])
+        assert code == 2
+        assert capsys.readouterr().err == f"pcedge train: {cfg}:1: unknown config key 'balance'\n"
+        assert not ckpt.exists()
 
     def test_unknown_key(self, tmp_path):
         path = tmp_path / "cfg.txt"
