@@ -51,7 +51,6 @@ def _build_parser() -> _Parser:
                        description="Predict edge probabilities; reports throughput (points/sec) on stderr.")
     p.add_argument("--cloud", required=True)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--batch", type=int, default=256, help="must be >= 1; changes nothing")
     p.add_argument("--threads", type=int, default=0,
                    help="worker threads (0 = available parallelism); every value gives the same bytes")
     p.add_argument("--out", required=True)
@@ -116,8 +115,6 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    if args.batch < 1:
-        raise InvalidInput(f"--batch must be >= 1, got {args.batch}")
     if args.threads < 0:
         raise InvalidInput(f"--threads must be >= 0 (0 = available parallelism), got {args.threads}")
     params = net.load_checkpoint(args.checkpoint)
@@ -125,7 +122,7 @@ def _cmd_predict(args) -> int:
     if args.dedup:
         cloud = deduplicate(cloud)
     threads = args.threads or os.cpu_count() or 1
-    predicted, stats = trainer.predict(cloud, params, batch=args.batch, threads=threads)
+    predicted, stats = trainer.predict(cloud, params, threads=threads)
     save_cloud(predicted, args.out)
     print(f"throughput: {stats['pps']:.0f} points/sec end to end "
           f"({stats['wall_seconds']:.3f}s for {cloud.n} points; "

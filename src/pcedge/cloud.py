@@ -106,8 +106,8 @@ class SpatialIndex:
     Results match a brute-force scan: sorted by nondecreasing Euclidean
     distance, ties broken by smaller point index, with every distance taken
     by _norms, the one expression all orderings in this module use. A query
-    fetches one extra neighbor per row and falls back to a ball search only
-    for rows where that neighbor does not settle the cut (see query_many).
+    fetches one extra neighbor per row, and fetches a row again at twice the
+    width while its cut falls inside a distance tie (see query_many).
     Immutable after build; safe for concurrent queries.
     """
 
@@ -126,15 +126,14 @@ class SpatialIndex:
     def query_many(self, queries: np.ndarray, k: int) -> np.ndarray:
         """Vectorized query: (B, 3) query points -> (B, min(k, N)) indices.
 
-        Two paths. The kd-tree fetches min(kk + 1, N) neighbors per row,
-        kk = min(k, N), and each row is put in (distance, index) order. A row
-        is settled when its (kk+1)-th distance exceeds its kk-th by more than
-        a relative 1e-9: the kd-tree's distances agree with _norms to a few
-        ulp, so every point it did not return lies farther than the kk-th,
-        and the first kk are exact. At kk = N every point is returned, so
-        every row is settled. The other rows, whose cut falls inside a tie,
-        take one batched ball search: every point within the kk-th distance
-        plus that margin, sorted by (row, distance, index).
+        The kd-tree fetches min(kk + 1, N) neighbors per row, kk = min(k, N),
+        and each row is put in (distance, index) order. A row is settled when
+        the last distance it fetched exceeds its kk-th by more than a relative
+        1e-9: the kd-tree's distances agree with _norms to a few ulp, so every
+        point it did not return lies farther than the kk-th, and the first kk
+        are exact. The rows whose cut falls inside a tie are fetched again at
+        twice the width, capped at N, until each one settles or the fetch
+        holds every point.
 
         Rows are independent, so they run in blocks of _QUERY_BLOCK: beside
         the result, a query holds one block's temporaries however many rows
@@ -152,32 +151,21 @@ class SpatialIndex:
         return out
 
     def _query_block(self, queries: np.ndarray, kk: int, out: np.ndarray) -> None:
-        """query_many's two paths on one block of rows, written into out."""
+        """query_many on one block of rows, written into out."""
+        rows = np.arange(queries.shape[0])
         m = min(kk + 1, self.n)
-        _, idx = self._tree.query(queries, k=m)
-        idx = idx.reshape(queries.shape[0], m).astype(np.int64, copy=False)
-        dist = _norms(np.take(self._points, idx, axis=0) - queries[:, None, :])
-        stray, order = _stray_order(dist, idx)
-        idx[stray] = _take_rows(idx[stray], order)
-        out[:] = idx[:, :kk]
-        if m == kk:
-            return
-        dist[stray] = _take_rows(dist[stray], order)
-        tied = np.nonzero(dist[:, kk] <= dist[:, kk - 1] * (1.0 + 1e-9))[0]
-        if tied.size:
-            out[tied] = self._ball_search(queries[tied], dist[tied, kk - 1], kk)
-
-    def _ball_search(self, queries: np.ndarray, cut: np.ndarray, kk: int) -> np.ndarray:
-        """(B, kk) exact neighbors of rows whose kk-th distance is cut, ties and all."""
-        radius = cut * (1.0 + 1e-9) + 1e-300
-        balls = self._tree.query_ball_point(queries, radius, return_sorted=False)
-        sizes = np.array([len(b) for b in balls], dtype=np.int64)
-        cand = np.concatenate(balls).astype(np.int64)
-        row = np.repeat(np.arange(len(balls)), sizes)
-        dist = _norms((np.take(self._points, cand, axis=0) - queries[row])[None])[0]
-        order = np.lexsort((cand, dist, row))
-        starts = np.cumsum(sizes) - sizes
-        return cand[order][starts[:, None] + np.arange(kk)]
+        while rows.size:
+            _, idx = self._tree.query(queries[rows], k=m)
+            idx = idx.reshape(rows.size, m).astype(np.int64, copy=False)
+            dist = _norms(np.take(self._points, idx, axis=0) - queries[rows, None, :])
+            stray, order = _stray_order(dist, idx)
+            idx[stray] = _take_rows(idx[stray], order)
+            out[rows] = idx[:, :kk]
+            if m == self.n:
+                return
+            dist[stray] = _take_rows(dist[stray], order)
+            rows = rows[dist[:, -1] <= dist[:, kk - 1] * (1.0 + 1e-9)]
+            m = min(2 * m, self.n)
 
 
 def _norms(diff: np.ndarray) -> np.ndarray:
@@ -355,6 +343,8 @@ def mean_neighbor_distance(cloud: PointCloud, k: int = 16) -> float:
     The (N, k) distances are filled one block of points at a time and
     averaged in one pass, so the mean does not depend on the block size.
     """
+    if k < 1:
+        raise InvalidInput(f"k must be >= 1, got {k}")
     if cloud.n < k + 1:
         raise InsufficientNeighborhood(f"need at least {k + 1} points, cloud has {cloud.n}")
     index = build_index(cloud)

@@ -83,10 +83,17 @@ def _prf(tp: int, fp: int, fn: int):
     return precision, recall, _safe_div(2.0 * precision * recall, precision + recall)
 
 
+def _point_set(pts, name: str) -> np.ndarray:
+    """pts as a float64 (N, 3) array; InvalidInput naming the argument if it has another shape."""
+    arr = np.asarray(pts, dtype=np.float64)
+    if arr.ndim != 2 or arr.shape[1] != 3:
+        raise InvalidInput(f"{name} must be an (N, 3) array, got shape {arr.shape}")
+    return arr
+
+
 def normalize_pair(pred_pts: np.ndarray, gt_pts: np.ndarray):
     """Scale both sets by their joint bounding box into the unit cube."""
-    pred_pts = np.asarray(pred_pts, dtype=np.float64)
-    gt_pts = np.asarray(gt_pts, dtype=np.float64)
+    pred_pts, gt_pts = _point_set(pred_pts, "pred_pts"), _point_set(gt_pts, "gt_pts")
     if pred_pts.size == 0 or gt_pts.size == 0:
         raise InvalidInput("normalize_pair requires two nonempty point sets")
     lo = np.minimum(pred_pts.min(axis=0), gt_pts.min(axis=0))
@@ -105,8 +112,7 @@ def _nearest_distances(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
 
 def chamfer(pred_pts: np.ndarray, gt_pts: np.ndarray) -> float:
     """Symmetric mean nearest-neighbor distance between two point sets."""
-    pred_pts = np.asarray(pred_pts, dtype=np.float64)
-    gt_pts = np.asarray(gt_pts, dtype=np.float64)
+    pred_pts, gt_pts = _point_set(pred_pts, "pred_pts"), _point_set(gt_pts, "gt_pts")
     if pred_pts.size == 0 or gt_pts.size == 0:
         raise InvalidInput("chamfer requires two nonempty point sets")
     return _chamfer(_nearest_distances(pred_pts, gt_pts), _nearest_distances(gt_pts, pred_pts))
@@ -123,8 +129,7 @@ def match_counts(pred_pts: np.ndarray, gt_pts: np.ndarray):
     within MATCH_RADIUS; a ground-truth point with no predicted point within
     MATCH_RADIUS is an FN. No one-to-one assignment is attempted.
     """
-    pred_pts = np.asarray(pred_pts, dtype=np.float64).reshape(-1, 3)
-    gt_pts = np.asarray(gt_pts, dtype=np.float64).reshape(-1, 3)
+    pred_pts, gt_pts = _point_set(pred_pts, "pred_pts"), _point_set(gt_pts, "gt_pts")
     if pred_pts.shape[0] == 0:
         return 0, 0, gt_pts.shape[0]
     if gt_pts.shape[0] == 0:

@@ -420,6 +420,7 @@ def _decoder_bwd(de, cache, grads):
 # Full model
 # ---------------------------------------------------------------------------
 
+@np.errstate(all="ignore")
 def forward_batch(dvecs: np.ndarray, offsets: np.ndarray, scales: np.ndarray,
                   params: ModelParameters, need_cache: bool = False):
     """Edge probabilities for a batch of patches.
@@ -427,6 +428,9 @@ def forward_batch(dvecs: np.ndarray, offsets: np.ndarray, scales: np.ndarray,
     dvecs (B, k, 3), offsets (B, k), scales (B,) must follow the patch
     ordering contract (rows sorted by nondecreasing dvec norm). Returns the
     (B,) probabilities, plus a cache for backward() when requested.
+
+    Non-finite values raise NumericalError from the checks inside the pass,
+    so numpy's floating-point warnings are silenced there.
     """
     dvecs = np.asarray(dvecs, dtype=np.float64)
     offsets = np.asarray(offsets, dtype=np.float64)
@@ -537,6 +541,7 @@ def load_checkpoint(path) -> ModelParameters:
     (stored_crc,) = struct.unpack("<I", raw[-4:])
     if zlib.crc32(raw[:-4]) & 0xFFFFFFFF != stored_crc:
         raise CorruptCheckpoint(f"{path}: CRC mismatch (truncated or altered file)")
+    raw = raw[:-4]  # the tensor table must end where the CRC begins
     version, k, heads, count = struct.unpack("<IHHI", raw[4:16])
     if version != CHECKPOINT_VERSION:
         raise CorruptCheckpoint(f"{path}: unsupported version {version}")
@@ -560,7 +565,7 @@ def load_checkpoint(path) -> ModelParameters:
             tensors[name] = data.astype(np.float64).reshape(dims)
     except (struct.error, ValueError) as exc:
         raise CorruptCheckpoint(f"{path}: malformed tensor table: {exc}") from exc
-    if pos != len(raw) - 4:
+    if pos != len(raw):
         raise CorruptCheckpoint(f"{path}: trailing bytes after tensor table")
     try:
         return ModelParameters(k, tensors)

@@ -20,6 +20,7 @@ import numpy as np
 from . import net
 from .cloud import _ROTATIONS_90, PointCloud, build_index, extract_patches
 from .errors import InsufficientNeighborhood, InvalidInput, ModelShapeError
+from .io import write_rows
 from .metrics import _prf
 
 ADAM_BETA1 = 0.9
@@ -290,7 +291,8 @@ def train(cloud: PointCloud, cfg: TrainConfig, threads: int = 1):
         raise InvalidInput("training labels contain a single class; cannot balance or learn")
     train_set, val_set = build_dataset(cloud, cfg)
     if np.unique(train_set.labels).size < 2:
-        raise InvalidInput("training labels contain a single class; cannot balance or learn")
+        raise InvalidInput("the training split holds a single class once the validation points "
+                           "are held out; cannot balance or learn")
     state = TrainState.fresh(net.init_params(cfg.k, seed=cfg.seed))
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
     log: list[dict] = []
@@ -371,10 +373,8 @@ def predict(cloud: PointCloud, params: net.ModelParameters, batch: int = 256,
 def write_log(log: list[dict], path) -> None:
     """Training log as CSV: one row per epoch."""
     cols = ("epoch", "mean_loss", "val_precision", "val_recall", "val_fscore", "seconds")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(cols) + "\n")
-        for row in log:
-            fh.write(",".join(f"{row[c]:.6f}" if c != "epoch" else str(row[c]) for c in cols) + "\n")
+    write_rows(path, ",".join(cols) + "\n",
+               [("%d" if c == "epoch" else "%.6f", [row[c] for row in log]) for c in cols], sep=",")
 
 
 _BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}

@@ -404,7 +404,7 @@ def test_criterion_9_pipeline_determinism(tmp_path, capsys):
         assert cli.main(["train", "--cloud", str(cloud_path), "--config", str(cfg),
                          "--out-checkpoint", str(ckpt)]) == 0
         assert cli.main(["predict", "--cloud", str(cloud_path), "--checkpoint", str(ckpt),
-                         "--batch", "256", "--threads", "1", "--out", str(pred)]) == 0
+                         "--threads", "1", "--out", str(pred)]) == 0
         assert cli.main(["eval", "--pred", str(pred), "--gt", str(cloud_path),
                          "--out", str(rep)]) == 0
         artifacts.append((ckpt.read_bytes(), pred.read_bytes(), rep.read_bytes()))

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from pcedge import net, trainer
-from pcedge.cli import main
+from pcedge.cli import _COMMANDS, _build_parser, main
+from pcedge.cloud import PointCloud
 from pcedge.errors import CorruptCheckpoint
 from pcedge.io import load_cloud, save_cloud
 from pcedge.synth import ShapeSpec, generate
@@ -57,6 +58,22 @@ class TestUsageErrors:
             assert "--" in capsys.readouterr().out
 
 
+def test_readme_command_lines_parse():
+    # The README's Command line block may only advertise flags the parser has.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Command line\n\n```\n(.*?)```", readme, re.DOTALL)
+    assert block, "README has no Command line block"
+    lines = [line.split() for line in block.group(1).splitlines() if line.startswith("pcedge ")]
+    assert sorted(line[1] for line in lines) == sorted(_COMMANDS)
+    for line in lines:
+        _build_parser().parse_args(line[1:])
+
+
+def with_crc(body) -> bytes:
+    """Checkpoint bytes: body followed by its valid CRC32 trailer."""
+    return bytes(body) + struct.pack("<I", zlib.crc32(body))
+
+
 def assert_exit(fn, args, code):
     try:
         got = fn(args)
@@ -80,16 +97,63 @@ class TestDataErrors:
         body = bytearray(checkpoint_file.read_bytes()[:-4])
         body[10:12] = struct.pack("<H", 3)
         bad = tmp_path / "heads3.ckpt"
-        bad.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(body)))
+        bad.write_bytes(with_crc(body))
         message = f"{bad}: unsupported heads 3, expected 2"
         with pytest.raises(CorruptCheckpoint, match=f"^{re.escape(message)}$"):
             net.load_checkpoint(bad)
         assert main(["info", "--checkpoint", str(bad)]) == 2
         assert capsys.readouterr().err == f"pcedge info: {message}\n"
 
+    @pytest.mark.parametrize("case", ["too_short", "version", "tensor_table", "trailing", "misshaped"])
+    def test_corrupt_checkpoint_diagnostics(self, case, checkpoint_file, tmp_path, capsys):
+        # Every crafted file carries a valid CRC, so only the named check can refuse it.
+        body = bytearray(checkpoint_file.read_bytes()[:-4])
+        if case == "too_short":
+            body, message = body[:12], "file too short"
+        elif case == "version":
+            body[4:8] = struct.pack("<I", 2)
+            message = "unsupported version 2"
+        elif case == "tensor_table":
+            # A tensor "a" of two floats with one float of data: the table
+            # must not read its second float from the CRC trailer.
+            body = body[:16] + struct.pack("<H", 1) + b"a" + struct.pack("<BIf", 1, 2, 0.0)
+            body[12:16] = struct.pack("<I", 1)
+            message = "malformed tensor table: buffer is smaller than requested size"
+        elif case == "trailing":
+            body += bytes(4)
+            message = "trailing bytes after tensor table"
+        else:
+            # dec.w3 keeps its 32 floats but declares shape (1, 32).
+            dims = body.index(b"dec.w3") + len("dec.w3")
+            assert body[dims] == 2 and struct.unpack_from("<2I", body, dims + 1) == (32, 1)
+            body[dims + 1:dims + 9] = struct.pack("<2I", 1, 32)
+            message = "tensor dec.w3 has shape (1, 32), expected (32, 1)"
+        bad = tmp_path / f"{case}.ckpt"
+        bad.write_bytes(with_crc(body))
+        message = f"{bad}: {message}"
+        with pytest.raises(CorruptCheckpoint, match=f"^{re.escape(message)}$"):
+            net.load_checkpoint(bad)
+        assert main(["info", "--checkpoint", str(bad)]) == 2
+        assert capsys.readouterr().err == f"pcedge info: {message}\n"
+
+    def test_nonfinite_checkpoint_is_a_numerical_error(self, cube_file, tmp_path):
+        # An infinite decoder bias reaches the model's finiteness check, not the loader.
+        params = net.init_params(16, seed=0)
+        params.tensors["dec.b0"][:] = np.inf
+        ckpt = tmp_path / "inf.ckpt"
+        net.save_checkpoint(params, ckpt)
+        out = tmp_path / "pred.xyz"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        done = subprocess.run([sys.executable, "-m", "pcedge", "predict", "--cloud", str(cube_file),
+                               "--checkpoint", str(ckpt), "--threads", "1", "--out", str(out)],
+                              env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"),
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 3
+        assert done.stderr == "pcedge predict: numerical error: non-finite values in decoder output\n"
+        assert not out.exists()
+
     def test_eval_empty_edges(self, tmp_path):
         rng = np.random.default_rng(0)
-        from pcedge.cloud import PointCloud
         a = tmp_path / "a.xyz"
         b = tmp_path / "b.xyz"
         save_cloud(PointCloud(rng.random((10, 3)), labels=np.zeros(10, dtype=int)), a)
@@ -115,6 +179,27 @@ MALFORMED_CLOUDS = {
     "xyz_coordinate_inf": ("bad.xyz", b"0 0 inf 1\n1 1 1 0\n"),
     "xyz_ragged_columns": ("bad.xyz", b"1 2 3\n1 2 3 4\n"),
     "xyz_unparsable_value": ("bad.xyz", b"# scan\n\n1 2 3\n1 2 x\n"),
+}
+
+
+PLY_XYZ = b"property float x\nproperty float y\nproperty float z\n"
+
+# Each PLY header or body refused before any point is built, with its diagnostic.
+MALFORMED_PLY = {
+    "magic": (b"plx\nformat ascii 1.0\nelement vertex 1\n" + PLY_XYZ + b"end_header\n0 0 0\n",
+              "missing 'ply' magic line"),
+    "property_first": (b"ply\nformat ascii 1.0\n" + PLY_XYZ + b"element vertex 1\nend_header\n0 0 0\n",
+                       "property before any element"),
+    "unterminated": (b"ply\nformat ascii 1.0\nelement vertex 1\n" + PLY_XYZ, "header never terminated"),
+    "no_vertex": (b"ply\nformat ascii 1.0\nelement face 0\nproperty list uchar int vertex_indices\n"
+                  b"end_header\n", "no vertex element"),
+    "vertex_list": (b"ply\nformat ascii 1.0\nelement vertex 1\n" + PLY_XYZ
+                    + b"property list uchar int idx\nend_header\n0 0 0 1 5\n",
+                    "list properties on vertex are not supported"),
+    "zero_vertices": (b"ply\nformat ascii 1.0\nelement vertex 0\n" + PLY_XYZ + b"end_header\n",
+                      "no points"),
+    "row_width": (b"ply\nformat ascii 1.0\nelement vertex 2\n" + PLY_XYZ + b"end_header\n0 0 0 1\n1 1 1 0\n",
+                  "vertex rows have 4 values, expected 3"),
 }
 
 
@@ -155,6 +240,16 @@ class TestMalformedInput:
         assert code == 2
         assert err.count("\n") == 1 and err.startswith(f"pcedge segment: {src}: ")
         assert "usecols" not in err  # numpy's advice names an argument users cannot pass
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_PLY))
+    def test_ply_header(self, case, tmp_path, capsys):
+        content, message = MALFORMED_PLY[case]
+        src = tmp_path / "bad.ply"
+        src.write_bytes(content)
+        out = tmp_path / "o.xyz"
+        assert main(["segment", "--cloud", str(src), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"pcedge segment: {src}: {message}\n"
+        assert not out.exists()
 
     def test_unparsable_value_row_counts_from_one(self, tmp_path, capsys):
         name, content = MALFORMED_CLOUDS["xyz_unparsable_value"]
@@ -200,6 +295,42 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert code == 2
         assert err.count("\n") == 1 and err.startswith(f"pcedge train: {cfg}")
+        assert not ckpt.exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("val_fraction = 0.5\n", "val_fraction must be in (0, 0.5), got 0.5"),
+        ("val_fraction = 0\n", "val_fraction must be in (0, 0.5), got 0.0"),
+        ("batch_size = 3\n", "batch_size must be even and >= 2, got 3"),
+        ("batch_size = 0\n", "batch_size must be even and >= 2, got 0"),
+        ("max_epochs = 0\n", "max_epochs and patience must be >= 1"),
+        ("patience = 0\n", "max_epochs and patience must be >= 1"),
+    ])
+    def test_train_config_value(self, text, message, cube_file, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(text)
+        ckpt = tmp_path / "model.ckpt"
+        code = main(["train", "--cloud", str(cube_file), "--config", str(cfg),
+                     "--out-checkpoint", str(ckpt)])
+        assert code == 2
+        assert capsys.readouterr().err == f"pcedge train: {cfg}: {message}\n"
+        assert not ckpt.exists()
+
+    def test_train_split_with_one_class(self, tmp_path, capsys):
+        # Two classes in the cloud, but its only edge point is held out for
+        # validation, so the training split has one class.
+        points = np.random.default_rng(0).random((40, 3))
+        cfg = trainer.TrainConfig(k=8, max_epochs=1, augment=False)
+        _, val = trainer.build_dataset(PointCloud(points, np.zeros(40, dtype=int)), cfg)
+        labels = np.zeros(40, dtype=int)
+        labels[val.origin[0]] = 1
+        src, cfg_file, ckpt = tmp_path / "c.xyz", tmp_path / "cfg.txt", tmp_path / "m.ckpt"
+        save_cloud(PointCloud(points, labels), src)
+        cfg_file.write_text("k = 8\nmax_epochs = 1\naugment = false\n")
+        code = main(["train", "--cloud", str(src), "--config", str(cfg_file),
+                     "--out-checkpoint", str(ckpt)])
+        assert code == 2
+        assert capsys.readouterr().err == ("pcedge train: the training split holds a single class "
+                                           "once the validation points are held out; cannot balance or learn\n")
         assert not ckpt.exists()
 
     @pytest.mark.parametrize("k", ["0", "-1"])
@@ -281,17 +412,6 @@ class TestPerturbCommand:
 
 
 class TestPredictCommand:
-    def test_batch_invariance_byte_identical(self, cube_file, checkpoint_file, tmp_path):
-        outs = []
-        for batch in ("1", "256"):
-            out = tmp_path / f"pred_{batch}.xyz"
-            code = main(["predict", "--cloud", str(cube_file), "--checkpoint",
-                         str(checkpoint_file), "--batch", batch, "--threads", "1",
-                         "--out", str(out)])
-            assert code == 0
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
-
     def test_reports_throughput(self, cube_file, checkpoint_file, tmp_path, capsys):
         out = tmp_path / "pred.ply"
         assert main(["predict", "--cloud", str(cube_file), "--checkpoint",
@@ -308,14 +428,6 @@ class TestPredictCommand:
         err = capsys.readouterr().err
         assert code == 2
         assert err == "pcedge predict: --threads must be >= 0 (0 = available parallelism), got -1\n"
-        assert not out.exists()
-
-    def test_batch_zero_data_error(self, cube_file, checkpoint_file, tmp_path, capsys):
-        out = tmp_path / "pred.xyz"
-        code = main(["predict", "--cloud", str(cube_file), "--checkpoint", str(checkpoint_file),
-                     "--batch", "0", "--out", str(out)])
-        assert code == 2
-        assert capsys.readouterr().err == "pcedge predict: --batch must be >= 1, got 0\n"
         assert not out.exists()
 
     def test_threads_zero_uses_available_parallelism(self, cube_file, checkpoint_file,
@@ -347,7 +459,6 @@ class TestPredictCommand:
         pts = rng.random((200, 3))
         pts[100:110] = pts[:10]  # exact duplicates: scanned-data artifact
         src = tmp_path / "dup.xyz"
-        from pcedge.cloud import PointCloud
         save_cloud(PointCloud(pts), src)
         out = tmp_path / "pred.xyz"
         args = ["predict", "--cloud", str(src), "--checkpoint", str(checkpoint_file),

@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -504,20 +505,15 @@ class TestBruteForceProperties:
 
 
 class _TreeSpy:
-    """Delegates to a cKDTree, recording each query's (rows, k) and ball search."""
+    """Delegates to a cKDTree, recording each query's (rows, k)."""
 
     def __init__(self, tree):
         self.tree = tree
         self.queries = []
-        self.ball_calls = 0
 
     def query(self, x, k):
         self.queries.append((len(x), k))
         return self.tree.query(x, k=k)
-
-    def query_ball_point(self, x, r, **kwargs):
-        self.ball_calls += 1
-        return self.tree.query_ball_point(x, r, **kwargs)
 
 
 def spied_index(cloud):
@@ -533,7 +529,7 @@ def integer_lattice(side):
 
 
 class TestQueryParity:
-    """query_many's two-stage query against the frozen single-stage oracle."""
+    """query_many's widening query against the frozen padded-query oracle."""
 
     @settings(max_examples=80, deadline=None)
     @given(cloud=tricky_clouds(), k=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
@@ -605,9 +601,10 @@ class TestQueryParity:
         assert np.array_equal(index.query_many(queries, k),
                               full_scan_query_many(index, queries, k))
 
-    def test_one_ulp_gap_takes_ball_search(self):
-        # The 5th neighbor of the origin is one ulp farther than the 4th; the
-        # other query has a clear gap at the cut and settles in stage 1.
+    def test_one_ulp_gap_requeries_wider(self):
+        # The 5th neighbor of the origin is one ulp farther than the 4th, so
+        # that row is fetched again at twice the width; the other query has a
+        # clear gap at the cut and settles in the first fetch.
         k = 4
         pts = [[i, 0.0, 0.0] for i in range(1, k + 1)] + [[0.0, np.nextafter(k, np.inf), 0.0]]
         pts += [[10.0 + i, 10.0, 10.0] for i in range(10)]
@@ -615,13 +612,12 @@ class TestQueryParity:
         queries = np.array([[0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
         got = index.query_many(queries, k)
         assert got.tolist() == [[0, 1, 2, 3], [0, 1, 2, 4]]
-        assert spy.queries == [(2, k + 1)]
-        assert spy.ball_calls == 1
+        assert spy.queries == [(2, k + 1), (1, 2 * (k + 1))]
 
-    def test_large_tie_group_takes_ball_search(self):
+    def test_large_tie_group_requeries_until_settled(self):
         # 30 integer points at distance exactly 5 from the origin, shuffled,
         # with a farther shell behind them; the cut at k=5 falls inside the
-        # group, which runs far past the kd-tree's k + 1 candidates.
+        # group, so the row doubles its fetch until it reaches the shell.
         pts = integer_lattice(13) - 6.0
         r2 = (pts ** 2).sum(axis=1)
         pts = np.vstack([pts[r2 == 25], pts[r2 == 36]])
@@ -630,19 +626,29 @@ class TestQueryParity:
         index, spy = spied_index(PointCloud(pts))
         got = index.query([0.0, 0.0, 0.0], 5)
         assert got.tolist() == brute_force_knn(pts, np.zeros(3), 5).tolist()
-        assert spy.queries == [(1, 6)]
-        assert spy.ball_calls == 1
+        assert spy.queries == [(1, 6), (1, 12), (1, 24), (1, 48)]
+
+    def test_tie_group_of_the_whole_cloud_stops_at_n(self):
+        # Only the 30 points at distance 5: no fetch settles the row, and the
+        # doubling stops once it holds every point.
+        pts = integer_lattice(13) - 6.0
+        pts = pts[(pts ** 2).sum(axis=1) == 25]
+        pts = pts[np.random.default_rng(0).permutation(len(pts))]
+        assert len(pts) == 30
+        index, spy = spied_index(PointCloud(pts))
+        got = index.query([0.0, 0.0, 0.0], 5)
+        assert got.tolist() == brute_force_knn(pts, np.zeros(3), 5).tolist()
+        assert spy.queries == [(1, 6), (1, 12), (1, 24), (1, 30)]
 
     def test_zero_distance_duplicates_at_cut(self):
         # Points 5 and 17 copy point 40: the cut at k=2 splits the
-        # zero-distance group, so stage 1 cannot settle the row.
+        # zero-distance group, so the first fetch cannot settle the row.
         rng = np.random.default_rng(3)
         pts = rng.random((60, 3))
         pts[[17, 5]] = pts[40]
         index, spy = spied_index(PointCloud(pts))
         assert index.query(pts[40], 2).tolist() == [5, 17]
-        assert spy.queries == [(1, 3)]
-        assert spy.ball_calls == 1
+        assert spy.queries == [(1, 3), (1, 6)]
         assert index.query(pts[40], 3).tolist() == [5, 17, 40]
 
     @pytest.mark.parametrize("lattice", [False, True])
@@ -742,7 +748,7 @@ class TestExtractionParity:
 
     def test_blocks_of_seven(self, monkeypatch):
         # Every block boundary, a partial last block, and the lattice's
-        # ball-search rows spread over many blocks.
+        # re-queried rows spread over many blocks.
         monkeypatch.setattr(pcedge.cloud, "_QUERY_BLOCK", 7)
         self.assert_identical(lattice_cube()[0], 16)
         g = np.arange(12) * 0.1
@@ -751,7 +757,7 @@ class TestExtractionParity:
 
     def test_exact_lattice_tie_path(self):
         # On an unjittered 0.1-spaced lattice, distance ties at the cut send
-        # rows to query_many's ball search; the frozen oracle's own padded
+        # rows to query_many's wider re-query; the frozen oracle's own padded
         # query misses some of them (test_tie_within_margin_of_cut), so its
         # candidates come from the full scan here.
         g = np.arange(12) * 0.1
@@ -874,6 +880,14 @@ class TestNoise:
         # Interior points see distances {1,1,2,2,...,8,8}, mean 4.5.
         interior = np.sort(d[50][d[50] > 0])[:16].mean()
         assert interior == pytest.approx(4.5)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_mean_neighbor_distance_rejects_k_below_one(self, k):
+        cloud = PointCloud(np.random.default_rng(0).random((30, 3)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInput, match=rf"^k must be >= 1, got {k}$"):
+                mean_neighbor_distance(cloud, k=k)
 
     def test_noise_std_matches_configuration(self):
         rng = np.random.default_rng(0)

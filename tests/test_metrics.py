@@ -1,6 +1,7 @@
 """Evaluation metrics: normalization, Chamfer, matching, full reports."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -130,6 +131,19 @@ class TestMatchCounts:
         pts = np.random.default_rng(0).random((5, 3))
         assert match_counts(np.zeros((0, 3)), pts) == (0, 0, 5)
         assert match_counts(pts, np.zeros((0, 3))) == (0, 5, 0)
+
+
+@pytest.mark.parametrize("func", [match_counts, chamfer, normalize_pair])
+@pytest.mark.parametrize("shape", [(6, 2), (2, 3, 1), (7,), (0,)])
+@pytest.mark.parametrize("side", [0, 1])
+def test_point_sets_must_be_n_by_3(func, shape, side):
+    # Neither side is reshaped into points: a (6, 2) array is not four points.
+    args = [np.random.default_rng(0).random((4, 3)), np.random.default_rng(1).random((5, 3))]
+    args[side] = np.ones(shape)
+    name = ("pred_pts", "gt_pts")[side]
+    with pytest.raises(InvalidInput, match=rf"^{name} must be an \(N, 3\) array, got shape "
+                                           rf"{re.escape(str(shape))}$"):
+        func(*args)
 
 
 class TestEvaluate:

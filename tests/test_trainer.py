@@ -510,7 +510,7 @@ class TestPredict:
     @given(lattice=st.booleans(), n=st.integers(17, 600), seed=st.integers(0, 2**32 - 1))
     def test_window_invariance(self, lattice, n, seed):
         # Random or integer-lattice clouds: the lattice's distance ties send
-        # rows to query_many's ball search, which sees only a window's rows.
+        # rows to query_many's wider re-query, which sees only a window's rows.
         rng = np.random.default_rng(seed)
         if lattice:
             cells = rng.choice(9 ** 3, size=n, replace=False)
