@@ -8,25 +8,16 @@ predict, evaluate, and segment other clouds from the same distribution.
 from .cloud import (
     PointCloud,
     SpatialIndex,
-    SurfacePatch,
     add_gaussian_noise,
     augment_rotations,
     build_index,
     deduplicate,
     downsample,
-    extract_patch,
     extract_patches,
     mean_neighbor_distance,
-    pca_min_axis,
 )
 from .metrics import EvalReport, chamfer, evaluate, match_counts, normalize_pair
-from .net import (
-    ModelParameters,
-    forward,
-    init_params,
-    load_checkpoint,
-    save_checkpoint,
-)
+from .net import ModelParameters, init_params, load_checkpoint, save_checkpoint
 from .segment import SegmentationResult, flood_segment, knn_graph
 from .synth import ShapeSpec, SynthResult, distance_to_edge_curves, generate
 from .trainer import TrainConfig, bce_loss, build_dataset, predict, train
@@ -34,12 +25,11 @@ from .trainer import TrainConfig, bce_loss, build_dataset, predict, train
 __version__ = "0.1.0"
 
 __all__ = [
-    "PointCloud", "SpatialIndex", "SurfacePatch", "ModelParameters",
+    "PointCloud", "SpatialIndex", "ModelParameters",
     "TrainConfig", "EvalReport", "ShapeSpec", "SynthResult", "SegmentationResult",
-    "build_index", "pca_min_axis", "extract_patch", "extract_patches",
-    "augment_rotations", "add_gaussian_noise", "downsample", "deduplicate",
-    "mean_neighbor_distance", "forward", "init_params", "save_checkpoint",
-    "load_checkpoint", "bce_loss", "build_dataset", "train", "predict",
+    "build_index", "extract_patches", "augment_rotations", "add_gaussian_noise",
+    "downsample", "deduplicate", "mean_neighbor_distance", "init_params",
+    "save_checkpoint", "load_checkpoint", "bce_loss", "build_dataset", "train", "predict",
     "normalize_pair", "chamfer", "match_counts", "evaluate",
     "knn_graph", "flood_segment", "distance_to_edge_curves", "generate",
 ]

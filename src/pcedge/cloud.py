@@ -71,33 +71,8 @@ class PointCloud:
     def n(self) -> int:
         return self.points.shape[0]
 
-    def with_labels(self, labels) -> "PointCloud":
-        return PointCloud(self.points, labels, self.predictions)
-
     def with_predictions(self, predictions, labels=None) -> "PointCloud":
         return PointCloud(self.points, self.labels if labels is None else labels, predictions)
-
-
-@dataclass(frozen=True)
-class SurfacePatch:
-    """A target point with its filtered-kNN neighborhood.
-
-    dvecs are the centered neighbor vectors p_j - p_i ordered by
-    nondecreasing norm (ties by neighbor index); proj_offsets are the
-    absolute components of the dvecs along the minimal-variance axis;
-    scale is the mean dvec norm.
-    """
-
-    center_index: int
-    neighbor_indices: np.ndarray  # (k,) int
-    dvecs: np.ndarray             # (k, 3) float64
-    proj_offsets: np.ndarray      # (k,) float64
-    normal_axis: np.ndarray       # (3,) unit float64
-    scale: float
-
-    @property
-    def k(self) -> int:
-        return self.dvecs.shape[0]
 
 
 class SpatialIndex:
@@ -119,10 +94,6 @@ class SpatialIndex:
     def n(self) -> int:
         return self._points.shape[0]
 
-    def query(self, q, k: int) -> np.ndarray:
-        """Return the min(k, N) nearest point indices to q."""
-        return self.query_many(np.asarray(q, dtype=np.float64).reshape(1, 3), k)[0]
-
     def query_many(self, queries: np.ndarray, k: int) -> np.ndarray:
         """Vectorized query: (B, 3) query points -> (B, min(k, N)) indices.
 
@@ -143,7 +114,7 @@ class SpatialIndex:
         if queries.ndim != 2 or queries.shape[1] != 3:
             raise InvalidInput(f"queries must be (B, 3), got shape {queries.shape}")
         if k < 1:
-            raise InvalidInput("k must be >= 1")
+            raise InvalidInput(f"k must be >= 1, got {k}")
         kk = min(k, self.n)
         out = np.empty((queries.shape[0], kk), dtype=np.int64)
         for lo in range(0, queries.shape[0], _QUERY_BLOCK):
@@ -203,19 +174,6 @@ def build_index(cloud: PointCloud) -> SpatialIndex:
     return SpatialIndex(cloud)
 
 
-def pca_min_axis(vectors: np.ndarray) -> np.ndarray:
-    """Unit eigenvector of the centered covariance with smallest eigenvalue.
-
-    It is the axis extract_patches takes over a point's candidates. The
-    sign is fixed so that the component with the largest absolute value is
-    positive (first such component on ties).
-    """
-    pts = np.asarray(vectors, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 3:
-        raise InvalidInput("pca_min_axis needs at least 3 three-dimensional points")
-    return _min_axes(pts[None], [0])[0]
-
-
 def _fix_sign(axes: np.ndarray) -> np.ndarray:
     """Flip each row so its largest-magnitude component is positive.
 
@@ -239,21 +197,6 @@ def _min_axes(neighborhoods: np.ndarray, targets) -> np.ndarray:
         raise DegenerateNeighborhood(f"neighborhood of target {bad} has coincident points")
     _, vecs = np.linalg.eigh(cov)
     return _fix_sign(vecs[:, :, 0])
-
-
-def extract_patch(cloud: PointCloud, index: SpatialIndex, i: int, k: int) -> SurfacePatch:
-    """Extract the filtered-kNN surface patch around point i."""
-    dvecs, offsets, axes, scales, neighbor_idx = extract_patches(
-        cloud, index, np.asarray([i], dtype=np.int64), k
-    )
-    return SurfacePatch(
-        center_index=int(i),
-        neighbor_indices=neighbor_idx[0],
-        dvecs=dvecs[0],
-        proj_offsets=offsets[0],
-        normal_axis=axes[0],
-        scale=float(scales[0]),
-    )
 
 
 def extract_patches(cloud: PointCloud, index: SpatialIndex, targets: np.ndarray, k: int):

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .cloud import SurfacePatch
 from .errors import (
     CorruptCheckpoint,
     ModelShapeError,
@@ -502,13 +501,6 @@ def backward(params: ModelParameters, cache, d_e: np.ndarray) -> np.ndarray:
     _rbf_group_bwd(df_euc[:, :m], df_cos[:, :m], cg1, grads, "first")
     _rbf_group_bwd(df_euc[:, m:], df_cos[:, m:], cg2, grads, "second")
     return params.pack(grads)
-
-
-def forward(patch: SurfacePatch, params: ModelParameters) -> float:
-    """Edge probability for a single surface patch."""
-    e, _ = forward_batch(patch.dvecs[None], patch.proj_offsets[None],
-                         np.asarray([patch.scale]), params)
-    return float(e[0])
 
 
 # ---------------------------------------------------------------------------

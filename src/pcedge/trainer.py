@@ -85,8 +85,10 @@ class TrainConfig:
             raise InvalidInput(f"batch_size must be even and >= 2, got {self.batch_size}")
         if self.seed < 0:
             raise InvalidInput(f"seed must be a nonnegative integer, got {self.seed!r}")
-        if self.max_epochs < 1 or self.patience < 1:
-            raise InvalidInput("max_epochs and patience must be >= 1")
+        if self.max_epochs < 1:
+            raise InvalidInput(f"max_epochs must be >= 1, got {self.max_epochs}")
+        if self.patience < 1:
+            raise InvalidInput(f"patience must be >= 1, got {self.patience}")
 
 
 # Every matrix in _ROTATIONS_90 is a signed permutation, so column i of a

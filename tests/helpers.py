@@ -129,13 +129,19 @@ def group_descriptors(dvecs, scale, params, group):
     return fe, fc
 
 
-def patch_features(patch, params):
+def patch_features(dvecs, offsets, scale, params):
     """The (k, 6) feature map of one patch: scaled geometry plus descriptors."""
-    m = patch.k // 2
-    fe1, fc1 = group_descriptors(patch.dvecs[:m], patch.scale, params, "first")
-    fe2, fc2 = group_descriptors(patch.dvecs[m:], patch.scale, params, "second")
-    return net._feature_map(patch.dvecs[None], patch.proj_offsets[None], np.asarray([patch.scale]),
+    m = dvecs.shape[0] // 2
+    fe1, fc1 = group_descriptors(dvecs[:m], scale, params, "first")
+    fe2, fc2 = group_descriptors(dvecs[m:], scale, params, "second")
+    return net._feature_map(dvecs[None], offsets[None], np.asarray([scale]),
                             np.concatenate([fe1, fe2])[None], np.concatenate([fc1, fc2])[None])[0]
+
+
+def forward_one(dvecs, offsets, scale, params):
+    """Edge probability of one patch: forward_batch at B = 1."""
+    e, _ = net.forward_batch(dvecs[None], offsets[None], np.asarray([scale]), params)
+    return float(e[0])
 
 
 def encode(x, params):

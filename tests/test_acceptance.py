@@ -15,6 +15,7 @@ from helpers import (
     end_to_end_grads,
     end_to_end_loss,
     fd_check_grads,
+    forward_one,
     gapped_lattice_cube,
     lattice_cube,
     patch_features,
@@ -23,12 +24,10 @@ from helpers import (
 from pcedge import cli, metrics, net, segment, synth, trainer
 from pcedge.cloud import (
     PointCloud,
-    SurfacePatch,
     augment_rotations,
     add_gaussian_noise,
     build_index,
     downsample,
-    extract_patch,
     extract_patches,
 )
 from pcedge.io import save_cloud
@@ -168,13 +167,13 @@ def test_criterion_2_oracles():
         q = rng.random(3)
         d = np.linalg.norm(pts - q, axis=1)
         expected = np.lexsort((np.arange(n), d))[: min(k, n)]
-        assert index.query(q, k).tolist() == expected.tolist()
+        assert index.query_many(q[None], k)[0].tolist() == expected.tolist()
 
         # filtered-kNN vs reference
         kk = int(rng.choice([4, 8, 16]))
         if n >= 2 * kk + 1:
             i = int(rng.integers(0, n))
-            patch = extract_patch(cloud, index, i, kk)
+            neighbor_idx = extract_patches(cloud, index, np.array([i]), kk)[4][0]
             di = np.linalg.norm(pts - pts[i], axis=1)
             order = np.lexsort((np.arange(n), di))
             order = order[order != i][: 2 * kk]
@@ -185,7 +184,7 @@ def test_criterion_2_oracles():
             offs = np.abs((neigh - pts[i]) @ axis)
             keep = order[np.lexsort((order, di[order], offs))[:kk]]
             keep = keep[np.lexsort((keep, di[keep]))]
-            assert patch.neighbor_indices.tolist() == keep.tolist()
+            assert neighbor_idx.tolist() == keep.tolist()
 
         # distance matrices vs double loop
         m = int(rng.integers(2, 9))
@@ -346,25 +345,20 @@ def test_criterion_8_invariances():
         rng = np.random.default_rng(3000 + seed)
         params = net.init_params(16, seed=seed)
         dvecs, offsets, scales = random_patch_arrays(rng, 1, 16)
-        patch = SurfacePatch(0, np.arange(1, 17), dvecs[0], offsets[0],
-                             np.array([0.0, 0.0, 1.0]), float(scales[0]))
+        dvecs, offsets, scale = dvecs[0], offsets[0], float(scales[0])
 
         # forward-pass scale invariance
         c = float(rng.uniform(0.01, 100.0))
-        scaled = SurfacePatch(0, patch.neighbor_indices, patch.dvecs * c,
-                              patch.proj_offsets * c, patch.normal_axis, patch.scale * c)
-        worst_scale = max(worst_scale,
-                          abs(net.forward(scaled, params) - net.forward(patch, params)))
+        worst_scale = max(worst_scale, abs(forward_one(dvecs * c, offsets * c, scale * c, params)
+                                           - forward_one(dvecs, offsets, scale, params)))
 
         # descriptor columns rotation invariance
         mat = rng.normal(size=(3, 3))
         q, r = np.linalg.qr(mat)
         q *= np.sign(np.diag(r))
-        rotated = SurfacePatch(0, patch.neighbor_indices, patch.dvecs @ q.T,
-                               patch.proj_offsets, q @ patch.normal_axis, patch.scale)
-
-        worst_cols = max(worst_cols, float(np.abs(patch_features(patch, params)[:, 3:]
-                                                  - patch_features(rotated, params)[:, 3:]).max()))
+        base = patch_features(dvecs, offsets, scale, params)
+        rotf = patch_features(dvecs @ q.T, offsets, scale, params)
+        worst_cols = max(worst_cols, float(np.abs(base[:, 3:] - rotf[:, 3:]).max()))
 
         # transformer permutation equivariance
         x = rng.normal(size=(16, 6))

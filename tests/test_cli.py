@@ -302,8 +302,8 @@ class TestMalformedInput:
         ("val_fraction = 0\n", "val_fraction must be in (0, 0.5), got 0.0"),
         ("batch_size = 3\n", "batch_size must be even and >= 2, got 3"),
         ("batch_size = 0\n", "batch_size must be even and >= 2, got 0"),
-        ("max_epochs = 0\n", "max_epochs and patience must be >= 1"),
-        ("patience = 0\n", "max_epochs and patience must be >= 1"),
+        ("max_epochs = 0\n", "max_epochs must be >= 1, got 0"),
+        ("patience = 0\n", "patience must be >= 1, got 0"),
     ])
     def test_train_config_value(self, text, message, cube_file, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"

@@ -24,16 +24,15 @@ import pcedge.cloud
 from pcedge import synth
 from pcedge.cloud import (
     PointCloud,
+    _min_axes,
     _take_rows,
     add_gaussian_noise,
     augment_rotations,
     build_index,
     deduplicate,
     downsample,
-    extract_patch,
     extract_patches,
     mean_neighbor_distance,
-    pca_min_axis,
 )
 from pcedge.errors import (
     DegenerateNeighborhood,
@@ -91,12 +90,12 @@ class TestSpatialIndex:
     def test_single_point(self):
         cloud = PointCloud(np.array([[1.0, 2.0, 3.0]]))
         index = build_index(cloud)
-        assert index.query([9.0, 9.0, 9.0], 1).tolist() == [0]
+        assert index.query_many(np.array([[9.0, 9.0, 9.0]]), 1).tolist() == [[0]]
 
     def test_unit_square_corner(self):
         pts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], dtype=float)
         index = build_index(PointCloud(pts))
-        got = index.query([0.0, 0.0, 0.0], 2)
+        got = index.query_many(np.zeros((1, 3)), 2)[0]
         assert got[0] == 0
         # Both adjacent corners sit at distance 1; smaller index wins the tie.
         assert got[1] == 1
@@ -119,27 +118,33 @@ class TestSpatialIndex:
         xx, yy, zz = np.meshgrid(ax, ax, ax, indexing="ij")
         pts = np.column_stack([xx.ravel(), yy.ravel(), zz.ravel()])
         index = build_index(PointCloud(pts))
+        queries = np.array([[3.0, 3.0, 3.0], [0.0, 0.0, 0.0], [3.5, 3.0, 2.5]])
         for k in (1, 5, 6, 7, 19, 27, 64):
-            for q in ([3.0, 3.0, 3.0], [0.0, 0.0, 0.0], [3.5, 3.0, 2.5]):
-                got = index.query(np.array(q), k)
-                expected = brute_force_knn(pts, np.array(q), k)
-                assert got.tolist() == expected.tolist(), (k, q)
+            got = index.query_many(queries, k)
+            for q, row in zip(queries, got):
+                expected = brute_force_knn(pts, q, k)
+                assert row.tolist() == expected.tolist(), (k, q)
 
     def test_k_larger_than_cloud(self):
         pts = np.random.default_rng(0).random((5, 3))
         index = build_index(PointCloud(pts))
-        assert len(index.query([0.5, 0.5, 0.5], 64)) == 5
+        assert index.query_many(np.full((1, 3), 0.5), 64).shape == (1, 5)
+
+
+def min_axis(pts):
+    """The minimal-variance axis of one point set, as extract_patches computes it."""
+    return _min_axes(np.asarray(pts)[None], [0])[0]
 
 
 class TestPcaMinAxis:
     def test_plane_z0(self):
         pts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [2, 1, 0]], dtype=float)
-        axis = pca_min_axis(pts)
+        axis = min_axis(pts)
         assert np.allclose(axis, [0, 0, 1])
 
     def test_plane_x_equals_y(self):
         pts = np.array([[0, 0, 0], [1, 1, 0], [1, 1, 2], [2, 2, 1]], dtype=float)
-        axis = pca_min_axis(pts)
+        axis = min_axis(pts)
         expected = np.array([1.0, -1.0, 0.0]) / np.sqrt(2)
         assert np.allclose(axis, expected, atol=1e-12)
 
@@ -151,7 +156,7 @@ class TestPcaMinAxis:
         basis = np.linalg.svd(normal[None, :])[2][1:]
         coords = rng.normal(size=(30, 2))
         pts = coords @ basis + rng.normal(size=3)
-        axis = pca_min_axis(pts)
+        axis = min_axis(pts)
         angle = np.arccos(min(1.0, abs(float(axis @ normal))))
         assert angle < 1e-6
 
@@ -160,7 +165,7 @@ class TestPcaMinAxis:
         """Independent oracle: characteristic-polynomial 3x3 eigensolver."""
         rng = np.random.default_rng(100 + seed)
         pts = rng.normal(size=(25, 3)) * np.array([2.0, 1.0, 0.3])
-        axis = pca_min_axis(pts)
+        axis = min_axis(pts)
         centered = pts - pts.mean(axis=0)
         cov = centered.T @ centered
         lam = _smallest_eigenvalue_cardano(cov)
@@ -173,8 +178,8 @@ class TestPcaMinAxis:
         rng = np.random.default_rng(5)
         pts = rng.normal(size=(40, 3)) * np.array([3.0, 1.5, 0.2])
         rot = _random_rotation(rng)
-        a1 = pca_min_axis(pts)
-        a2 = pca_min_axis(pts @ rot.T)
+        a1 = min_axis(pts)
+        a2 = min_axis(pts @ rot.T)
         assert min(np.linalg.norm(a2 - rot @ a1), np.linalg.norm(a2 + rot @ a1)) < 1e-9
 
     def test_is_the_extraction_axis(self):
@@ -186,17 +191,13 @@ class TestPcaMinAxis:
         axes = extract_patches(cloud, index, targets, 16)[2]
         nn = index.query_many(cloud.points[targets], 33)
         assert np.array_equal(nn[:, 0], targets)  # no duplicates: self comes first
-        got = np.array([pca_min_axis(cloud.points[row]) for row in nn[:, 1:]])
+        got = np.array([min_axis(cloud.points[row]) for row in nn[:, 1:]])
         assert got.shape == (2657, 3)
         assert np.array_equal(got, axes)
 
     def test_coincident_points_degenerate(self):
         with pytest.raises(DegenerateNeighborhood):
-            pca_min_axis(np.ones((5, 3)))
-
-    def test_too_few_points(self):
-        with pytest.raises(InvalidInput):
-            pca_min_axis(np.zeros((2, 3)))
+            min_axis(np.ones((5, 3)))
 
 
 def _smallest_eigenvalue_cardano(cov):
@@ -245,9 +246,9 @@ class TestExtractPatch:
         cloud, per_sheet = two_sheet_grid(gap=0.05, spacing=0.02)
         index = build_index(cloud)
         target = per_sheet // 2 + 10  # interior point of sheet 0
-        patch = extract_patch(cloud, index, target, 16)
-        assert (patch.neighbor_indices < per_sheet).all()
-        assert np.all(np.abs(cloud.points[patch.neighbor_indices][:, 2]) < 1e-12)
+        neighbor_idx = extract_patches(cloud, index, np.array([target]), 16)[4][0]
+        assert (neighbor_idx < per_sheet).all()
+        assert np.all(np.abs(cloud.points[neighbor_idx][:, 2]) < 1e-12)
 
     def test_close_sheets_purity_where_plain_knn_fails(self):
         # gap < 2 * spacing: the opposite sheet is nearer than the second
@@ -272,10 +273,10 @@ class TestExtractPatch:
         pts = np.column_stack([rng.random(300), rng.random(300), np.zeros(300)])
         cloud = PointCloud(pts)
         index = build_index(cloud)
-        patch = extract_patch(cloud, index, 17, 16)
-        plain = index.query(pts[17], 17)
+        neighbor_idx = extract_patches(cloud, index, np.array([17]), 16)[4][0]
+        plain = index.query_many(pts[17][None], 17)[0]
         plain = plain[plain != 17][:16]
-        assert sorted(patch.neighbor_indices.tolist()) == sorted(plain.tolist())
+        assert sorted(neighbor_idx.tolist()) == sorted(plain.tolist())
 
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_reference_implementation(self, seed):
@@ -284,41 +285,42 @@ class TestExtractPatch:
         cloud = PointCloud(pts)
         index = build_index(cloud)
         targets = rng.integers(0, 1000, size=20)
-        for i in targets:
-            patch = extract_patch(cloud, index, int(i), 16)
+        dvecs, _, axes, scales, neighbor_idx = extract_patches(cloud, index, targets, 16)
+        for row, i in enumerate(targets):
             expected_idx, expected_axis = brute_force_patch(pts, int(i), 16)
-            assert patch.neighbor_indices.tolist() == expected_idx.tolist()
-            assert np.allclose(patch.normal_axis, expected_axis, atol=1e-9)
-            dvecs = pts[expected_idx] - pts[i]
-            assert np.allclose(patch.dvecs, dvecs)
-            assert patch.scale == pytest.approx(np.linalg.norm(dvecs, axis=1).mean())
+            assert neighbor_idx[row].tolist() == expected_idx.tolist()
+            assert np.allclose(axes[row], expected_axis, atol=1e-9)
+            expected_dvecs = pts[expected_idx] - pts[i]
+            assert np.allclose(dvecs[row], expected_dvecs)
+            assert scales[row] == pytest.approx(np.linalg.norm(expected_dvecs, axis=1).mean())
 
     def test_patch_invariants(self):
         rng = np.random.default_rng(9)
         cloud = PointCloud(rng.random((500, 3)))
         index = build_index(cloud)
-        for i in range(0, 500, 50):
-            patch = extract_patch(cloud, index, i, 16)
-            norms = np.linalg.norm(patch.dvecs, axis=1)
+        targets = np.arange(0, 500, 50)
+        dvecs, _, axes, scales, neighbor_idx = extract_patches(cloud, index, targets, 16)
+        for row, i in enumerate(targets):
+            norms = np.linalg.norm(dvecs[row], axis=1)
             assert (np.diff(norms) >= 0).all()
-            assert len(set(patch.neighbor_indices.tolist())) == 16
-            assert i not in patch.neighbor_indices
-            assert abs(np.linalg.norm(patch.normal_axis) - 1.0) < 1e-9
-            assert patch.scale > 0
+            assert len(set(neighbor_idx[row].tolist())) == 16
+            assert i not in neighbor_idx[row]
+            assert abs(np.linalg.norm(axes[row]) - 1.0) < 1e-9
+            assert scales[row] > 0
 
     def test_small_cloud_uses_available_neighbors(self):
         # 2k+1 would need 33 points; 20 still offers >= k+1 candidates.
         rng = np.random.default_rng(1)
         cloud = PointCloud(rng.random((20, 3)))
         index = build_index(cloud)
-        patch = extract_patch(cloud, index, 0, 16)
-        assert patch.k == 16
+        dvecs = extract_patches(cloud, index, np.array([0]), 16)[0]
+        assert dvecs.shape == (1, 16, 3)
 
     def test_too_few_points(self):
         cloud = PointCloud(np.random.default_rng(0).random((10, 3)))
         index = build_index(cloud)
         with pytest.raises(InsufficientNeighborhood):
-            extract_patch(cloud, index, 0, 16)
+            extract_patches(cloud, index, np.array([0]), 16)
 
     @pytest.mark.parametrize("extra", [1, 8, 9])
     def test_boundary_sizes_match_brute_force(self, extra):
@@ -343,7 +345,7 @@ class TestExtractPatch:
         cloud = PointCloud(pts)
         index = build_index(cloud)
         with pytest.raises(DuplicatePoint):
-            extract_patch(cloud, index, 7, 16)
+            extract_patches(cloud, index, np.array([7]), 16)
 
     def test_target_pushed_off_its_own_candidate_list(self):
         # 40 copies of the last point, all with smaller indices: the 33-entry
@@ -354,14 +356,14 @@ class TestExtractPatch:
         pts[10:50] = pts[99]
         cloud = PointCloud(pts)
         index = build_index(cloud)
-        assert 99 not in index.query(pts[99], 33)
+        assert 99 not in index.query_many(pts[99][None], 33)[0]
         with pytest.raises(DuplicatePoint, match=r"duplicate of point 99$"):
             extract_patches(cloud, index, np.array([3, 99]), 16)
 
     def test_odd_k_rejected(self):
         cloud = PointCloud(np.random.default_rng(0).random((100, 3)))
         with pytest.raises(InvalidInput):
-            extract_patch(cloud, build_index(cloud), 0, 7)
+            extract_patches(cloud, build_index(cloud), np.array([0]), 7)
 
     @pytest.mark.parametrize("targets", [np.int64(5), np.arange(4).reshape(2, 2)], ids=["0d", "2d"])
     def test_targets_not_1d_rejected(self, targets):
@@ -391,24 +393,16 @@ class TestExtractPatch:
         cloud = PointCloud(rng.random((400, 3)))
         index = build_index(cloud)
         targets = list(range(0, 400, 7))
-        sequential = [extract_patch(cloud, index, i, 16) for i in targets]
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            parallel = list(pool.map(lambda i: extract_patch(cloud, index, i, 16), targets))
-        for a, b in zip(sequential, parallel):
-            assert a.neighbor_indices.tolist() == b.neighbor_indices.tolist()
-            assert np.array_equal(a.dvecs, b.dvecs)
 
-    def test_batch_equals_single(self):
-        rng = np.random.default_rng(6)
-        cloud = PointCloud(rng.random((300, 3)))
-        index = build_index(cloud)
-        targets = np.arange(0, 300, 11)
-        dv, off, axes, sc, ni = extract_patches(cloud, index, targets, 16)
-        for row, i in enumerate(targets):
-            patch = extract_patch(cloud, index, int(i), 16)
-            assert np.array_equal(dv[row], patch.dvecs)
-            assert np.array_equal(ni[row], patch.neighbor_indices)
-            assert sc[row] == patch.scale
+        def one(i):
+            return extract_patches(cloud, index, np.array([i]), 16)
+
+        sequential = [one(i) for i in targets]
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            parallel = list(pool.map(one, targets))
+        for a, b in zip(sequential, parallel):
+            assert a[4].tolist() == b[4].tolist()
+            assert np.array_equal(a[0], b[0])
 
     @pytest.mark.parametrize("k", [8, 16])
     @pytest.mark.parametrize("direction", [(1, 0, 0), (0, 0, 1), (1, 1, 1), (1, -1, 3), (0, 2, -1)])
@@ -624,7 +618,7 @@ class TestQueryParity:
         pts = pts[np.random.default_rng(0).permutation(len(pts))]
         assert (np.einsum("ij,ij->i", pts, pts) == 25).sum() > 5 + 1
         index, spy = spied_index(PointCloud(pts))
-        got = index.query([0.0, 0.0, 0.0], 5)
+        got = index.query_many(np.zeros((1, 3)), 5)[0]
         assert got.tolist() == brute_force_knn(pts, np.zeros(3), 5).tolist()
         assert spy.queries == [(1, 6), (1, 12), (1, 24), (1, 48)]
 
@@ -636,7 +630,7 @@ class TestQueryParity:
         pts = pts[np.random.default_rng(0).permutation(len(pts))]
         assert len(pts) == 30
         index, spy = spied_index(PointCloud(pts))
-        got = index.query([0.0, 0.0, 0.0], 5)
+        got = index.query_many(np.zeros((1, 3)), 5)[0]
         assert got.tolist() == brute_force_knn(pts, np.zeros(3), 5).tolist()
         assert spy.queries == [(1, 6), (1, 12), (1, 24), (1, 30)]
 
@@ -647,9 +641,9 @@ class TestQueryParity:
         pts = rng.random((60, 3))
         pts[[17, 5]] = pts[40]
         index, spy = spied_index(PointCloud(pts))
-        assert index.query(pts[40], 2).tolist() == [5, 17]
+        assert index.query_many(pts[40][None], 2).tolist() == [[5, 17]]
         assert spy.queries == [(1, 3), (1, 6)]
-        assert index.query(pts[40], 3).tolist() == [5, 17, 40]
+        assert index.query_many(pts[40][None], 3).tolist() == [[5, 17, 40]]
 
     @pytest.mark.parametrize("lattice", [False, True])
     @pytest.mark.parametrize("dk", [-1, 0, 1])
@@ -888,6 +882,8 @@ class TestNoise:
             warnings.simplefilter("error")
             with pytest.raises(InvalidInput, match=rf"^k must be >= 1, got {k}$"):
                 mean_neighbor_distance(cloud, k=k)
+            with pytest.raises(InvalidInput, match=rf"^k must be >= 1, got {k}$"):
+                build_index(cloud).query_many(cloud.points, k)
 
     def test_noise_std_matches_configuration(self):
         rng = np.random.default_rng(0)

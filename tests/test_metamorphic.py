@@ -90,7 +90,7 @@ def test_evaluate_ignores_a_joint_scaling_and_translation(kind, seed, scale, shi
     pred_labels = gt.labels.copy()
     flip = rng.random(gt.n) < 0.05
     pred_labels[flip] = 1 - pred_labels[flip]
-    base = metrics.evaluate(gt.with_labels(pred_labels), gt)
+    base = metrics.evaluate(PointCloud(gt.points, pred_labels), gt)
 
     points = gt.points * scale + np.asarray(shift)
     moved = metrics.evaluate(PointCloud(points, pred_labels), PointCloud(points, gt.labels))

@@ -14,6 +14,7 @@ from helpers import (
     end_to_end_grads,
     end_to_end_loss,
     fd_check_grads,
+    forward_one,
     group_descriptors,
     oracle_encoder_layer_bwd,
     oracle_encoder_layer_fwd,
@@ -25,7 +26,7 @@ from helpers import (
     reference_forward,
 )
 from pcedge import net
-from pcedge.cloud import SurfacePatch, build_index, extract_patches
+from pcedge.cloud import build_index, extract_patches
 from pcedge.errors import CorruptCheckpoint, ModelShapeError, NumericalError, StateError
 from pcedge.rbf import _basis_matrices
 from pcedge.synth import ShapeSpec, generate
@@ -39,15 +40,9 @@ def zero_params(k):
 
 
 def make_patch(rng, k=16):
+    """(dvecs (k, 3), offsets (k,), scale) of one random patch."""
     dvecs, offsets, scales = random_patch_arrays(rng, 1, k)
-    return SurfacePatch(
-        center_index=0,
-        neighbor_indices=np.arange(1, k + 1),
-        dvecs=dvecs[0],
-        proj_offsets=offsets[0],
-        normal_axis=np.array([0.0, 0.0, 1.0]),
-        scale=float(scales[0]),
-    )
+    return dvecs[0], offsets[0], float(scales[0])
 
 
 def random_rbf_params(rng, k, seed=0):
@@ -334,26 +329,21 @@ class TestEncoderFoldedLayer:
 class TestAssembleFeatures:
     def test_zero_descriptor_columns(self):
         rng = np.random.default_rng(0)
-        patch = make_patch(rng, k=4)
+        dvecs, offsets, scale = make_patch(rng, k=4)
         zeros = np.zeros((1, 4))
-        feats = net._feature_map(patch.dvecs[None], patch.proj_offsets[None],
-                                 np.asarray([patch.scale]), zeros, zeros)[0]
+        feats = net._feature_map(dvecs[None], offsets[None], np.asarray([scale]), zeros, zeros)[0]
         assert feats.shape == (4, 6)
-        assert np.array_equal(feats[:, :3], patch.dvecs / patch.scale)
-        assert np.array_equal(feats[:, 3], patch.proj_offsets / patch.scale)
+        assert np.array_equal(feats[:, :3], dvecs / scale)
+        assert np.array_equal(feats[:, 3], offsets / scale)
         assert np.array_equal(feats[:, 4:], np.zeros((4, 2)))
 
     def test_scaling_patch_leaves_features(self):
         rng = np.random.default_rng(1)
-        patch = make_patch(rng, k=8)
-        scaled = SurfacePatch(patch.center_index, patch.neighbor_indices,
-                              patch.dvecs * 10.0, patch.proj_offsets * 10.0,
-                              patch.normal_axis, patch.scale * 10.0)
+        dvecs, offsets, scale = make_patch(rng, k=8)
         f_euc, f_cos = np.ones((1, 8)), np.zeros((1, 8))
-        a = net._feature_map(patch.dvecs[None], patch.proj_offsets[None],
-                             np.asarray([patch.scale]), f_euc, f_cos)[0]
-        b = net._feature_map(scaled.dvecs[None], scaled.proj_offsets[None],
-                             np.asarray([scaled.scale]), f_euc, f_cos)[0]
+        a = net._feature_map(dvecs[None], offsets[None], np.asarray([scale]), f_euc, f_cos)[0]
+        b = net._feature_map(dvecs[None] * 10.0, offsets[None] * 10.0,
+                             np.asarray([scale * 10.0]), f_euc, f_cos)[0]
         assert np.abs(a - b).max() < 1e-12
 
 
@@ -424,24 +414,23 @@ class TestDecoder:
 class TestFullForward:
     def test_zero_params_half_probability(self):
         rng = np.random.default_rng(0)
-        patch = make_patch(rng)
-        assert net.forward(patch, zero_params(16)) == 0.5
+        assert forward_one(*make_patch(rng), zero_params(16)) == 0.5
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_reference_implementation(self, seed):
         rng = np.random.default_rng(seed)
         params = net.init_params(4, seed=seed + 9)
         patch = make_patch(rng, k=4)
-        got = net.forward(patch, params)
-        want = reference_forward(patch.dvecs, patch.proj_offsets, patch.scale, params)
+        got = forward_one(*patch, params)
+        want = reference_forward(*patch, params)
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_reference_matches_k16_too(self):
         rng = np.random.default_rng(11)
         params = net.init_params(16, seed=2)
         patch = make_patch(rng, k=16)
-        got = net.forward(patch, params)
-        want = reference_forward(patch.dvecs, patch.proj_offsets, patch.scale, params)
+        got = forward_one(*patch, params)
+        want = reference_forward(*patch, params)
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_batch_matches_reference_at_production_shape(self):
@@ -469,24 +458,20 @@ class TestFullForward:
     def test_scale_invariance(self, seed):
         rng = np.random.default_rng(seed)
         params = net.init_params(16, seed=seed)
-        patch = make_patch(rng)
+        dvecs, offsets, scale = make_patch(rng)
         for c in (0.01, 3.0, 1000.0):
-            scaled = SurfacePatch(0, patch.neighbor_indices, patch.dvecs * c,
-                                  patch.proj_offsets * c, patch.normal_axis,
-                                  patch.scale * c)
-            assert abs(net.forward(scaled, params) - net.forward(patch, params)) < 1e-9
+            assert abs(forward_one(dvecs * c, offsets * c, scale * c, params)
+                       - forward_one(dvecs, offsets, scale, params)) < 1e-9
 
     @pytest.mark.parametrize("seed", range(5))
     def test_descriptor_columns_rotation_invariant(self, seed):
         """Feature-map columns 4-6 are rotation invariant; 1-3 co-rotate."""
         rng = np.random.default_rng(seed)
         params = net.init_params(16, seed=seed + 30)
-        patch = make_patch(rng)
+        dvecs, offsets, scale = make_patch(rng)
         rot = rotation(rng)
-        rotated = SurfacePatch(0, patch.neighbor_indices, patch.dvecs @ rot.T,
-                               patch.proj_offsets, rot @ patch.normal_axis, patch.scale)
-
-        base, rotf = patch_features(patch, params), patch_features(rotated, params)
+        base = patch_features(dvecs, offsets, scale, params)
+        rotf = patch_features(dvecs @ rot.T, offsets, scale, params)
         assert np.abs(base[:, 3:] - rotf[:, 3:]).max() < 1e-12
         assert np.abs(rotf[:, :3] - base[:, :3] @ rot.T).max() < 1e-12
 
@@ -494,13 +479,13 @@ class TestFullForward:
         rng = np.random.default_rng(1)
         params = net.init_params(16, seed=1)
         patch = make_patch(rng)
-        assert net.forward(patch, params) == net.forward(patch, params)
+        assert forward_one(*patch, params) == forward_one(*patch, params)
 
     def test_k_mismatch_rejected(self):
         rng = np.random.default_rng(1)
         patch = make_patch(rng, k=8)
         with pytest.raises(ModelShapeError):
-            net.forward(patch, net.init_params(16, seed=0))
+            forward_one(*patch, net.init_params(16, seed=0))
 
     @pytest.mark.parametrize("name", ["offsets", "scales"])
     def test_offsets_and_scales_shape_rejected(self, name):
@@ -515,11 +500,10 @@ class TestFullForward:
         # invariant; right-angle augmentation is what covers orientation.
         rng = np.random.default_rng(2)
         params = net.init_params(16, seed=3)
-        patch = make_patch(rng)
+        dvecs, offsets, scale = make_patch(rng)
         rot = rotation(rng)
-        rotated = SurfacePatch(0, patch.neighbor_indices, patch.dvecs @ rot.T,
-                               patch.proj_offsets, rot @ patch.normal_axis, patch.scale)
-        assert net.forward(patch, params) != net.forward(rotated, params)
+        assert (forward_one(dvecs, offsets, scale, params)
+                != forward_one(dvecs @ rot.T, offsets, scale, params))
 
 
 class TestBackward:
