@@ -1,7 +1,10 @@
 """The edge classifier: learned RBF descriptors, a small transformer encoder,
 and an MLP decoder, with analytic forward and backward passes.
 
-All math is plain float64 numpy, batched over patches. Checkpoints store
+All math is numpy, batched over patches, in the dtype of the parameters'
+`flat` vector: float64 for validation, `predict`, the gradient checks and
+loaded checkpoints, float32 for a training step's working copy (see
+`trainer`). Gradient vectors are float64 either way. Checkpoints store
 tensors as little-endian float32 with a CRC32 trailer.
 """
 
@@ -36,7 +39,10 @@ CHECKPOINT_VERSION = 1
 @dataclass
 class ModelParameters:
     """All learnable tensors, copied into one new float64 vector `flat` in sorted-name
-    (checkpoint) order with `tensors[name]` a view into it, plus the k hyperparameter."""
+    (checkpoint) order with `tensors[name]` a view into it, plus the k hyperparameter.
+
+    The model computes in the dtype of `flat`; `astype` makes the float32 copy
+    a training step runs on. `pack` always returns float64."""
 
     k: int
     tensors: dict[str, np.ndarray] = field(repr=False)
@@ -71,6 +77,13 @@ class ModelParameters:
 
     def copy(self) -> "ModelParameters":
         return ModelParameters(self.k, self.tensors)
+
+    def astype(self, dtype) -> "ModelParameters":
+        """A copy whose `flat`, and so every tensor view, is in `dtype`."""
+        other = self.copy()
+        other.flat = self.flat.astype(dtype)
+        other.tensors = other.unpack(other.flat)
+        return other
 
     def validate_finite(self) -> None:
         if not np.isfinite(self.flat).all():
@@ -140,7 +153,7 @@ def _ensure_finite(arr: np.ndarray, what: str) -> None:
 
 def _col_sum(a2):
     # Column sums as a GEMV: sum(axis=0) over many short rows is slow in numpy.
-    return np.ones(a2.shape[0]) @ a2
+    return np.ones(a2.shape[0], dtype=a2.dtype) @ a2
 
 
 def _linear_fwd(x, w, b):
@@ -206,16 +219,16 @@ def _norm_fwd(x):
     products: per-row reductions and broadcasts over a length-6 axis are slow
     in numpy.
     """
-    xhat = x @ _CENTER
-    inv = (1.0 / np.sqrt((xhat * xhat) @ _MEAN_VEC + LN_EPS))[:, None]
+    xhat = x @ _CENTER.astype(x.dtype, copy=False)
+    inv = (1.0 / np.sqrt((xhat * xhat) @ _MEAN_VEC.astype(x.dtype, copy=False) + LN_EPS))[:, None]
     xhat *= inv
     return xhat, inv
 
 
 def _norm_bwd(dxhat, xhat, inv):
     """dx of _norm_fwd given dxhat, the gradient at its output."""
-    dx = dxhat @ _CENTER
-    dx -= xhat * ((dxhat * xhat) @ _MEAN_VEC)[:, None]
+    dx = dxhat @ _CENTER.astype(dxhat.dtype, copy=False)
+    dx -= xhat * ((dxhat * xhat) @ _MEAN_VEC.astype(dxhat.dtype, copy=False))[:, None]
     dx *= inv
     return dx
 
@@ -251,7 +264,7 @@ def _softmax_cols(s):
     """
     s -= s.max(axis=0)
     np.exp(s, out=s)
-    s *= 1.0 / (np.ones(s.shape[0]) @ s)
+    s *= 1.0 / (np.ones(s.shape[0], dtype=s.dtype) @ s)
     return s
 
 
@@ -284,16 +297,16 @@ def _attention_fwd(xhat, b, k, p, i):
     in by _folded_fwd.
     """
     pre = f"enc.{i}.attn"
-    alpha = 1.0 / np.sqrt(WIDTH // HEADS)
+    alpha = 1.0 / math.sqrt(WIDTH // HEADS)  # a Python float: a numpy float64 would promote float32
     w = np.concatenate([p[f"{pre}.wq"] * alpha, p[f"{pre}.wk"], p[f"{pre}.wv"]], axis=1)
     bias = np.concatenate([p[f"{pre}.bq"] * alpha, p[f"{pre}.bk"], p[f"{pre}.bv"]])
     qkv, cqkv = _folded_fwd(xhat, p[f"enc.{i}.ln1.g"], p[f"enc.{i}.ln1.b"], w, bias)
     q, kx, v = _heads(qkv, b, k, 3)
-    attn_cols = np.empty((k, b * HEADS * k))
+    attn_cols = np.empty((k, b * HEADS * k), dtype=qkv.dtype)
     attn = _scores_view(attn_cols, b, k)
     np.matmul(q, kx.transpose(0, 1, 3, 2), out=attn)
     _softmax_cols(attn_cols)
-    ctx = np.empty((b * k, WIDTH))
+    ctx = np.empty((b * k, WIDTH), dtype=qkv.dtype)
     (ctx_h,) = _heads(ctx, b, k, 1)
     np.matmul(attn, v, out=ctx_h)
     out, co = _linear_fwd(ctx, p[f"{pre}.wo"], p[f"{pre}.bo"])
@@ -307,14 +320,14 @@ def _attention_bwd(dout, b, k, cache, grads, i):
     attn = _scores_view(attn_cols, b, k)
     dctx, grads[f"{pre}.wo"], grads[f"{pre}.bo"] = _linear_bwd(dout, co)
     (dctx,) = _heads(dctx, b, k, 1)
-    dqkv = np.empty((b * k, 3 * WIDTH))
+    dqkv = np.empty((b * k, 3 * WIDTH), dtype=dctx.dtype)
     dq, dk, dv = _heads(dqkv, b, k, 3)
     np.matmul(attn.transpose(0, 1, 3, 2), dctx, out=dv)
     ds_cols = np.empty_like(attn_cols)
     ds = _scores_view(ds_cols, b, k)
     np.matmul(dctx, v.transpose(0, 1, 3, 2), out=ds)
     # Softmax backward: ds = p * (dp - sum_j dp * p), summed along axis 0.
-    ds_cols -= np.ones(k) @ (ds_cols * attn_cols)
+    ds_cols -= np.ones(k, dtype=ds_cols.dtype) @ (ds_cols * attn_cols)
     ds_cols *= attn_cols
     np.matmul(ds, kx, out=dq)
     np.matmul(ds.transpose(0, 1, 3, 2), q, out=dk)
@@ -431,9 +444,10 @@ def forward_batch(dvecs: np.ndarray, offsets: np.ndarray, scales: np.ndarray,
     Non-finite values raise NumericalError from the checks inside the pass,
     so numpy's floating-point warnings are silenced there.
     """
-    dvecs = np.asarray(dvecs, dtype=np.float64)
-    offsets = np.asarray(offsets, dtype=np.float64)
-    scales = np.asarray(scales, dtype=np.float64)
+    dtype = params.flat.dtype
+    dvecs = np.asarray(dvecs, dtype=dtype)
+    offsets = np.asarray(offsets, dtype=dtype)
+    scales = np.asarray(scales, dtype=dtype)
     if dvecs.ndim != 3 or dvecs.shape[1] != params.k or dvecs.shape[2] != 3:
         raise ModelShapeError(f"dvecs must be (B, {params.k}, 3), got {dvecs.shape}")
     b, k = dvecs.shape[0], params.k
@@ -489,7 +503,7 @@ def backward(params: ModelParameters, cache, d_e: np.ndarray) -> np.ndarray:
     if cache is None:
         raise StateError("backward() requires the cache from forward_batch(need_cache=True)")
     cg1, cg2, enc_caches, dec_cache, m, b, k = cache
-    d_e = np.asarray(d_e, dtype=np.float64)
+    d_e = np.asarray(d_e, dtype=params.flat.dtype)
     grads: dict[str, np.ndarray] = {}
     dx = _decoder_bwd(d_e, dec_cache, grads)
     for i in range(N_LAYERS - 1, -1, -1):

@@ -32,7 +32,7 @@ def _basis_matrices(dvecs: np.ndarray, scales: np.ndarray) -> np.ndarray:
     if (norms == 0.0).any():
         raise DuplicatePoint("zero-length neighbor vector (duplicate point)")
     b, m = dvecs.shape[:2]
-    out = np.empty((b, m, 2 * m))
+    out = np.empty((b, m, 2 * m), dtype=gram.dtype)
     m_euc, m_cos = out[..., :m], out[..., m:]
     inv = 1.0 / norms
     cos = gram * inv[:, :, None]

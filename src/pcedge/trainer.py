@@ -3,7 +3,10 @@ Adam updates, class-balanced batching, validation, early stopping, and
 streaming prediction.
 
 Training is deterministic for a fixed seed. Each mini-batch runs as one
-forward/backward pass on the calling thread. The thread count does one thing
+float32 forward/backward pass on the calling thread, against float64 master
+weights and Adam state; validation and `predict` run in float64. Float32
+halves the bytes every small product and elementwise pass of a step moves,
+which is where a step spends its time. The thread count does one thing
 in `train` and `predict` alike: it spreads fixed INFER_WINDOW-row model
 windows across workers. So both are byte-identical for every thread count.
 """
@@ -11,6 +14,7 @@ windows across workers. So both are byte-identical for every thread count.
 from __future__ import annotations
 
 import ctypes
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
@@ -39,9 +43,10 @@ _TRIM_THRESHOLD = 64 << 20
 def _keep_freed_heap() -> None:
     """Let memory freed by one model window serve the next one.
 
-    Each window allocates megabytes of float64 intermediates (about 5 MB for
-    a 256-patch inference forward, more for a training step) and frees them
-    on return. glibc's default trim threshold is far smaller and rises only
+    Each window allocates megabytes of intermediates (about 5 MB for a
+    256-patch float64 inference forward, more for a float32 training step
+    with its caches) and frees them on return. glibc's default trim
+    threshold is far smaller and rises only
     after a large mmapped block has been freed, so until then every window
     handed its heap back to the kernel and faulted it in again: about 105k
     minor faults and 1.5-2.0 s per `predict` on an 18.6k-point cloud, against
@@ -139,16 +144,19 @@ class PatchSet:
 
 @dataclass
 class TrainState:
-    """Adam state: the parameters, their moments and the step count."""
+    """Adam state: the float64 master parameters, their moments and the step
+    count, plus the float32 copy of the parameters each step computes with."""
 
     params: net.ModelParameters
-    m: np.ndarray         # first and second moments, laid out like params.flat
+    work: net.ModelParameters   # float32, refreshed from params before each step
+    m: np.ndarray               # first and second moments, laid out like params.flat
     v: np.ndarray
     step: int = 0
 
     @classmethod
     def fresh(cls, params: net.ModelParameters) -> "TrainState":
-        return cls(params=params, m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
+        return cls(params=params, work=params.astype(np.float32),
+                   m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
 
 
 def bce_loss(e, e_gt):
@@ -269,18 +277,22 @@ def _batch_plan(train: PatchSet, cfg: TrainConfig, rng: np.random.Generator):
     return list(np.concatenate([edge.reshape(n_batches, half), flat.reshape(n_batches, half)], axis=1))
 
 
-def _batch_step(train: PatchSet, idx: np.ndarray, state: TrainState, cfg: TrainConfig) -> float:
-    """Forward/backward on one mini-batch, then an Adam update; returns loss."""
-    e, cache = net.forward_batch(*train.gather(idx), state.params, need_cache=True)
+def _batch_step(train: PatchSet, idx: np.ndarray, state: TrainState, cfg: TrainConfig):
+    """Float32 forward/backward on one mini-batch, then a float64 Adam update;
+    returns the mean loss and the L2 norm of the float64 gradient vector."""
+    np.copyto(state.work.flat, state.params.flat, casting="same_kind")
+    e, cache = net.forward_batch(*train.gather(idx), state.work, need_cache=True)
     losses, de = bce_loss(e, train.labels[idx].astype(np.float64))
-    adam_step(state, net.backward(state.params, cache, de / idx.size), cfg)
-    return float(np.sum(losses)) / idx.size
+    grad = net.backward(state.work, cache, de / idx.size)
+    adam_step(state, grad, cfg)
+    return float(np.sum(losses)) / idx.size, math.sqrt(grad @ grad)
 
 
 def train(cloud: PointCloud, cfg: TrainConfig, threads: int = 1):
     """Train on one labeled cloud; returns (best parameters, epoch log).
 
-    The log holds one dict per epoch with keys epoch, mean_loss,
+    The log holds one dict per epoch with keys epoch, mean_loss, grad_norm
+    (the mean over the epoch's steps of the gradient vector's L2 norm),
     val_precision, val_recall, val_fscore, seconds. Like `predict`, it fixes
     glibc's malloc trim and mmap thresholds for the whole process (see
     `_keep_freed_heap`).
@@ -303,7 +315,7 @@ def train(cloud: PointCloud, cfg: TrainConfig, threads: int = 1):
     for epoch in range(1, cfg.max_epochs + 1):
         started = time.perf_counter()
         batches = _batch_plan(train_set, cfg, rng)
-        losses = [_batch_step(train_set, idx, state, cfg) for idx in batches]
+        losses, grad_norms = zip(*[_batch_step(train_set, idx, state, cfg) for idx in batches])
         probs, _ = _window_probs(val_set.n, lambda lo, hi: val_set.gather(np.arange(lo, hi)),
                                  state.params, threads)
         edge, true_edge = probs > 0.5, val_set.labels == 1
@@ -312,6 +324,7 @@ def train(cloud: PointCloud, cfg: TrainConfig, threads: int = 1):
         log.append({
             "epoch": epoch,
             "mean_loss": float(np.mean(losses)),
+            "grad_norm": float(np.mean(grad_norms)),
             "val_precision": p,
             "val_recall": r,
             "val_fscore": f,
@@ -374,7 +387,7 @@ def predict(cloud: PointCloud, params: net.ModelParameters, batch: int = 256,
 
 def write_log(log: list[dict], path) -> None:
     """Training log as CSV: one row per epoch."""
-    cols = ("epoch", "mean_loss", "val_precision", "val_recall", "val_fscore", "seconds")
+    cols = ("epoch", "mean_loss", "grad_norm", "val_precision", "val_recall", "val_fscore", "seconds")
     write_rows(path, ",".join(cols) + "\n",
                [("%d" if c == "epoch" else "%.6f", [row[c] for row in log]) for c in cols], sep=",")
 

@@ -1,6 +1,7 @@
 """Network forward/backward, invariances, checkpoints."""
 
 import functools
+import hashlib
 import tempfile
 from pathlib import Path
 
@@ -30,6 +31,7 @@ from pcedge.cloud import build_index, extract_patches
 from pcedge.errors import CorruptCheckpoint, ModelShapeError, NumericalError, StateError
 from pcedge.rbf import _basis_matrices
 from pcedge.synth import ShapeSpec, generate
+from pcedge.trainer import bce_loss
 
 
 def zero_params(k):
@@ -531,6 +533,78 @@ class TestBackward:
         worst, checked = fd_check_grads(loss_fn, params.tensors, grads,
                                         entries_per_tensor=6, rng=rng)
         assert checked > 400
+
+
+def _arrays(tree):
+    """Every ndarray inside nested tuples, lists and dicts."""
+    if isinstance(tree, np.ndarray):
+        return [tree]
+    if isinstance(tree, dict):
+        tree = list(tree.values())
+    if isinstance(tree, (tuple, list)):
+        return [a for item in tree for a in _arrays(item)]
+    return []
+
+
+class TestDtypes:
+    """The model computes in the dtype of params.flat; gradients are float64 either way."""
+
+    @pytest.mark.parametrize("k", [8, 16])
+    def test_float32_params_compute_in_float32(self, k):
+        # A float64 array or numpy float64 scalar anywhere in the pass would
+        # promote what follows it to float64 (NEP 50), silently undoing the
+        # float32 training step's saving without failing anything else.
+        dvecs, offsets, scales = random_patch_arrays(np.random.default_rng(k), 32, k)
+        params = net.init_params(k, seed=1).astype(np.float32)
+        e, cache = net.forward_batch(dvecs, offsets, scales, params, need_cache=True)
+        assert e.dtype == np.float32
+        arrays = _arrays(cache)
+        assert len(arrays) > 100
+        assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
+        grad = net.backward(params, cache, np.ones(32))
+        assert grad.dtype == np.float64 and grad.shape == params.flat.shape
+
+    def test_float64_pass_is_unchanged(self):
+        # sha256 of the probabilities and the gradient vector of one seed-7
+        # batch, recorded before the model became dtype-generic (numpy 2.4,
+        # scipy-openblas 0.3.31 on x86-64 Haswell kernels; another BLAS build
+        # may sum in another order).
+        rng = np.random.default_rng(7)
+        dvecs, offsets, scales = random_patch_arrays(rng, 64, 16)
+        params = net.init_params(16, seed=7)
+        e, cache = net.forward_batch(dvecs, offsets, scales, params, need_cache=True)
+        grad = net.backward(params, cache, rng.normal(size=64))
+        assert e.dtype == grad.dtype == np.float64
+        assert hashlib.sha256(e.tobytes()).hexdigest() == \
+            "a61681b90e8b065d108b600991bf14602eaa3aa60f5fcca9fff88569c3ad5f57"
+        assert hashlib.sha256(grad.tobytes()).hexdigest() == \
+            "2a67fdb939671d8dcca9249fb2b3e364976b0fc98623b536708073571c40202d"
+
+    @pytest.mark.parametrize("k", [8, 16])
+    def test_float32_gradient_matches_float64(self, k):
+        # The training step's gradient: BCE on a float32 forward, backward
+        # through the float32 cache, packed into a float64 vector. A typical
+        # batch is within 1e-6 of float64 (relative L2). A ReLU pre-activation
+        # within float32 rounding of 0 can flip its gate, which moves one
+        # patch's share of the gradient: 2 of 100 random batches at k=16 were
+        # past 1e-4, the worst at 4.9e-3. So the median over ten batches
+        # carries the 1e-4 bound and each batch a 1e-2 one.
+        errors = []
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            dvecs, offsets, scales = random_patch_arrays(rng, 256, k)
+            y = rng.integers(0, 2, size=256).astype(np.float64)
+            params = net.init_params(k, seed=seed)
+            grads = []
+            for p in (params.astype(np.float32), params):
+                e, cache = net.forward_batch(dvecs, offsets, scales, p, need_cache=True)
+                _, de = bce_loss(e, y)
+                grads.append(net.backward(p, cache, de / 256))
+            got, want = grads
+            assert got.dtype == np.float64 and got.shape == params.flat.shape
+            errors.append(np.linalg.norm(got - want) / np.linalg.norm(want))
+        assert np.median(errors) <= 1e-4
+        assert max(errors) <= 1e-2
 
 
 @functools.lru_cache(maxsize=1)

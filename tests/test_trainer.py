@@ -456,8 +456,9 @@ class TestTrain:
         path = tmp_path / "log.csv"
         write_log(log, path)
         lines = path.read_text().splitlines()
-        assert lines[0] == "epoch,mean_loss,val_precision,val_recall,val_fscore,seconds"
+        assert lines[0] == "epoch,mean_loss,grad_norm,val_precision,val_recall,val_fscore,seconds"
         assert len(lines) == 3
+        assert all(0.0 < row["grad_norm"] < np.inf for row in log)
 
 
 class TestPredict:
