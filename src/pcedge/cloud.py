@@ -31,6 +31,8 @@ _QUERY_BLOCK = 1024
 class PointCloud:
     """Immutable point set with optional per-point labels and predictions.
 
+    Its arrays are read-only copies of what the constructor is given.
+
     points: (N, 3) float64 positions in world units.
     labels: optional (N,) array with 1 = edge, 0 = non-edge.
     predictions: optional (N,) array of edge probabilities in [0, 1].
@@ -41,7 +43,7 @@ class PointCloud:
     predictions: np.ndarray | None = None
 
     def __post_init__(self):
-        pts = np.ascontiguousarray(self.points, dtype=np.float64)
+        pts = np.array(self.points, dtype=np.float64, order="C")
         if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 1:
             raise InvalidInput(f"points must be a nonempty (N, 3) array, got shape {pts.shape}")
         if not np.isfinite(pts).all():
@@ -50,16 +52,18 @@ class PointCloud:
         object.__setattr__(self, "points", pts)
 
         if self.labels is not None:
-            lab = np.ascontiguousarray(self.labels, dtype=np.int64)
+            # Checked as given, before the cast, so 0.5 is not truncated to 0.
+            lab = np.asarray(self.labels)
             if lab.shape != (pts.shape[0],):
                 raise InvalidInput(f"labels must have shape ({pts.shape[0]},), got {lab.shape}")
             if not np.isin(lab, (0, 1)).all():
-                raise InvalidInput("labels must be 0 or 1")
+                raise InvalidInput("labels must be exactly 0 or 1")
+            lab = lab.astype(np.int64)
             lab.flags.writeable = False
             object.__setattr__(self, "labels", lab)
 
         if self.predictions is not None:
-            pred = np.ascontiguousarray(self.predictions, dtype=np.float64)
+            pred = np.array(self.predictions, dtype=np.float64, order="C")
             if pred.shape != (pts.shape[0],):
                 raise InvalidInput(f"predictions must have shape ({pts.shape[0]},), got {pred.shape}")
             if not np.isfinite(pred).all() or (pred < 0.0).any() or (pred > 1.0).any():
@@ -206,37 +210,39 @@ def extract_patches(cloud: PointCloud, index: SpatialIndex, targets: np.ndarray,
     indices (B,k)). Rows are ordered by nondecreasing dvec norm, ties by
     neighbor index. Safe to call concurrently against one shared index.
 
+    Each patch is filtered from its target's 2k nearest other points, so a
+    cloud of fewer than 2k + 1 points raises InsufficientNeighborhood.
+    targets must be integer indices.
+
     Targets run in blocks of _QUERY_BLOCK, so beside the result a call
     holds one block's temporaries however many targets it has.
     """
     if k % 2 != 0 or not (4 <= k <= 64):
         raise InvalidInput(f"k must be even and in [4, 64], got {k}")
-    targets = np.asarray(targets, dtype=np.int64)
+    targets = np.asarray(targets)
     if targets.ndim != 1:
         raise InvalidInput(f"targets must be a 1-d index array, got shape {targets.shape}")
+    if targets.size and not np.issubdtype(targets.dtype, np.integer):
+        raise InvalidInput(f"targets must be integer indices, got dtype {targets.dtype}")
+    targets = targets.astype(np.int64, copy=False)
     n = cloud.n
     if targets.size and (targets.min() < 0 or targets.max() >= n):
         raise InvalidInput("target indices out of range")
-    # Use all available neighbors when the cloud is smaller than 2k+1 but
-    # still offers at least k candidates.
-    n_cand = min(2 * k, n - 1)
-    if n_cand < k:
-        raise InsufficientNeighborhood(
-            f"need at least {k + 1} points for k={k}, cloud has {n}"
-        )
+    if n < 2 * k + 1:
+        raise InsufficientNeighborhood(f"need at least {2 * k + 1} points for k={k}, cloud has {n}")
     b = targets.size
     out = (np.empty((b, k, 3)), np.empty((b, k)), np.empty((b, 3)), np.empty(b),
            np.empty((b, k), dtype=np.int64))
     for lo in range(0, b, _QUERY_BLOCK):
         rows = slice(lo, lo + _QUERY_BLOCK)
-        for dst, src in zip(out, _extract_block(cloud, index, targets[rows], k, n_cand)):
+        for dst, src in zip(out, _extract_block(cloud, index, targets[rows], k)):
             dst[rows] = src
     return out
 
 
-def _extract_block(cloud: PointCloud, index: SpatialIndex, targets: np.ndarray, k: int, n_cand: int):
+def _extract_block(cloud: PointCloud, index: SpatialIndex, targets: np.ndarray, k: int):
     """extract_patches on one block of targets, as new arrays."""
-    cand = _knn_excluding_self(index, targets, n_cand)
+    cand = _knn_excluding_self(index, targets, 2 * k)
     cand_pts = np.take(cloud.points, cand, axis=0)
     dvecs_all = cand_pts - np.take(cloud.points, targets, axis=0)[:, None, :]
     cdist = _norms(dvecs_all)

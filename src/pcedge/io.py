@@ -8,9 +8,10 @@ tolerates extra scalar properties.
 Both readers parse the numeric rows with one `np.loadtxt` call, so they
 accept exactly the numbers numpy's C parser accepts. That differs from
 Python's `float` in a few spellings: digit-group underscores (`1_000`) and
-non-ASCII digits are rejected. A label must equal 0 or 1 exactly (`1.0`
-is accepted; `0.7`, `2`, `inf` and `nan` are rejected), coordinates must
-be finite and a `pred` must lie in [0, 1]. In a PLY file,
+non-ASCII digits are rejected. The parsed columns go to `PointCloud`
+unchanged, and it enforces the value rules: a label must equal 0 or 1
+exactly (`1.0` is accepted; `0.7`, `2`, `inf` and `nan` are rejected),
+coordinates must be finite and a `pred` must lie in [0, 1]. In a PLY file,
 blank lines and '#' comments inside the vertex rows are skipped as in
 XYZ, element counts must be plain decimal digits, and the first vertex
 element is the one read. Every such rejection is an InvalidInput naming
@@ -74,12 +75,6 @@ def _cloud(path, *columns) -> PointCloud:
         raise InvalidInput(f"{path}: {exc}") from exc
 
 
-def _label_column(values: np.ndarray, path) -> np.ndarray:
-    if not np.isin(values, (0.0, 1.0)).all():
-        raise InvalidInput(f"{path}: labels must be exactly 0 or 1")
-    return values.astype(np.int64)
-
-
 # Rows formatted and written at a time by write_rows.
 _WRITE_BLOCK = 4096
 
@@ -113,7 +108,7 @@ def read_xyz(path) -> PointCloud:
         raise InvalidInput(f"{path}: no points")
     if data.shape[1] not in (3, 4):
         raise InvalidInput(f"{path}: expected 3 or 4 columns, got {data.shape[1]}")
-    labels = _label_column(data[:, 3], path) if data.shape[1] == 4 else None
+    labels = data[:, 3] if data.shape[1] == 4 else None
     return _cloud(path, data[:, :3], labels)
 
 
@@ -177,7 +172,7 @@ def read_ply(path) -> PointCloud:
     if data.shape[1] != len(props):
         raise InvalidInput(f"{path}: vertex rows have {data.shape[1]} values, expected {len(props)}")
     points = data[:, [cols["x"], cols["y"], cols["z"]]]
-    labels = _label_column(data[:, cols["label"]], path) if "label" in cols else None
+    labels = data[:, cols["label"]] if "label" in cols else None
     preds = data[:, cols["pred"]] if "pred" in cols else None
     return _cloud(path, points, labels, preds)
 

@@ -405,10 +405,8 @@ def generate(spec: ShapeSpec) -> SynthResult:
         points_parts.append(pts)
         face_id_parts.append(np.full(pts.shape[0], face_id, dtype=np.int64))
     total = sum(p.shape[0] for p in points_parts)
-    if total < 33:
-        raise InvalidInput(
-            f"density {spec.density} yields only {total} points; too few for patch extraction"
-        )
+    if total == 0:
+        raise InvalidInput(f"density {spec.density} yields no points")
     points = np.concatenate(points_parts)
     face_ids = np.concatenate(face_id_parts)
     distances = distance_to_edge_curves(points, curves)

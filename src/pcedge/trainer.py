@@ -23,7 +23,7 @@ import numpy as np
 
 from . import net
 from .cloud import _ROTATIONS_90, PointCloud, build_index, extract_patches
-from .errors import InsufficientNeighborhood, InvalidInput, ModelShapeError
+from .errors import InvalidInput, ModelShapeError
 from .io import write_rows
 from .metrics import _prf
 
@@ -191,14 +191,11 @@ def build_dataset(cloud: PointCloud, cfg: TrainConfig):
     `extract_patches` call, which bounds its own temporaries to one block;
     the rotated copies are derived when rows are gathered. So the peak
     memory is the returned sets (520 bytes per point at k=16, plus 16 per
-    row) plus one extraction block's temporaries.
+    row) plus one extraction block's temporaries. A cloud of fewer than
+    2k + 1 points is rejected by `extract_patches`.
     """
     if cloud.labels is None:
         raise InvalidInput("training cloud must be fully labeled")
-    if cloud.n < 2 * cfg.k + 1:
-        raise InsufficientNeighborhood(
-            f"training needs at least {2 * cfg.k + 1} points, cloud has {cloud.n}"
-        )
     copies = len(_ROTATIONS_90) if cfg.augment else 1
     rng = np.random.default_rng(cfg.seed)
     perm = rng.permutation(cloud.n)
@@ -347,7 +344,7 @@ def predict(cloud: PointCloud, params: net.ModelParameters, batch: int = 256,
     one `extract_patches` call, so memory stays bounded by one window per
     worker and the output is byte-identical for every thread count. `batch`
     must be >= 1 and changes nothing else; it is kept for callers that pass
-    it.
+    it. A cloud of fewer than 2k + 1 points is rejected by `extract_patches`.
 
     The stats dict holds `wall_seconds`, the wall time of the whole call
     (index build, extraction and model); `pps`, points per wall second; and
@@ -363,10 +360,6 @@ def predict(cloud: PointCloud, params: net.ModelParameters, batch: int = 256,
         raise InvalidInput(f"batch must be >= 1, got {batch}")
     if threads < 1:
         raise InvalidInput(f"threads must be >= 1, got {threads}")
-    if cloud.n < 2 * params.k + 1:
-        raise InsufficientNeighborhood(
-            f"prediction needs at least {2 * params.k + 1} points, cloud has {cloud.n}"
-        )
     index = build_index(cloud)
 
     def window_patches(lo, hi):

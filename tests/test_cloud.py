@@ -74,6 +74,27 @@ class TestPointCloud:
         with pytest.raises(InvalidInput):
             PointCloud(pts, labels=[0])
 
+    @pytest.mark.parametrize("bad", [0.5, 1.7, np.nan])
+    def test_fractional_and_nan_labels_rejected(self, bad):
+        # Checked before the cast to int64, which would truncate 0.5 and 1.7
+        # to 0 and 1 and warn on NaN.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInput, match=r"^labels must be exactly 0 or 1$"):
+                PointCloud(np.zeros((3, 3)), labels=np.array([bad, 1.0, 0.0]))
+
+    def test_copies_the_callers_arrays(self):
+        pts = np.random.default_rng(0).random((3, 3))
+        lab = np.array([0, 1, 0])
+        pred = np.array([0.2, 0.9, 0.1])
+        cloud = PointCloud(pts, lab, pred)
+        pts[0, 0], lab[0], pred[0] = 5.0, 1, 0.7
+        assert cloud.points[0, 0] != 5.0
+        assert cloud.labels.tolist() == [0, 1, 0]
+        assert cloud.predictions.tolist() == [0.2, 0.9, 0.1]
+        for a in (cloud.points, cloud.labels, cloud.predictions):
+            assert not a.flags.writeable
+
     def test_bad_predictions_rejected(self):
         with pytest.raises(InvalidInput):
             PointCloud(np.zeros((2, 3)), predictions=[0.5, 1.5])
@@ -308,34 +329,30 @@ class TestExtractPatch:
             assert abs(np.linalg.norm(axes[row]) - 1.0) < 1e-9
             assert scales[row] > 0
 
-    def test_small_cloud_uses_available_neighbors(self):
-        # 2k+1 would need 33 points; 20 still offers >= k+1 candidates.
-        rng = np.random.default_rng(1)
-        cloud = PointCloud(rng.random((20, 3)))
-        index = build_index(cloud)
-        dvecs = extract_patches(cloud, index, np.array([0]), 16)[0]
-        assert dvecs.shape == (1, 16, 3)
-
     def test_too_few_points(self):
         cloud = PointCloud(np.random.default_rng(0).random((10, 3)))
         index = build_index(cloud)
         with pytest.raises(InsufficientNeighborhood):
             extract_patches(cloud, index, np.array([0]), 16)
 
-    @pytest.mark.parametrize("extra", [1, 8, 9])
+    @pytest.mark.parametrize("extra", [8, 9])
     def test_boundary_sizes_match_brute_force(self, extra):
-        # N = k + 1, 2k and 2k + 1: below 2k + 1 points every other point is
-        # a candidate (the n_cand fallback), from 2k + 1 on there are 2k.
+        # N = 2k is rejected; N = 2k + 1, the smallest cloud accepted, gives
+        # every target exactly 2k candidates.
         k = 8
         pts = np.random.default_rng(extra).random((k + extra, 3))
         cloud = PointCloud(pts)
+        if cloud.n < 2 * k + 1:
+            with pytest.raises(InsufficientNeighborhood, match=r"^need at least 17 points for k=8, cloud has 16$"):
+                extract_patches(cloud, build_index(cloud), np.arange(cloud.n), k)
+            return
         neighbor_idx = extract_patches(cloud, build_index(cloud), np.arange(cloud.n), k)[4]
         for i in range(cloud.n):
             assert neighbor_idx[i].tolist() == brute_force_patch(pts, i, k)[0].tolist()
 
     def test_k_points_insufficient(self):
         cloud = PointCloud(np.random.default_rng(0).random((8, 3)))
-        with pytest.raises(InsufficientNeighborhood, match=r"need at least 9 points for k=8"):
+        with pytest.raises(InsufficientNeighborhood, match=r"need at least 17 points for k=8"):
             extract_patches(cloud, build_index(cloud), np.arange(8), 8)
 
     def test_duplicate_point_rejected(self):
@@ -369,6 +386,15 @@ class TestExtractPatch:
     def test_targets_not_1d_rejected(self, targets):
         cloud = PointCloud(np.random.default_rng(0).random((100, 3)))
         want = f"targets must be a 1-d index array, got shape {targets.shape}"
+        with pytest.raises(InvalidInput, match=f"^{re.escape(want)}$"):
+            extract_patches(cloud, build_index(cloud), targets, 8)
+
+    @pytest.mark.parametrize("targets", [np.array([1.7, 2.2]), np.arange(100) < 2], ids=["float", "bool"])
+    def test_targets_not_integer_rejected(self, targets):
+        # Neither is read as indices: the float targets are not truncated to
+        # points 1 and 2, and the mask is not taken for points 0 and 1.
+        cloud = PointCloud(np.random.default_rng(0).random((100, 3)))
+        want = f"targets must be integer indices, got dtype {targets.dtype}"
         with pytest.raises(InvalidInput, match=f"^{re.escape(want)}$"):
             extract_patches(cloud, build_index(cloud), targets, 8)
 
@@ -467,9 +493,10 @@ class TestBruteForceProperties:
         assert np.array_equal(got, want)
 
     @settings(max_examples=60, deadline=None)
-    @given(cloud=tricky_clouds(min_points=9), k=st.sampled_from([4, 8, 16]))
-    def test_extract_patches_matches_brute_force(self, cloud, k):
-        k = k if cloud.n > k else 4
+    @given(k_cloud=st.sampled_from([4, 8, 16]).flatmap(
+        lambda k: st.tuples(st.just(k), tricky_clouds(min_points=2 * k + 1))))
+    def test_extract_patches_matches_brute_force(self, k_cloud):
+        k, cloud = k_cloud
         pts = cloud.points
         try:
             neighbor_idx = extract_patches(cloud, build_index(cloud), np.arange(cloud.n), k)[4]

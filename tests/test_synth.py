@@ -160,8 +160,9 @@ class TestGenerate:
             generate(spec)
 
     def test_density_too_low(self):
-        with pytest.raises(InvalidInput):
-            generate(ShapeSpec("box", density=2.0, seed=0))
+        # Each unit face of the box asks for round(0.4) = 0 points.
+        with pytest.raises(InvalidInput, match=r"^density 0.4 yields no points$"):
+            generate(ShapeSpec("box", density=0.4, seed=0))
 
     def test_bad_specs(self):
         with pytest.raises(InvalidInput):

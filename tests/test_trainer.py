@@ -568,6 +568,28 @@ class TestPredict:
         assert faults < 2000, f"second predict took {faults} minor faults"
 
 
+@pytest.mark.parametrize("k", [8, 16])
+def test_smallest_cloud_is_decided_by_extraction(k):
+    # extract_patches owns the 2k + 1 rule; build_dataset and predict reach
+    # it through extraction and report the same message.
+    rng = np.random.default_rng(k)
+    params = net.init_params(k, seed=0)
+    cfg = TrainConfig(k=k, augment=False)
+    calls = (
+        lambda c: pcedge.cloud.extract_patches(c, pcedge.cloud.build_index(c), np.arange(c.n), k),
+        lambda c: build_dataset(c, cfg),
+        lambda c: predict(c, params),
+    )
+    small = PointCloud(rng.random((2 * k, 3)), labels=np.arange(2 * k) % 2)
+    want = f"need at least {2 * k + 1} points for k={k}, cloud has {2 * k}"
+    for call in calls:
+        with pytest.raises(InsufficientNeighborhood, match=f"^{re.escape(want)}$"):
+            call(small)
+    enough = PointCloud(rng.random((2 * k + 1, 3)), labels=np.arange(2 * k + 1) % 2)
+    for call in calls:
+        call(enough)
+
+
 class TestConfigFile:
     def test_parse_roundtrip(self, tmp_path):
         path = tmp_path / "cfg.txt"
