@@ -20,10 +20,10 @@ from .errors import (
     InvalidInput,
 )
 
-# Rows per block of a kNN query, of a patch extraction and of
-# mean_neighbor_distance's pass. At k = 33 a query block's temporaries take
-# about 1 MB, and at k = 16 an extraction block's about 3 MB. predict's
-# 256-row windows fit in one block.
+# Rows per block of a kNN query, of a patch extraction, of
+# mean_neighbor_distance's pass and of trainer.build_dataset's fill. At
+# k = 33 a query block's temporaries take about 1 MB, and at k = 16 an
+# extraction block's about 3 MB. predict's 256-row windows fit in one block.
 _QUERY_BLOCK = 1024
 
 

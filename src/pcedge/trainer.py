@@ -6,9 +6,11 @@ Training is deterministic for a fixed seed. Each mini-batch runs as one
 float32 forward/backward pass on the calling thread, against float64 master
 weights and Adam state; validation and `predict` run in float64. Float32
 halves the bytes every small product and elementwise pass of a step moves,
-which is where a step spends its time. The thread count does one thing
-in `train` and `predict` alike: it spreads fixed INFER_WINDOW-row model
-windows across workers. So both are byte-identical for every thread count.
+which is where a step spends its time. Each split is stored in the dtype of
+the pass that reads it: the training set in float32, the validation set in
+float64. The thread count does one thing in `train` and `predict` alike: it
+spreads fixed INFER_WINDOW-row model windows across workers. So both are
+byte-identical for every thread count.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import net
+from . import cloud as _cloud, net
 from .cloud import _ROTATIONS_90, PointCloud, build_index, extract_patches
 from .errors import InvalidInput, ModelShapeError
 from .io import write_rows
@@ -38,6 +40,9 @@ _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 _MMAP_THRESHOLD = 32 << 20
 _TRIM_THRESHOLD = 64 << 20
+
+# The dtype of a training step's parameters, and so of the training set.
+_STEP_DTYPE = np.float32
 
 
 def _keep_freed_heap() -> None:
@@ -107,26 +112,23 @@ _COPY_NEGATED = np.array(_ROTATIONS_90).min(axis=2) < 0
 class PatchSet:
     """Patches of m points in one or more rotated copies, plus labels and provenance.
 
-    Only the unrotated copy's features are stored, one row per point. Row r
-    of the set is point row r % m in copy r // m, where copy c is the cloud
-    rotated by cloud._ROTATIONS_90[c]; `labels` and `origin` hold one entry
-    per row. A rotated copy has the same neighbours, offsets and scale, and
-    `gather` derives its dvecs from the stored ones.
+    Everything is stored once per point: the unrotated copy's features and
+    each point's label and origin. Row r of the set is point r % m in copy
+    r // m, where copy c is the cloud rotated by cloud._ROTATIONS_90[c]. A
+    rotated copy has the same neighbours, offsets, scale and label, and
+    `gather` derives its dvecs from the stored ones, in their dtype.
     """
 
     dvecs: np.ndarray     # (m, k, 3)
     offsets: np.ndarray   # (m, k)
     scales: np.ndarray    # (m,)
-    labels: np.ndarray    # (copies * m,)
-    origin: np.ndarray    # (copies * m,) original point index each patch derives from
+    labels: np.ndarray    # (m,)
+    origin: np.ndarray    # (m,) original point index each patch derives from
+    copies: int = 1
 
     @property
     def n(self) -> int:
-        return self.labels.shape[0]
-
-    @property
-    def copies(self) -> int:
-        return self.n // self.scales.shape[0]
+        return self.copies * self.labels.shape[0]
 
     def gather(self, rows: np.ndarray):
         """(dvecs, offsets, scales) of the given rows, as new arrays.
@@ -155,7 +157,7 @@ class TrainState:
 
     @classmethod
     def fresh(cls, params: net.ModelParameters) -> "TrainState":
-        return cls(params=params, work=params.astype(np.float32),
+        return cls(params=params, work=params.astype(_STEP_DTYPE),
                    m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
 
 
@@ -187,12 +189,15 @@ def build_dataset(cloud: PointCloud, cfg: TrainConfig):
     side, preventing leakage. Rows are copy-major, then in ascending point
     index.
 
-    The cloud is indexed once and each split's points are extracted in one
-    `extract_patches` call, which bounds its own temporaries to one block;
-    the rotated copies are derived when rows are gathered. So the peak
-    memory is the returned sets (520 bytes per point at k=16, plus 16 per
-    row) plus one extraction block's temporaries. A cloud of fewer than
-    2k + 1 points is rejected by `extract_patches`.
+    The cloud is indexed once. Each split's arrays are allocated up front,
+    in the dtype of the pass that reads them: float32 for training steps,
+    float64 for validation. They are filled one cloud._QUERY_BLOCK block of
+    points at a time, each block one `extract_patches` call, and the rotated
+    copies are derived when rows are gathered. So the peak memory is the
+    returned sets plus one block's extraction: at k=16, 276 bytes per
+    training point and 536 per validation point, labels and origins
+    included. A cloud of fewer than 2k + 1 points is rejected by
+    `extract_patches`.
     """
     if cloud.labels is None:
         raise InvalidInput("training cloud must be fully labeled")
@@ -204,14 +209,18 @@ def build_dataset(cloud: PointCloud, cfg: TrainConfig):
     val_points[perm[:n_val]] = True
     index = build_index(cloud)
 
-    # A function, so the axes and neighbours it drops are freed before the
-    # next split is extracted.
-    def patch_set(points):
-        dvecs, offsets, _, scales, _ = extract_patches(cloud, index, points, cfg.k)
-        return PatchSet(dvecs, offsets, scales, labels=np.tile(cloud.labels[points], copies),
-                        origin=np.tile(points, copies))
+    def patch_set(points, dtype):
+        m = points.size
+        out = PatchSet(np.empty((m, cfg.k, 3), dtype), np.empty((m, cfg.k), dtype), np.empty(m, dtype),
+                       labels=cloud.labels[points], origin=points, copies=copies)
+        for lo in range(0, m, _cloud._QUERY_BLOCK):
+            rows = slice(lo, lo + _cloud._QUERY_BLOCK)
+            out.dvecs[rows], out.offsets[rows], _, out.scales[rows], _ = extract_patches(
+                cloud, index, points[rows], cfg.k)
+        return out
 
-    return patch_set(np.nonzero(~val_points)[0]), patch_set(np.nonzero(val_points)[0])
+    return (patch_set(np.nonzero(~val_points)[0], _STEP_DTYPE),
+            patch_set(np.nonzero(val_points)[0], np.float64))
 
 
 def adam_step(state: TrainState, grad: np.ndarray, cfg: TrainConfig) -> TrainState:
@@ -262,8 +271,10 @@ def _batch_plan(train: PatchSet, cfg: TrainConfig, rng: np.random.Generator):
     """Index arrays of the epoch's class-balanced mini-batches: half edge rows, half flat rows."""
     half = cfg.batch_size // 2
     n_batches = max(1, -(-train.n // cfg.batch_size))
-    edge_pool = np.nonzero(train.labels == 1)[0]
-    flat_pool = np.nonzero(train.labels == 0)[0]
+    # Each class's rows in ascending order: copy by copy, its points in each.
+    copy_rows = train.labels.size * np.arange(train.copies)[:, None]
+    edge_pool = (copy_rows + np.nonzero(train.labels == 1)[0]).ravel()
+    flat_pool = (copy_rows + np.nonzero(train.labels == 0)[0]).ravel()
     minority_is_edge = edge_pool.size <= flat_pool.size
     minority, majority = (edge_pool, flat_pool) if minority_is_edge else (flat_pool, edge_pool)
     need = n_batches * half
@@ -279,7 +290,7 @@ def _batch_step(train: PatchSet, idx: np.ndarray, state: TrainState, cfg: TrainC
     returns the mean loss and the L2 norm of the float64 gradient vector."""
     np.copyto(state.work.flat, state.params.flat, casting="same_kind")
     e, cache = net.forward_batch(*train.gather(idx), state.work, need_cache=True)
-    losses, de = bce_loss(e, train.labels[idx].astype(np.float64))
+    losses, de = bce_loss(e, train.labels[idx % train.labels.size].astype(np.float64))
     grad = net.backward(state.work, cache, de / idx.size)
     adam_step(state, grad, cfg)
     return float(np.sum(losses)) / idx.size, math.sqrt(grad @ grad)
@@ -315,7 +326,7 @@ def train(cloud: PointCloud, cfg: TrainConfig, threads: int = 1):
         losses, grad_norms = zip(*[_batch_step(train_set, idx, state, cfg) for idx in batches])
         probs, _ = _window_probs(val_set.n, lambda lo, hi: val_set.gather(np.arange(lo, hi)),
                                  state.params, threads)
-        edge, true_edge = probs > 0.5, val_set.labels == 1
+        edge, true_edge = probs > 0.5, np.tile(val_set.labels, val_set.copies) == 1
         p, r, f = _prf(int(np.sum(edge & true_edge)), int(np.sum(edge & ~true_edge)),
                        int(np.sum(~edge & true_edge)))
         log.append({

@@ -87,28 +87,40 @@ def assert_identical_sets(got, want):
 
 def gathered(patch_set):
     """Every row of a PatchSet, written out as a one-copy set."""
-    return PatchSet(*patch_set.gather(np.arange(patch_set.n)), patch_set.labels, patch_set.origin)
+    return PatchSet(*patch_set.gather(np.arange(patch_set.n)), np.tile(patch_set.labels, patch_set.copies),
+                    np.tile(patch_set.origin, patch_set.copies))
+
+
+def features_as(patch_set, dtype):
+    """The set with its dvecs, offsets and scales cast to dtype."""
+    return replace(patch_set, dvecs=patch_set.dvecs.astype(dtype), offsets=patch_set.offsets.astype(dtype),
+                   scales=patch_set.scales.astype(dtype))
 
 
 def assert_derived_sets(got, cloud, cfg, jittered):
     """build_dataset's sets against the direct-extraction and the derived-rows oracles.
 
-    The stored rows are copy 0 of the direct oracle byte for byte, and the
-    gathered rows equal the written-out derived oracle byte for byte. On a
-    jittered cloud, with no exact plane ties, each rotated copy's direct
-    extraction picks the same neighbours in the same order: the gathered
-    dvecs equal it byte for byte, the offsets and scales within rounding.
+    The training set stores float32 features, the float64 oracle rows
+    rounded once; the validation set stores float64. The stored rows are
+    copy 0 of the direct oracle byte for byte in that dtype, with one label
+    and one origin per point, and the gathered rows equal the written-out
+    derived oracle byte for byte in that dtype. On a jittered cloud, with no
+    exact plane ties, each rotated copy's direct extraction picks the same
+    neighbours in the same order: the derived oracle's float64 rows equal it
+    byte for byte in their dvecs, and within rounding in their offsets and
+    scales.
     """
     direct = oracle_build_dataset(cloud, cfg)
-    for g, d in zip(got, direct, strict=True):
+    derived = oracle_derived_dataset(cloud, cfg)
+    for g, d, dtype in zip(got, direct, (np.float32, np.float64), strict=True):
         m = g.scales.shape[0]
         assert g.copies == (7 if cfg.augment else 1) and g.n == d.n == g.copies * m
-        copy0 = PatchSet(d.dvecs[:m], d.offsets[:m], d.scales[:m], d.labels, d.origin)
-        assert_identical_sets([g], [copy0])
-    rows = [gathered(g) for g in got]
-    assert_identical_sets(rows, oracle_derived_dataset(cloud, cfg))
+        copy0 = PatchSet(d.dvecs[:m], d.offsets[:m], d.scales[:m], d.labels[:m], d.origin[:m], g.copies)
+        assert_identical_sets([g], [features_as(copy0, dtype)])
+    assert_identical_sets([gathered(g) for g in got],
+                          [features_as(w, dtype) for w, dtype in zip(derived, (np.float32, np.float64))])
     if jittered:
-        for r, d in zip(rows, direct):
+        for r, d in zip(derived, direct):
             assert r.dvecs.tobytes() == d.dvecs.tobytes()
             assert np.all(np.abs(r.offsets - d.offsets) <= 1e-12 * d.scales[:, None])
             assert np.all(np.abs(r.scales - d.scales) <= 1e-14 * d.scales)
@@ -172,9 +184,9 @@ class TestBuildDataset:
         cfg = TrainConfig(seed=5, augment=True)
         train_set, val_set = build_dataset(small_cloud, cfg)
         assert not set(train_set.origin) & set(val_set.origin)
-        # every original val point contributes exactly 7 patches
+        # every original val point is stored once and stands for 7 patches
         _, counts = np.unique(val_set.origin, return_counts=True)
-        assert (counts == 7).all()
+        assert (counts == 1).all() and val_set.copies == 7
 
     def test_deterministic(self, small_cloud):
         cfg = TrainConfig(seed=9)
@@ -224,11 +236,11 @@ class TestBuildDataset:
     def test_peak_memory_is_result_plus_one_block(self, midsize_cloud):
         # Extraction temporaries cost about 2.7 kB per row at k=16, about
         # 3 MiB for one 1,024-row block. The returned sets store one copy's
-        # features, 520 B per point, and a label and an origin per
-        # (copy, point) row.
+        # features and one label and origin per point: 276 B per training
+        # point in float32, 536 B per validation point in float64.
         sets, peak = peak_traced(lambda: build_dataset(midsize_cloud, TrainConfig(k=16, seed=11)))
         returned = sum(getattr(s, field).nbytes for s in sets for field in PATCH_FIELDS)
-        assert returned == midsize_cloud.n * (520 + 7 * 16) == 5_866_856
+        assert returned == 8_355 * 276 + 928 * 536 == 2_803_388
         assert peak - returned < 8 << 20
         assert peak < 24 << 20
 
@@ -249,11 +261,20 @@ class TestGather:
         cand[share] = np.broadcast_to(targets[:, None, :], cand.shape)[share]
         base = cand - targets[:, None, :]
         assert (base == 0.0).sum(axis=(0, 1)).min() > 20 and not np.signbit(base[base == 0.0]).any()
-        rows = PatchSet(base, np.ones((50, 16)), np.ones(50), np.zeros(7 * 50), np.tile(np.arange(50), 7))
+        rows = PatchSet(base, np.ones((50, 16)), np.ones(50), np.zeros(50), np.arange(50), copies=7)
         dvecs, _, _ = rows.gather(np.arange(rows.n))
         for c, rotated in enumerate(augment_rotations(PointCloud(np.concatenate([targets, cand.reshape(-1, 3)])))):
             want = rotated.points[50:].reshape(50, 16, 3) - rotated.points[:50, None, :]
             assert dvecs[c * 50:(c + 1) * 50].tobytes() == want.tobytes(), c
+        # A float32 set, as training stores it, gathers each copy's float64
+        # dvecs rounded to float32, +0.0 in the negated columns included.
+        rows32 = features_as(rows, np.float32)
+        dvecs32, offsets32, scales32 = rows32.gather(np.arange(rows32.n))
+        assert dvecs32.dtype == offsets32.dtype == scales32.dtype == np.float32
+        assert dvecs32.tobytes() == dvecs.astype(np.float32).tobytes()
+        for c in range(1, 7):
+            negated = dvecs32[c * 50:(c + 1) * 50][:, :, trainer._COPY_NEGATED[c]]
+            assert (negated == 0.0).any() and not np.signbit(negated[negated == 0.0]).any(), c
 
 
 class TestAdamStep:
@@ -352,19 +373,21 @@ class TestBatchPlan:
 
     @settings(max_examples=300, deadline=None)
     @given(n=st.integers(2, 700), edge_share=st.floats(0.0, 1.0), half=st.integers(1, 160),
-           seed=st.integers(0, 2**32 - 1))
-    @example(n=2, edge_share=0.5, half=1, seed=0)      # one edge, one flat point
-    @example(n=300, edge_share=0.5, half=150, seed=3)  # equal classes: edges are the minority
-    @example(n=20, edge_share=0.9, half=160, seed=4)   # majority smaller than one half batch
-    def test_balanced_plan_matches_frozen_oracle(self, n, edge_share, half, seed):
-        # Same batches, and the generator left in the same state.
+           seed=st.integers(0, 2**32 - 1), copies=st.sampled_from([1, 7]))
+    @example(n=2, edge_share=0.5, half=1, seed=0, copies=1)      # one edge, one flat point
+    @example(n=300, edge_share=0.5, half=150, seed=3, copies=1)  # equal classes: edges are the minority
+    @example(n=20, edge_share=0.9, half=160, seed=4, copies=1)   # majority smaller than one half batch
+    @example(n=20, edge_share=0.9, half=160, seed=4, copies=7)   # the same, each point standing for 7 rows
+    def test_balanced_plan_matches_frozen_oracle(self, n, edge_share, half, seed, copies):
+        # Same batches, and the generator left in the same state, as the
+        # oracle planning the same set written out row by row.
         n_edge = min(max(1, round(edge_share * n)), n - 1)
         labels = np.random.default_rng(seed).permutation(np.r_[np.ones(n_edge, int), np.zeros(n - n_edge, int)])
-        train_set = self._patchset(labels, np.random.default_rng(0))
+        train_set = replace(self._patchset(labels, np.random.default_rng(0)), copies=copies)
         cfg = TrainConfig(k=8, batch_size=2 * half)
         got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         got = _batch_plan(train_set, cfg, got_rng)
-        want = oracle_batch_plan(train_set, cfg, want_rng)
+        want = oracle_batch_plan(gathered(train_set), cfg, want_rng)
         assert len(got) == len(want)
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
@@ -394,6 +417,22 @@ class TestTrain:
         monkeypatch.setattr(trainer, "build_dataset", no_dataset)
         with pytest.raises(InvalidInput, match=rf"^threads must be >= 1, got {threads}$"):
             train(small_cloud, TrainConfig(k=8, max_epochs=1), threads=threads)
+
+    def test_steps_feed_float32_rows(self, small_cloud, monkeypatch):
+        # The training set is stored in the dtype a step computes in, so the
+        # step's forward pass gets float32 arrays and casts nothing.
+        cfg = TrainConfig(k=8, seed=2, batch_size=64)
+        train_set, _ = build_dataset(small_cloud, cfg)
+        forward_batch, dtypes = net.forward_batch, []
+
+        def spy(dvecs, offsets, scales, params, need_cache=False):
+            dtypes.append((dvecs.dtype, offsets.dtype, scales.dtype, params.flat.dtype))
+            return forward_batch(dvecs, offsets, scales, params, need_cache)
+
+        monkeypatch.setattr(net, "forward_batch", spy)
+        idx = _batch_plan(train_set, cfg, np.random.default_rng(0))[0]
+        trainer._batch_step(train_set, idx, TrainState.fresh(net.init_params(8, seed=0)), cfg)
+        assert dtypes == [(np.float32,) * 4]
 
     @pytest.mark.parametrize("k", [8, 16])
     def test_derived_rows_train_like_written_out_rows(self, small_cloud, monkeypatch, k):
