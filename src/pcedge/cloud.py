@@ -178,21 +178,8 @@ def build_index(cloud: PointCloud) -> SpatialIndex:
     return SpatialIndex(cloud)
 
 
-def _fix_sign(axes: np.ndarray) -> np.ndarray:
-    """Flip each row so its largest-magnitude component is positive.
-
-    Magnitude ties (within rounding) resolve to the first such component,
-    keeping the canonical sign independent of eigensolver rounding.
-    """
-    mags = np.abs(axes)
-    thresh = mags.max(axis=1, keepdims=True) * (1.0 - 1e-12)
-    lead_idx = np.argmax(mags >= thresh, axis=1)
-    lead = np.take_along_axis(axes, lead_idx[:, None], axis=1)[:, 0]
-    return axes * np.where(lead < 0.0, -1.0, 1.0)[:, None]
-
-
 def _min_axes(neighborhoods: np.ndarray, targets) -> np.ndarray:
-    """Batched minimal-variance axes: (B, m, 3) points -> (B, 3) unit axes; errors name targets[b]."""
+    """Batched minimal-variance axes, of either sign: (B, m, 3) points -> (B, 3); errors name targets[b]."""
     centered = neighborhoods - neighborhoods.mean(axis=1, keepdims=True)
     cov = np.einsum("bmi,bmj->bij", centered, centered)
     traces = np.trace(cov, axis1=1, axis2=2)
@@ -200,15 +187,18 @@ def _min_axes(neighborhoods: np.ndarray, targets) -> np.ndarray:
         bad = int(targets[np.nonzero(traces == 0.0)[0][0]])
         raise DegenerateNeighborhood(f"neighborhood of target {bad} has coincident points")
     _, vecs = np.linalg.eigh(cov)
-    return _fix_sign(vecs[:, :, 0])
+    # Contiguous: einsum over a strided view sums the offsets in another order.
+    return np.ascontiguousarray(vecs[:, :, 0])
 
 
 def extract_patches(cloud: PointCloud, index: SpatialIndex, targets: np.ndarray, k: int):
     """Vectorized filtered-kNN patch extraction for many target points.
 
-    Returns (dvecs (B,k,3), offsets (B,k), axes (B,3), scales (B,), neighbor
-    indices (B,k)). Rows are ordered by nondecreasing dvec norm, ties by
-    neighbor index. Safe to call concurrently against one shared index.
+    Returns (dvecs (B,k,3), offsets (B,k), scales (B,), neighbor indices
+    (B,k)); the first three are net.forward_batch's inputs. Rows are ordered
+    by nondecreasing dvec norm, ties by neighbor index. An offset is
+    |d . a| along the local minimal-variance axis a, so a's sign never
+    matters. Safe to call concurrently against one shared index.
 
     Each patch is filtered from its target's 2k nearest other points, so a
     cloud of fewer than 2k + 1 points raises InsufficientNeighborhood.
@@ -231,8 +221,7 @@ def extract_patches(cloud: PointCloud, index: SpatialIndex, targets: np.ndarray,
     if n < 2 * k + 1:
         raise InsufficientNeighborhood(f"need at least {2 * k + 1} points for k={k}, cloud has {n}")
     b = targets.size
-    out = (np.empty((b, k, 3)), np.empty((b, k)), np.empty((b, 3)), np.empty(b),
-           np.empty((b, k), dtype=np.int64))
+    out = (np.empty((b, k, 3)), np.empty((b, k)), np.empty(b), np.empty((b, k), dtype=np.int64))
     for lo in range(0, b, _QUERY_BLOCK):
         rows = slice(lo, lo + _QUERY_BLOCK)
         for dst, src in zip(out, _extract_block(cloud, index, targets[rows], k)):
@@ -264,7 +253,7 @@ def _extract_block(cloud: PointCloud, index: SpatialIndex, targets: np.ndarray, 
     neighbor_idx = _take_rows(cand, sel)
     dvecs = _take_rows(dvecs_all, sel)
     offsets = _take_rows(off_all, sel)
-    return dvecs, offsets, axes, scales, neighbor_idx
+    return dvecs, offsets, scales, neighbor_idx
 
 
 _ROTATIONS_90 = [

@@ -104,10 +104,8 @@ def _circle_distances(points: np.ndarray, circ: EdgeCircle) -> np.ndarray:
 
 
 def distance_to_edge_curves(points: np.ndarray, curves: list) -> np.ndarray:
-    """Exact minimum distance from each point to a set of segments/circles."""
-    points = np.asarray(points, dtype=np.float64)
-    single = points.ndim == 1
-    pts = points.reshape(-1, 3)
+    """Exact minimum distance from each point to a set of segments/circles; a (3,) point gives (1,)."""
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     best = np.full(pts.shape[0], np.inf)
     for curve in curves:
         if isinstance(curve, EdgeSegment):
@@ -116,7 +114,7 @@ def distance_to_edge_curves(points: np.ndarray, curves: list) -> np.ndarray:
             np.minimum(best, _circle_distances(pts, curve), out=best)
         else:
             raise InvalidInput(f"unknown curve type {type(curve).__name__}")
-    return float(best[0]) if single else best
+    return best
 
 
 # --------------------------------------------------------------------------

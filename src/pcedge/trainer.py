@@ -165,7 +165,8 @@ def bce_loss(e, e_gt):
     """Binary cross entropy and its gradient with respect to e.
 
     Probabilities are clamped to [1e-7, 1 - 1e-7]; the gradient is zero
-    where the clamp is active. Accepts scalars or arrays.
+    where the clamp is active. Returns arrays of the broadcast shape of e and
+    e_gt, 0-d for scalars.
     """
     e = np.asarray(e, dtype=np.float64)
     y = np.asarray(e_gt, dtype=np.float64)
@@ -175,8 +176,6 @@ def bce_loss(e, e_gt):
     loss = -(y * np.log(ec) + (1.0 - y) * np.log(1.0 - ec))
     inside = (e > PROB_CLAMP) & (e < 1.0 - PROB_CLAMP)
     grad = np.where(inside, (ec - y) / (ec * (1.0 - ec)), 0.0)
-    if loss.ndim == 0:
-        return float(loss), float(grad)
     return loss, grad
 
 
@@ -196,7 +195,8 @@ def build_dataset(cloud: PointCloud, cfg: TrainConfig):
     copies are derived when rows are gathered. So the peak memory is the
     returned sets plus one block's extraction: at k=16, 276 bytes per
     training point and 536 per validation point, labels and origins
-    included. A cloud of fewer than 2k + 1 points is rejected by
+    included. A training split of one class is rejected before the cloud is
+    indexed; a cloud of fewer than 2k + 1 points is rejected by
     `extract_patches`.
     """
     if cloud.labels is None:
@@ -207,6 +207,9 @@ def build_dataset(cloud: PointCloud, cfg: TrainConfig):
     n_val = max(1, int(np.floor(cfg.val_fraction * cloud.n + 0.5)))
     val_points = np.zeros(cloud.n, dtype=bool)
     val_points[perm[:n_val]] = True
+    if np.unique(cloud.labels[~val_points]).size < 2:
+        raise InvalidInput("the training split holds a single class once the validation points "
+                           "are held out; cannot balance or learn")
     index = build_index(cloud)
 
     def patch_set(points, dtype):
@@ -215,7 +218,7 @@ def build_dataset(cloud: PointCloud, cfg: TrainConfig):
                        labels=cloud.labels[points], origin=points, copies=copies)
         for lo in range(0, m, _cloud._QUERY_BLOCK):
             rows = slice(lo, lo + _cloud._QUERY_BLOCK)
-            out.dvecs[rows], out.offsets[rows], _, out.scales[rows], _ = extract_patches(
+            out.dvecs[rows], out.offsets[rows], out.scales[rows], _ = extract_patches(
                 cloud, index, points[rows], cfg.k)
         return out
 
@@ -309,12 +312,7 @@ def train(cloud: PointCloud, cfg: TrainConfig, threads: int = 1):
     # Rejected before the dataset build, which extracts every point.
     if threads < 1:
         raise InvalidInput(f"threads must be >= 1, got {threads}")
-    if cloud.labels is not None and np.unique(cloud.labels).size < 2:
-        raise InvalidInput("training labels contain a single class; cannot balance or learn")
     train_set, val_set = build_dataset(cloud, cfg)
-    if np.unique(train_set.labels).size < 2:
-        raise InvalidInput("the training split holds a single class once the validation points "
-                           "are held out; cannot balance or learn")
     state = TrainState.fresh(net.init_params(cfg.k, seed=cfg.seed))
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
     log: list[dict] = []
@@ -374,8 +372,7 @@ def predict(cloud: PointCloud, params: net.ModelParameters, batch: int = 256,
     index = build_index(cloud)
 
     def window_patches(lo, hi):
-        dvecs, offsets, _, scales, _ = extract_patches(cloud, index, np.arange(lo, hi), params.k)
-        return dvecs, offsets, scales
+        return extract_patches(cloud, index, np.arange(lo, hi), params.k)[:3]
 
     probs, model_seconds = _window_probs(cloud.n, window_patches, params, threads)
     labels = (probs > 0.5).astype(np.int64)

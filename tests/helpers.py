@@ -272,7 +272,9 @@ def gapped_lattice_cube(n=40, jitter=0.2, seed=0):
 # Frozen oracle for patch extraction: the global-lexsort kNN query and the
 # three-sort extract_patches that the row-wise kernels in pcedge.cloud
 # replaced, unchanged apart from dropped input checks and comments, so those
-# kernels can be checked for byte identity against them.
+# kernels can be checked for byte identity against them. The PCA axis is
+# computed here too, not imported, so a change to cloud._min_axes that moves
+# an offset fails the parity tests.
 
 def _argsort_rows(*keys: np.ndarray) -> np.ndarray:
     """Per-row sort order for 2-d arrays, by the given keys in priority order."""
@@ -316,7 +318,6 @@ def oracle_extract_patches(cloud, index, targets, k, query=oracle_query_many):
 
     query(index, queries, k) supplies the candidate lists.
     """
-    from pcedge.cloud import _min_axes
     from pcedge.errors import DuplicatePoint
 
     targets = np.asarray(targets, dtype=np.int64)
@@ -341,7 +342,10 @@ def oracle_extract_patches(cloud, index, targets, k, query=oracle_query_many):
         bad = int(targets[np.nonzero(cdist[:, 0] == 0.0)[0][0]])
         raise DuplicatePoint(f"cloud contains a duplicate of point {bad}")
 
-    axes = _min_axes(cloud.points[cand], targets)
+    cand_pts = cloud.points[cand]
+    centered = cand_pts - cand_pts.mean(axis=1, keepdims=True)
+    _, vecs = np.linalg.eigh(np.einsum("bmi,bmj->bij", centered, centered))
+    axes = np.ascontiguousarray(vecs[:, :, 0])
     off_all = np.abs(np.einsum("bkd,bd->bk", dvecs_all, axes))
 
     sel = _argsort_rows(off_all, cdist, cand)[:, :k]
@@ -355,7 +359,7 @@ def oracle_extract_patches(cloud, index, targets, k, query=oracle_query_many):
     dvecs = np.take_along_axis(kept_dvecs, order[:, :, None], axis=1)
     offsets = np.take_along_axis(kept_off, order, axis=1)
     scales = kept_d.mean(axis=1)
-    return dvecs, offsets, axes, scales, neighbor_idx
+    return dvecs, offsets, scales, neighbor_idx
 
 
 def full_scan_query_many(index, queries, k):
@@ -402,7 +406,7 @@ def oracle_build_dataset(cloud, cfg):
     parts = []
     for copy in copies:
         index = build_index(copy)
-        dv, off, _, sc, _ = extract_patches(copy, index, targets, cfg.k)
+        dv, off, sc, _ = extract_patches(copy, index, targets, cfg.k)
         parts.append((dv, off, sc))
     full = PatchSet(
         dvecs=np.concatenate([p[0] for p in parts]),

@@ -173,7 +173,7 @@ def test_criterion_2_oracles():
         kk = int(rng.choice([4, 8, 16]))
         if n >= 2 * kk + 1:
             i = int(rng.integers(0, n))
-            neighbor_idx = extract_patches(cloud, index, np.array([i]), kk)[4][0]
+            neighbor_idx = extract_patches(cloud, index, np.array([i]), kk)[3][0]
             di = np.linalg.norm(pts - pts[i], axis=1)
             order = np.lexsort((np.arange(n), di))
             order = order[order != i][: 2 * kk]
@@ -288,7 +288,7 @@ def test_criterion_5_filtered_knn_purity():
     on_border = ((pts[:, 0] < 2 * spacing) | (pts[:, 0] > (side - 3) * spacing) |
                  (pts[:, 1] < 2 * spacing) | (pts[:, 1] > (side - 3) * spacing))
     interior = np.nonzero(~on_border)[0]
-    _, _, _, _, neighbor_idx = extract_patches(cloud, index, interior, 16)
+    _, _, _, neighbor_idx = extract_patches(cloud, index, interior, 16)
     same_sheet = (neighbor_idx < per_sheet) == (interior[:, None] < per_sheet)
     purity = float(same_sheet.mean())
 

@@ -17,7 +17,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pcedge import net, trainer
+from pcedge import io, net, trainer
+from pcedge.cloud import SpatialIndex
 from pcedge.synth import ShapeSpec, generate
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -46,11 +47,31 @@ def test_every_wrapped_attribute_is_callable():
         assert callable(getattr(owner, attr, None)), f"{span}: {owner.__name__}.{attr} is gone"
 
 
-def test_backward_upstream_gradient_is_third_positional():
-    # The tracer counts backward's patches as len(args[2]).
-    params = list(inspect.signature(net.backward).parameters.values())
-    assert params[2].name == "d_e"
-    assert params[2].kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+# Each argument the tracer counts a call's work from, as (owner, function,
+# position in args, parameter name).
+COUNTED = [
+    (trainer, "extract_patches", 2, "targets"),
+    (net, "forward_batch", 0, "dvecs"),
+    (net, "backward", 2, "d_e"),
+    (SpatialIndex, "query_many", 1, "queries"),  # position 0 is self
+    (io, "load_cloud", 0, "path"),
+    (io, "save_cloud", 1, "path"),
+]
+
+
+def test_every_counted_argument_is_listed():
+    tracer = _load_bench("tracer")
+    counted = {(owner, attr, count.__closure__[0].cell_contents)
+               for owner, attr, _, count in tracer.WRAPPED if count is not None and count.__closure__}
+    assert counted == {(owner, attr, pos) for owner, attr, pos, _ in COUNTED}
+
+
+@pytest.mark.parametrize("owner, attr, pos, name", COUNTED, ids=[c[1] for c in COUNTED])
+def test_counted_argument_keeps_its_position(owner, attr, pos, name):
+    # The tracer counts rows, patches or file bytes from args[pos].
+    params = list(inspect.signature(getattr(owner, attr)).parameters.values())
+    assert params[pos].name == name
+    assert params[pos].kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
 
 
 def test_resaving_the_benchmark_checkpoint_reproduces_it(tmp_path):

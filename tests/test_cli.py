@@ -320,7 +320,7 @@ class TestMalformedInput:
         # validation, so the training split has one class.
         points = np.random.default_rng(0).random((40, 3))
         cfg = trainer.TrainConfig(k=8, max_epochs=1, augment=False)
-        _, val = trainer.build_dataset(PointCloud(points, np.zeros(40, dtype=int)), cfg)
+        _, val = trainer.build_dataset(PointCloud(points, np.arange(40) % 2), cfg)
         labels = np.zeros(40, dtype=int)
         labels[val.origin[0]] = 1
         src, cfg_file, ckpt = tmp_path / "c.xyz", tmp_path / "cfg.txt", tmp_path / "m.ckpt"

@@ -67,9 +67,9 @@ def test_predict_and_segments_follow_a_permutation(kind, seed, perm_seed, k):
     moved_cloud = PointCloud(cloud.points[perm])
     want = extract_patches(cloud, build_index(cloud), perm, k)
     got = extract_patches(moved_cloud, build_index(moved_cloud), np.arange(cloud.n), k)
-    for a, b in zip(got[:4], want[:4]):
+    for a, b in zip(got[:3], want[:3]):
         assert a.tobytes() == b.tobytes()
-    assert np.array_equal(perm[got[4]], want[4])
+    assert np.array_equal(perm[got[3]], want[3])
 
     base = probabilities(cloud.points, k)
     moved = probabilities(moved_cloud.points, k)

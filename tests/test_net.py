@@ -439,7 +439,7 @@ class TestFullForward:
         # k=16 and B=256 patches of the reference cloud, as predict runs them.
         cloud = generate(ShapeSpec("union_boxes", density=4000, seed=7)).cloud
         targets = np.linspace(0, cloud.n - 1, 256).astype(np.int64)
-        dvecs, offsets, _, scales, _ = extract_patches(cloud, build_index(cloud), targets, 16)
+        dvecs, offsets, scales, _ = extract_patches(cloud, build_index(cloud), targets, 16)
         params = net.init_params(16, seed=5)
         got, _ = net.forward_batch(dvecs, offsets, scales, params)
         want = [reference_forward(dvecs[i], offsets[i], scales[i], params) for i in range(256)]

@@ -206,6 +206,25 @@ class TestBuildDataset:
         with pytest.raises(InsufficientNeighborhood):
             build_dataset(cloud, TrainConfig(k=16))
 
+    def test_one_class_split_rejected_before_indexing(self, monkeypatch):
+        # Two classes in the cloud, but its only edge point is held out. The
+        # split depends only on the seed and n, so it is checked before the
+        # cloud is indexed.
+        points = np.random.default_rng(0).random((40, 3))
+        cfg = TrainConfig(k=8, augment=False)
+        _, val = build_dataset(PointCloud(points, np.arange(40) % 2), cfg)
+        labels = np.zeros(40, dtype=int)
+        labels[val.origin[0]] = 1
+
+        def no_index(*args, **kwargs):
+            raise AssertionError("cloud indexed for a one-class training split")
+
+        monkeypatch.setattr(trainer, "build_index", no_index)
+        want = ("the training split holds a single class once the validation points are held out; "
+                "cannot balance or learn")
+        with pytest.raises(InvalidInput, match=f"^{re.escape(want)}$"):
+            build_dataset(PointCloud(points, labels), cfg)
+
     def test_labels_follow_patches(self, small_cloud):
         cfg = TrainConfig(seed=1, augment=False)
         train_set, val_set = build_dataset(small_cloud, cfg)
