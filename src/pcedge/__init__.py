@@ -9,7 +9,6 @@ from .cloud import (
     PointCloud,
     SpatialIndex,
     add_gaussian_noise,
-    augment_rotations,
     build_index,
     deduplicate,
     downsample,
@@ -27,8 +26,8 @@ __version__ = "0.1.0"
 __all__ = [
     "PointCloud", "SpatialIndex", "ModelParameters",
     "TrainConfig", "EvalReport", "ShapeSpec", "SynthResult", "SegmentationResult",
-    "build_index", "extract_patches", "augment_rotations", "add_gaussian_noise",
-    "downsample", "deduplicate", "mean_neighbor_distance", "init_params",
+    "build_index", "extract_patches", "add_gaussian_noise", "downsample",
+    "deduplicate", "mean_neighbor_distance", "init_params",
     "save_checkpoint", "load_checkpoint", "bce_loss", "build_dataset", "train", "predict",
     "normalize_pair", "chamfer", "match_counts", "evaluate",
     "knn_graph", "flood_segment", "distance_to_edge_curves", "generate",

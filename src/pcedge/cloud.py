@@ -256,35 +256,16 @@ def _extract_block(cloud: PointCloud, index: SpatialIndex, targets: np.ndarray, 
     return dvecs, offsets, scales, neighbor_idx
 
 
-_ROTATIONS_90 = [
-    np.eye(3),
-    np.array([[1.0, 0, 0], [0, 0, -1], [0, 1, 0]]),   # x, +90
-    np.array([[1.0, 0, 0], [0, 0, 1], [0, -1, 0]]),   # x, -90
-    np.array([[0.0, 0, 1], [0, 1, 0], [-1, 0, 0]]),   # y, +90
-    np.array([[0.0, 0, -1], [0, 1, 0], [1, 0, 0]]),   # y, -90
-    np.array([[0.0, -1, 0], [1, 0, 0], [0, 0, 1]]),   # z, +90
-    np.array([[0.0, 1, 0], [-1, 0, 0], [0, 0, 1]]),   # z, -90
-]
-
-
-def augment_rotations(cloud: PointCloud) -> list[PointCloud]:
-    """Original cloud plus its six axis-aligned +/-90 degree rotations."""
-    out = []
-    for rot in _ROTATIONS_90:
-        out.append(PointCloud(cloud.points @ rot.T, cloud.labels, cloud.predictions))
-    return out
-
-
 def mean_neighbor_distance(cloud: PointCloud, k: int = 16) -> float:
     """Mean Euclidean distance from each point to its k nearest neighbors.
 
     The (N, k) distances are filled one block of points at a time and
     averaged in one pass, so the mean does not depend on the block size.
     """
+    # _knn_excluding_self owns the k and size rules. The k rule is repeated
+    # here because np.empty((n, k)) below fails first on a negative k.
     if k < 1:
         raise InvalidInput(f"k must be >= 1, got {k}")
-    if cloud.n < k + 1:
-        raise InsufficientNeighborhood(f"need at least {k + 1} points, cloud has {cloud.n}")
     index = build_index(cloud)
     dist = np.empty((cloud.n, k))
     for lo in range(0, cloud.n, _QUERY_BLOCK):
@@ -301,7 +282,14 @@ def _knn_excluding_self(index: SpatialIndex, targets: np.ndarray, k: int) -> np.
     entry can sit anywhere in the zero-distance group, or fall off the list,
     in which case the row drops its first entry, a duplicate that stands in
     for it.
+
+    Each row needs k other points, so an index of fewer than k + 1 points
+    raises InsufficientNeighborhood.
     """
+    if k < 1:
+        raise InvalidInput(f"k must be >= 1, got {k}")
+    if index.n < k + 1:
+        raise InsufficientNeighborhood(f"need at least {k + 1} points, cloud has {index.n}")
     nn = index.query_many(index._points[targets], k + 1)
     is_self = nn == targets[:, None]
     drop = np.where(is_self.any(axis=1), np.argmax(is_self, axis=1), 0)

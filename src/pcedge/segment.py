@@ -15,7 +15,7 @@ from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components
 
 from .cloud import PointCloud, _knn_excluding_self, build_index
-from .errors import InsufficientNeighborhood, InvalidInput
+from .errors import InvalidInput
 
 
 @dataclass(frozen=True)
@@ -25,18 +25,9 @@ class SegmentationResult:
     sizes: list[int]
 
 
-def _knn_neighbors(cloud: PointCloud, k: int) -> np.ndarray:
-    """(N, k) kNN matrix: row i holds the k nearest neighbors of point i."""
-    if k < 1:
-        raise InvalidInput(f"k must be >= 1, got {k}")
-    if cloud.n < k + 1:
-        raise InsufficientNeighborhood(f"kNN graph needs at least {k + 1} points, cloud has {cloud.n}")
-    return _knn_excluding_self(build_index(cloud), np.arange(cloud.n), k)
-
-
 def knn_graph(cloud: PointCloud, k: int = 5) -> list[np.ndarray]:
     """Symmetrized kNN adjacency lists, each sorted by neighbor index."""
-    neighbors = _knn_neighbors(cloud, k)
+    neighbors = _knn_excluding_self(build_index(cloud), np.arange(cloud.n), k)
     src, dst = np.repeat(np.arange(cloud.n), k), neighbors.ravel()
     keys = np.unique(np.concatenate([src * cloud.n + dst, dst * cloud.n + src]))
     bounds = np.searchsorted(keys, np.arange(1, cloud.n) * cloud.n)
@@ -68,7 +59,8 @@ def flood_segment(cloud: PointCloud, k: int = 5) -> SegmentationResult:
     if cloud.labels is None:
         raise InvalidInput("flood_segment requires edge labels")
     is_edge = cloud.labels == 1
-    graph = _interior_graph(_knn_neighbors(cloud, k), is_edge)
+    neighbors = _knn_excluding_self(build_index(cloud), np.arange(cloud.n), k)
+    graph = _interior_graph(neighbors, is_edge)
     _, comp = connected_components(graph, directed=False)
 
     interior = np.nonzero(~is_edge)[0]

@@ -23,8 +23,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import cloud as _cloud, net
-from .cloud import _ROTATIONS_90, PointCloud, build_index, extract_patches
+from . import net
+from .cloud import _QUERY_BLOCK, PointCloud, build_index, extract_patches
 from .errors import InvalidInput, ModelShapeError
 from .io import write_rows
 from .metrics import _prf
@@ -101,6 +101,17 @@ class TrainConfig:
             raise InvalidInput(f"patience must be >= 1, got {self.patience}")
 
 
+# The seven orientations of the cloud in an augmented training set.
+_ROTATIONS_90 = [
+    np.eye(3),
+    np.array([[1.0, 0, 0], [0, 0, -1], [0, 1, 0]]),   # x, +90
+    np.array([[1.0, 0, 0], [0, 0, 1], [0, -1, 0]]),   # x, -90
+    np.array([[0.0, 0, 1], [0, 1, 0], [-1, 0, 0]]),   # y, +90
+    np.array([[0.0, 0, -1], [0, 1, 0], [1, 0, 0]]),   # y, -90
+    np.array([[0.0, -1, 0], [1, 0, 0], [0, 0, 1]]),   # z, +90
+    np.array([[0.0, 1, 0], [-1, 0, 0], [0, 0, 1]]),   # z, -90
+]
+
 # Every matrix in _ROTATIONS_90 is a signed permutation, so column i of a
 # patch's dvecs in rotated copy c is column _COPY_COLUMNS[c, i] of its
 # unrotated dvecs, negated where _COPY_NEGATED[c, i].
@@ -114,7 +125,7 @@ class PatchSet:
 
     Everything is stored once per point: the unrotated copy's features and
     each point's label and origin. Row r of the set is point r % m in copy
-    r // m, where copy c is the cloud rotated by cloud._ROTATIONS_90[c]. A
+    r // m, where copy c is the cloud rotated by _ROTATIONS_90[c]. A
     rotated copy has the same neighbours, offsets, scale and label, and
     `gather` derives its dvecs from the stored ones, in their dtype.
     """
@@ -183,7 +194,7 @@ def build_dataset(cloud: PointCloud, cfg: TrainConfig):
     """Patch sets for training and validation from one labeled cloud.
 
     With augmentation each point gives one row in each of the seven copies
-    of cloud._ROTATIONS_90, else one row. The split is drawn at the
+    of _ROTATIONS_90, else one row. The split is drawn at the
     original-point level so all rotated copies of a point land on the same
     side, preventing leakage. Rows are copy-major, then in ascending point
     index.
@@ -216,8 +227,8 @@ def build_dataset(cloud: PointCloud, cfg: TrainConfig):
         m = points.size
         out = PatchSet(np.empty((m, cfg.k, 3), dtype), np.empty((m, cfg.k), dtype), np.empty(m, dtype),
                        labels=cloud.labels[points], origin=points, copies=copies)
-        for lo in range(0, m, _cloud._QUERY_BLOCK):
-            rows = slice(lo, lo + _cloud._QUERY_BLOCK)
+        for lo in range(0, m, _QUERY_BLOCK):
+            rows = slice(lo, lo + _QUERY_BLOCK)
             out.dvecs[rows], out.offsets[rows], out.scales[rows], _ = extract_patches(
                 cloud, index, points[rows], cfg.k)
         return out

@@ -386,6 +386,14 @@ def full_scan_query_many(index, queries, k):
     return out
 
 
+def rotated_copies(cloud):
+    """The cloud in each orientation of trainer._ROTATIONS_90, as PointClouds."""
+    from pcedge.cloud import PointCloud
+    from pcedge.trainer import _ROTATIONS_90
+
+    return [PointCloud(cloud.points @ rot.T, cloud.labels, cloud.predictions) for rot in _ROTATIONS_90]
+
+
 # Frozen oracle for dataset assembly: the build_dataset that extracted each
 # rotated copy whole, concatenated the copies and then indexed out the
 # train and validation rows, unchanged apart from the dropped input checks,
@@ -394,14 +402,14 @@ def full_scan_query_many(index, queries, k):
 
 def oracle_build_dataset(cloud, cfg):
     """build_dataset by whole-cloud extraction, concatenation and indexing."""
-    from pcedge.cloud import augment_rotations, build_index, extract_patches
+    from pcedge.cloud import build_index, extract_patches
     from pcedge.trainer import PatchSet
 
     def take(full, idx):
         return PatchSet(full.dvecs[idx], full.offsets[idx], full.scales[idx],
                         full.labels[idx], full.origin[idx])
 
-    copies = augment_rotations(cloud) if cfg.augment else [cloud]
+    copies = rotated_copies(cloud) if cfg.augment else [cloud]
     targets = np.arange(cloud.n)
     parts = []
     for copy in copies:
@@ -434,8 +442,7 @@ def oracle_derived_dataset(cloud, cfg):
     """(train, val) one-copy PatchSets holding every row of build_dataset's sets, written out."""
     from dataclasses import replace
 
-    from pcedge.cloud import _ROTATIONS_90
-    from pcedge.trainer import PatchSet
+    from pcedge.trainer import _ROTATIONS_90, PatchSet
 
     def materialise(base):
         copies = len(_ROTATIONS_90) if cfg.augment else 1

@@ -24,7 +24,6 @@ from helpers import (
 from pcedge import cli, metrics, net, segment, synth, trainer
 from pcedge.cloud import (
     PointCloud,
-    augment_rotations,
     add_gaussian_noise,
     build_index,
     downsample,
@@ -367,11 +366,14 @@ def test_criterion_8_invariances():
         out_p = encode(x[perm], params)
         worst_perm = max(worst_perm, float(np.abs(out[perm] - out_p).max()))
 
-        # augmentation isometry
-        cloud = PointCloud(rng.random((30, 3)) * 4)
-        base_d = np.linalg.norm(cloud.points[:, None] - cloud.points[None, :], axis=2)
-        for rot_cloud in augment_rotations(cloud):
-            d = np.linalg.norm(rot_cloud.points[:, None] - rot_cloud.points[None, :], axis=2)
+        # augmentation isometry, through the rows training gathers: each
+        # rotated copy of a 30-row patch keeps its pairwise distances
+        rows = trainer.PatchSet(rng.random((1, 30, 3)) * 4, np.ones((1, 30)), np.ones(1),
+                                np.zeros(1), np.arange(1), copies=len(trainer._ROTATIONS_90))
+        copies, _, _ = rows.gather(np.arange(rows.n))
+        base_d = np.linalg.norm(copies[0][:, None] - copies[0][None, :], axis=2)
+        for rot in copies:
+            d = np.linalg.norm(rot[:, None] - rot[None, :], axis=2)
             worst_iso = max(worst_iso, float(np.abs(d - base_d).max()))
 
     ok = worst_scale < 1e-9 and worst_cols < 1e-12 and worst_perm < 1e-9 and worst_iso < 1e-12

@@ -1,4 +1,4 @@
-"""The public API: what pcedge exports, and the single-patch names it no longer has."""
+"""The public API: what pcedge exports, and the names it no longer has."""
 
 import pytest
 
@@ -7,7 +7,9 @@ from pcedge import cloud, net
 
 # Patches, queries and forward passes are batched only: extract_patches,
 # SpatialIndex.query_many and net.forward_batch take one-element arrays.
-RETIRED = ["SurfacePatch", "extract_patch", "pca_min_axis", "forward", "query", "with_labels"]
+# Rotation augmentation lives in pcedge.trainer, beside the table it uses.
+RETIRED = ["SurfacePatch", "extract_patch", "pca_min_axis", "forward", "query", "with_labels",
+           "augment_rotations"]
 
 
 def test_all_is_unique_and_resolves():

@@ -342,6 +342,14 @@ class TestMalformedInput:
         assert err == f"pcedge segment: k must be >= 1, got {k}\n"
         assert not out.exists()
 
+    def test_segment_too_few_points(self, tmp_path, capsys):
+        src, out = tmp_path / "c.xyz", tmp_path / "o.xyz"
+        save_cloud(PointCloud(np.random.default_rng(0).random((4, 3)), [0, 1, 0, 1]), src)
+        code = main(["segment", "--cloud", str(src), "--k", "5", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "pcedge segment: need at least 6 points, cloud has 4\n"
+        assert not out.exists()
+
 
 class TestSynthCommand:
     def test_writes_cloud_and_metadata(self, tmp_path):

@@ -18,16 +18,16 @@ from helpers import (
     oracle_mean_neighbor_distance,
     oracle_query_many,
     peak_traced,
+    rotated_copies,
     union_boxes,
 )
 import pcedge.cloud
-from pcedge import synth
+from pcedge import synth, trainer
 from pcedge.cloud import (
     PointCloud,
     _min_axes,
     _take_rows,
     add_gaussian_noise,
-    augment_rotations,
     build_index,
     deduplicate,
     downsample,
@@ -564,7 +564,7 @@ class TestQueryParity:
 
     def test_reference_clouds(self):
         ref = synth.generate(synth.ShapeSpec("union_boxes", density=4000, seed=7)).cloud
-        for cloud in augment_rotations(ref):
+        for cloud in rotated_copies(ref):
             index = build_index(cloud)
             for k in (1, 6, 33):
                 assert np.array_equal(index.query_many(cloud.points, k),
@@ -747,7 +747,7 @@ class TestExtractionParity:
     def test_reference_cloud_and_rotation(self):
         ref = synth.generate(synth.ShapeSpec("union_boxes", density=4000, seed=7)).cloud
         assert ref.n == 18595
-        for cloud in augment_rotations(ref)[:2]:
+        for cloud in rotated_copies(ref)[:2]:
             self.assert_identical(cloud, 16)
         index = build_index(ref)
         for k in (1, 6):
@@ -842,35 +842,44 @@ class TestExtractionParity:
 
 
 class TestAugmentRotations:
+    """trainer._ROTATIONS_90, the orientations of an augmented training set."""
+
     def test_returns_seven_clouds(self):
+        rots = trainer._ROTATIONS_90
+        assert len(rots) == 7
+        assert np.array_equal(rots[0], np.eye(3))
+        assert len({r.tobytes() for r in rots}) == 7
+        for r in rots:
+            # A signed permutation: one +/-1 in each row and column.
+            assert set(np.unique(r)) <= {-1.0, 0.0, 1.0}
+            assert np.array_equal(np.abs(r).sum(axis=0), np.ones(3))
+            assert np.array_equal(np.abs(r).sum(axis=1), np.ones(3))
+            assert np.linalg.det(r) == pytest.approx(1.0)
         cloud = PointCloud(np.random.default_rng(0).random((10, 3)), labels=[0, 1] * 5)
-        out = augment_rotations(cloud)
+        out = rotated_copies(cloud)
         assert len(out) == 7
         assert np.array_equal(out[0].points, cloud.points)
 
     def test_axis_rotations(self):
-        cloud = PointCloud(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))
-        out = augment_rotations(cloud)
+        rots = trainer._ROTATIONS_90
         # order: original, x+90, x-90, y+90, y-90, z+90, z-90
-        assert np.allclose(out[5].points[0], [0, 1, 0])   # z+90 on (1,0,0)
-        assert np.allclose(out[2].points[1], [0, 1, 0])   # x-90 on (0,0,1)
+        assert np.array_equal(rots[5] @ [1.0, 0.0, 0.0], [0, 1, 0])   # z+90 on (1,0,0)
+        assert np.array_equal(rots[2] @ [0.0, 0.0, 1.0], [0, 1, 0])   # x-90 on (0,0,1)
 
     def test_isometry_and_labels(self):
         rng = np.random.default_rng(1)
         cloud = PointCloud(rng.random((40, 3)), labels=rng.integers(0, 2, 40))
         base = np.linalg.norm(cloud.points[:, None] - cloud.points[None, :], axis=2)
-        for rotated in augment_rotations(cloud):
+        for rotated in rotated_copies(cloud):
             dist = np.linalg.norm(rotated.points[:, None] - rotated.points[None, :], axis=2)
             assert np.abs(dist - base).max() < 1e-12
             assert np.array_equal(rotated.labels, cloud.labels)
 
     def test_inverse_pairs_recover_original(self):
-        rng = np.random.default_rng(2)
-        cloud = PointCloud(rng.random((25, 3)))
-        out = augment_rotations(cloud)
+        rots = trainer._ROTATIONS_90
         for plus, minus in ((1, 2), (3, 4), (5, 6)):
-            twice = augment_rotations(out[plus])[minus]
-            assert np.abs(twice.points - cloud.points).max() < 1e-12
+            assert np.array_equal(rots[minus] @ rots[plus], np.eye(3))
+            assert np.array_equal(rots[plus] @ rots[minus], np.eye(3))
 
 
 class TestNoise:
@@ -930,6 +939,12 @@ class TestNoise:
         cloud = PointCloud(np.random.default_rng(0).random((10, 3)))
         with pytest.raises(InsufficientNeighborhood):
             add_gaussian_noise(cloud, 0.05, seed=0)
+
+    @pytest.mark.parametrize("k", [1, 16])
+    def test_mean_neighbor_distance_k_points_are_too_few(self, k):
+        cloud = PointCloud(np.random.default_rng(0).random((k, 3)))
+        with pytest.raises(InsufficientNeighborhood, match=rf"^need at least {k + 1} points, cloud has {k}$"):
+            mean_neighbor_distance(cloud, k=k)
 
     def test_labels_preserved(self):
         rng = np.random.default_rng(1)

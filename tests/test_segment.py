@@ -78,6 +78,14 @@ class TestKnnGraph:
             knn_graph(PointCloud(np.random.default_rng(0).random((10, 3))), k=k)
 
 
+@pytest.mark.parametrize("fn", [knn_graph, flood_segment])
+@pytest.mark.parametrize("k", [1, 5])
+def test_k_points_are_too_few(fn, k):
+    cloud = PointCloud(np.random.default_rng(0).random((k, 3)), labels=np.zeros(k, dtype=int))
+    with pytest.raises(InsufficientNeighborhood, match=rf"^need at least {k + 1} points, cloud has {k}$"):
+        fn(cloud, k=k)
+
+
 class TestFloodSegment:
     def test_cube_six_faces(self):
         cloud, face_ids, _, _ = lattice_cube(seed=0)

@@ -20,11 +20,12 @@ from helpers import (
     oracle_build_dataset,
     oracle_derived_dataset,
     peak_traced,
+    rotated_copies,
 )
 import pcedge.cloud
 from pcedge import net, trainer
 from pcedge.cli import main
-from pcedge.cloud import PointCloud, augment_rotations
+from pcedge.cloud import PointCloud
 from pcedge.errors import (
     DegenerateNeighborhood,
     InsufficientNeighborhood,
@@ -235,11 +236,12 @@ class TestBuildDataset:
     @pytest.mark.parametrize("augment", [True, False])
     @pytest.mark.parametrize("which", ["small", "tiny", "jittered"])
     def test_matches_frozen_oracle(self, small_cloud, monkeypatch, which, augment, k):
-        # Extraction blocks of 7 rows: the small cloud's 1,354 train and 150
-        # validation points both end in a partial block; the tiny cloud's 5
-        # validation points fit in less than one. The tiny cloud's points are
-        # uniform random, so it has no plane ties either.
+        # Fill and extraction blocks of 7 rows: the small cloud's 1,354 train
+        # and 150 validation points both end in a partial block; the tiny
+        # cloud's 5 validation points fit in less than one. The tiny cloud's
+        # points are uniform random, so it has no plane ties either.
         monkeypatch.setattr(pcedge.cloud, "_QUERY_BLOCK", 7)
+        monkeypatch.setattr(trainer, "_QUERY_BLOCK", 7)
         cloud = {"small": small_cloud, "tiny": tiny_cloud(), "jittered": jittered_cloud(small_cloud)}[which]
         cfg = TrainConfig(k=k, seed=5, augment=augment)
         got = build_dataset(cloud, cfg)
@@ -265,7 +267,7 @@ class TestBuildDataset:
 
 
 class TestGather:
-    def test_rotation_table_matches_augment_rotations(self):
+    def test_rotation_table_matches_rotated_clouds(self):
         # Each copy's gathered dvecs are the dvecs extraction takes from the
         # rotated cloud, candidate minus target. A fifth of the coordinates
         # are exactly 0, and a fifth of the candidate coordinates equal
@@ -282,7 +284,7 @@ class TestGather:
         assert (base == 0.0).sum(axis=(0, 1)).min() > 20 and not np.signbit(base[base == 0.0]).any()
         rows = PatchSet(base, np.ones((50, 16)), np.ones(50), np.zeros(50), np.arange(50), copies=7)
         dvecs, _, _ = rows.gather(np.arange(rows.n))
-        for c, rotated in enumerate(augment_rotations(PointCloud(np.concatenate([targets, cand.reshape(-1, 3)])))):
+        for c, rotated in enumerate(rotated_copies(PointCloud(np.concatenate([targets, cand.reshape(-1, 3)])))):
             want = rotated.points[50:].reshape(50, 16, 3) - rotated.points[:50, None, :]
             assert dvecs[c * 50:(c + 1) * 50].tobytes() == want.tobytes(), c
         # A float32 set, as training stores it, gathers each copy's float64
