@@ -27,6 +27,12 @@ from .errors import (
 _QUERY_BLOCK = 1024
 
 
+def _check_k(k: int, error=InvalidInput) -> None:
+    """The patch sizes extraction and the model accept: even k in [4, 64]."""
+    if k % 2 != 0 or not (4 <= k <= 64):
+        raise error(f"k must be even and in [4, 64], got {k}")
+
+
 @dataclass(frozen=True)
 class PointCloud:
     """Immutable point set with optional per-point labels and predictions.
@@ -74,9 +80,6 @@ class PointCloud:
     @property
     def n(self) -> int:
         return self.points.shape[0]
-
-    def with_predictions(self, predictions, labels=None) -> "PointCloud":
-        return PointCloud(self.points, self.labels if labels is None else labels, predictions)
 
 
 class SpatialIndex:
@@ -207,8 +210,7 @@ def extract_patches(cloud: PointCloud, index: SpatialIndex, targets: np.ndarray,
     Targets run in blocks of _QUERY_BLOCK, so beside the result a call
     holds one block's temporaries however many targets it has.
     """
-    if k % 2 != 0 or not (4 <= k <= 64):
-        raise InvalidInput(f"k must be even and in [4, 64], got {k}")
+    _check_k(k)
     targets = np.asarray(targets)
     if targets.ndim != 1:
         raise InvalidInput(f"targets must be a 1-d index array, got shape {targets.shape}")

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
+from .cloud import _check_k
 from .errors import (
     CorruptCheckpoint,
     ModelShapeError,
@@ -93,8 +94,7 @@ class ModelParameters:
 
 def expected_shapes(k: int) -> dict[str, tuple[int, ...]]:
     """Canonical tensor names and shapes for the architecture at a given k."""
-    if k % 2 != 0 or k < 2:
-        raise ModelShapeError(f"k must be even and >= 2, got {k}")
+    _check_k(k, ModelShapeError)
     m = k // 2
     shapes: dict[str, tuple[int, ...]] = {}
     for g in ("first", "second"):

@@ -144,15 +144,14 @@ def _tri_face(a, b, c) -> _Face:
     return _Face(area=area, sample=sample)
 
 
-def _disk_face(center, normal, radius) -> _Face:
-    center = np.asarray(center, dtype=np.float64)
-    normal = np.asarray(normal, dtype=np.float64)
-    u, v = _plane_basis(normal)
+def _disk_face(z, radius) -> _Face:
+    """The disk of the given radius about the z axis in the plane at height z;
+    its angle runs from the +y axis towards -x."""
 
     def sample(rng, count):
         rho = radius * np.sqrt(rng.random(count))
         theta = 2.0 * np.pi * rng.random(count)
-        return center + np.outer(rho * np.cos(theta), u) + np.outer(rho * np.sin(theta), v)
+        return np.column_stack([-(rho * np.sin(theta)), rho * np.cos(theta), np.full(count, z)])
 
     return _Face(area=math.pi * radius * radius, sample=sample)
 
@@ -173,14 +172,6 @@ def _sphere_surface_face(radius) -> _Face:
         return radius * g
 
     return _Face(area=4.0 * math.pi * radius * radius, sample=sample)
-
-
-def _plane_basis(normal: np.ndarray):
-    n = normal / np.linalg.norm(normal)
-    helper = np.array([1.0, 0.0, 0.0]) if abs(n[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    u = np.cross(n, helper)
-    u /= np.linalg.norm(u)
-    return u, np.cross(n, u)
 
 
 # --------------------------------------------------------------------------
@@ -234,8 +225,8 @@ def _build_cylinder(size):
     z0, z1 = -h / 2.0, h / 2.0
     faces = [
         _cylinder_side_face(r, z0, z1),
-        _disk_face([0, 0, z1], [0, 0, 1], r),
-        _disk_face([0, 0, z0], [0, 0, 1], r),
+        _disk_face(z1, r),
+        _disk_face(z0, r),
     ]
     curves = [
         EdgeCircle(np.array([0.0, 0.0, z1]), r, np.array([0.0, 0.0, 1.0])),

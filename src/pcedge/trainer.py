@@ -121,25 +121,23 @@ _COPY_NEGATED = np.array(_ROTATIONS_90).min(axis=2) < 0
 
 @dataclass
 class PatchSet:
-    """Patches of m points in one or more rotated copies, plus labels and provenance.
+    """Patches of m points in one or more rotated copies, and a label per row.
 
-    Everything is stored once per point: the unrotated copy's features and
-    each point's label and origin. Row r of the set is point r % m in copy
+    Features are stored once per point, for the unrotated copy; `labels`
+    holds one int8 label per row. Row r of the set is point r % m in copy
     r // m, where copy c is the cloud rotated by _ROTATIONS_90[c]. A
-    rotated copy has the same neighbours, offsets, scale and label, and
-    `gather` derives its dvecs from the stored ones, in their dtype.
+    rotated copy has the same neighbours, offsets and scale, and `gather`
+    derives its dvecs from the stored ones, in their dtype.
     """
 
     dvecs: np.ndarray     # (m, k, 3)
     offsets: np.ndarray   # (m, k)
     scales: np.ndarray    # (m,)
-    labels: np.ndarray    # (m,)
-    origin: np.ndarray    # (m,) original point index each patch derives from
-    copies: int = 1
+    labels: np.ndarray    # (rows,) int8, copy-major
 
     @property
     def n(self) -> int:
-        return self.copies * self.labels.shape[0]
+        return self.labels.size
 
     def gather(self, rows: np.ndarray):
         """(dvecs, offsets, scales) of the given rows, as new arrays.
@@ -204,11 +202,10 @@ def build_dataset(cloud: PointCloud, cfg: TrainConfig):
     float64 for validation. They are filled one cloud._QUERY_BLOCK block of
     points at a time, each block one `extract_patches` call, and the rotated
     copies are derived when rows are gathered. So the peak memory is the
-    returned sets plus one block's extraction: at k=16, 276 bytes per
-    training point and 536 per validation point, labels and origins
-    included. A training split of one class is rejected before the cloud is
-    indexed; a cloud of fewer than 2k + 1 points is rejected by
-    `extract_patches`.
+    returned sets plus one block's extraction: at k=16, 267 bytes per
+    training point and 527 per validation point. A training split of one
+    class is rejected before the cloud is indexed; a cloud of fewer than
+    2k + 1 points is rejected by `extract_patches`.
     """
     if cloud.labels is None:
         raise InvalidInput("training cloud must be fully labeled")
@@ -226,7 +223,7 @@ def build_dataset(cloud: PointCloud, cfg: TrainConfig):
     def patch_set(points, dtype):
         m = points.size
         out = PatchSet(np.empty((m, cfg.k, 3), dtype), np.empty((m, cfg.k), dtype), np.empty(m, dtype),
-                       labels=cloud.labels[points], origin=points, copies=copies)
+                       np.tile(cloud.labels[points].astype(np.int8), copies))
         for lo in range(0, m, _QUERY_BLOCK):
             rows = slice(lo, lo + _QUERY_BLOCK)
             out.dvecs[rows], out.offsets[rows], out.scales[rows], _ = extract_patches(
@@ -285,10 +282,8 @@ def _batch_plan(train: PatchSet, cfg: TrainConfig, rng: np.random.Generator):
     """Index arrays of the epoch's class-balanced mini-batches: half edge rows, half flat rows."""
     half = cfg.batch_size // 2
     n_batches = max(1, -(-train.n // cfg.batch_size))
-    # Each class's rows in ascending order: copy by copy, its points in each.
-    copy_rows = train.labels.size * np.arange(train.copies)[:, None]
-    edge_pool = (copy_rows + np.nonzero(train.labels == 1)[0]).ravel()
-    flat_pool = (copy_rows + np.nonzero(train.labels == 0)[0]).ravel()
+    edge_pool = np.nonzero(train.labels == 1)[0]
+    flat_pool = np.nonzero(train.labels == 0)[0]
     minority_is_edge = edge_pool.size <= flat_pool.size
     minority, majority = (edge_pool, flat_pool) if minority_is_edge else (flat_pool, edge_pool)
     need = n_batches * half
@@ -304,7 +299,7 @@ def _batch_step(train: PatchSet, idx: np.ndarray, state: TrainState, cfg: TrainC
     returns the mean loss and the L2 norm of the float64 gradient vector."""
     np.copyto(state.work.flat, state.params.flat, casting="same_kind")
     e, cache = net.forward_batch(*train.gather(idx), state.work, need_cache=True)
-    losses, de = bce_loss(e, train.labels[idx % train.labels.size].astype(np.float64))
+    losses, de = bce_loss(e, train.labels[idx].astype(np.float64))
     grad = net.backward(state.work, cache, de / idx.size)
     adam_step(state, grad, cfg)
     return float(np.sum(losses)) / idx.size, math.sqrt(grad @ grad)
@@ -335,7 +330,7 @@ def train(cloud: PointCloud, cfg: TrainConfig, threads: int = 1):
         losses, grad_norms = zip(*[_batch_step(train_set, idx, state, cfg) for idx in batches])
         probs, _ = _window_probs(val_set.n, lambda lo, hi: val_set.gather(np.arange(lo, hi)),
                                  state.params, threads)
-        edge, true_edge = probs > 0.5, np.tile(val_set.labels, val_set.copies) == 1
+        edge, true_edge = probs > 0.5, val_set.labels == 1
         p, r, f = _prf(int(np.sum(edge & true_edge)), int(np.sum(edge & ~true_edge)),
                        int(np.sum(~edge & true_edge)))
         log.append({
@@ -386,8 +381,7 @@ def predict(cloud: PointCloud, params: net.ModelParameters, batch: int = 256,
         return extract_patches(cloud, index, np.arange(lo, hi), params.k)[:3]
 
     probs, model_seconds = _window_probs(cloud.n, window_patches, params, threads)
-    labels = (probs > 0.5).astype(np.int64)
-    predicted = cloud.with_predictions(probs, labels)
+    predicted = PointCloud(cloud.points, probs > 0.5, probs)
     wall_seconds = time.perf_counter() - started
     stats = {
         "wall_seconds": wall_seconds,

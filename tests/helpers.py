@@ -394,11 +394,19 @@ def rotated_copies(cloud):
     return [PointCloud(cloud.points @ rot.T, cloud.labels, cloud.predictions) for rot in _ROTATIONS_90]
 
 
+def validation_points(n, cfg):
+    """Boolean mask of the points build_dataset holds out for validation from an n-point cloud."""
+    perm = np.random.default_rng(cfg.seed).permutation(n)
+    mask = np.zeros(n, dtype=bool)
+    mask[perm[:max(1, int(np.floor(cfg.val_fraction * n + 0.5)))]] = True
+    return mask
+
+
 # Frozen oracle for dataset assembly: the build_dataset that extracted each
 # rotated copy whole, concatenated the copies and then indexed out the
 # train and validation rows, unchanged apart from the dropped input checks,
 # so the in-place assembly in pcedge.trainer can be checked for byte
-# identity against it.
+# identity against it. Its sets are written out, one feature row per label.
 
 def oracle_build_dataset(cloud, cfg):
     """build_dataset by whole-cloud extraction, concatenation and indexing."""
@@ -406,8 +414,7 @@ def oracle_build_dataset(cloud, cfg):
     from pcedge.trainer import PatchSet
 
     def take(full, idx):
-        return PatchSet(full.dvecs[idx], full.offsets[idx], full.scales[idx],
-                        full.labels[idx], full.origin[idx])
+        return PatchSet(full.dvecs[idx], full.offsets[idx], full.scales[idx], full.labels[idx])
 
     copies = rotated_copies(cloud) if cfg.augment else [cloud]
     targets = np.arange(cloud.n)
@@ -420,15 +427,9 @@ def oracle_build_dataset(cloud, cfg):
         dvecs=np.concatenate([p[0] for p in parts]),
         offsets=np.concatenate([p[1] for p in parts]),
         scales=np.concatenate([p[2] for p in parts]),
-        labels=np.tile(cloud.labels, len(copies)),
-        origin=np.tile(targets, len(copies)),
+        labels=np.tile(cloud.labels.astype(np.int8), len(copies)),
     )
-    rng = np.random.default_rng(cfg.seed)
-    perm = rng.permutation(cloud.n)
-    n_val = max(1, int(np.floor(cfg.val_fraction * cloud.n + 0.5)))
-    val_points = np.zeros(cloud.n, dtype=bool)
-    val_points[perm[:n_val]] = True
-    val_mask = val_points[full.origin]
+    val_mask = np.tile(validation_points(cloud.n, cfg), len(copies))
     return take(full, np.nonzero(~val_mask)[0]), take(full, np.nonzero(val_mask)[0])
 
 
@@ -455,8 +456,7 @@ def oracle_derived_dataset(cloud, cfg):
                 part[:, :, i] = column if rot[i, j] > 0 else 0.0 - column
             parts.append(part)
         return PatchSet(np.concatenate(parts), np.tile(base.offsets, (copies, 1)),
-                        np.tile(base.scales, copies), np.tile(base.labels, copies),
-                        np.tile(base.origin, copies))
+                        np.tile(base.scales, copies), np.tile(base.labels, copies))
 
     return tuple(materialise(base) for base in oracle_build_dataset(cloud, replace(cfg, augment=False)))
 

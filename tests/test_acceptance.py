@@ -369,7 +369,7 @@ def test_criterion_8_invariances():
         # augmentation isometry, through the rows training gathers: each
         # rotated copy of a 30-row patch keeps its pairwise distances
         rows = trainer.PatchSet(rng.random((1, 30, 3)) * 4, np.ones((1, 30)), np.ones(1),
-                                np.zeros(1), np.arange(1), copies=len(trainer._ROTATIONS_90))
+                                np.zeros(len(trainer._ROTATIONS_90), np.int8))
         copies, _, _ = rows.gather(np.arange(rows.n))
         base_d = np.linalg.norm(copies[0][:, None] - copies[0][None, :], axis=2)
         for rot in copies:

@@ -9,7 +9,7 @@ from pcedge import cloud, net
 # SpatialIndex.query_many and net.forward_batch take one-element arrays.
 # Rotation augmentation lives in pcedge.trainer, beside the table it uses.
 RETIRED = ["SurfacePatch", "extract_patch", "pca_min_axis", "forward", "query", "with_labels",
-           "augment_rotations"]
+           "augment_rotations", "with_predictions"]
 
 
 def test_all_is_unique_and_resolves():

@@ -7,10 +7,12 @@ import subprocess
 import sys
 import zlib
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from helpers import validation_points
 from pcedge import net, trainer
 from pcedge.cli import _COMMANDS, _build_parser, main
 from pcedge.cloud import PointCloud
@@ -135,6 +137,26 @@ class TestDataErrors:
             net.load_checkpoint(bad)
         assert main(["info", "--checkpoint", str(bad)]) == 2
         assert capsys.readouterr().err == f"pcedge info: {message}\n"
+
+    @pytest.mark.parametrize("k", [2, 66])
+    @pytest.mark.parametrize("command", ["info", "predict"])
+    def test_checkpoint_k_outside_extraction_range(self, command, k, cube_file, tmp_path, capsys):
+        # Every tensor is laid out for k, so only the k rule extraction and
+        # the model share can refuse the file, and before any point is read.
+        tensors = {}
+        for name, shape in net.expected_shapes(4).items():
+            if name.endswith("_fc.w"):
+                shape = (k // 2, shape[1])
+            elif name == "dec.w0":
+                shape = (net.WIDTH * k, shape[1])
+            tensors[name] = np.zeros(shape)
+        ckpt = tmp_path / f"k{k}.ckpt"
+        net.save_checkpoint(SimpleNamespace(k=k, tensors=tensors), ckpt)
+        args = [command, "--checkpoint", str(ckpt)]
+        if command == "predict":
+            args += ["--cloud", str(cube_file), "--out", str(tmp_path / "pred.xyz")]
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"pcedge {command}: {ckpt}: k must be even and in [4, 64], got {k}\n"
 
     def test_nonfinite_checkpoint_is_a_numerical_error(self, cube_file, tmp_path):
         # An infinite decoder bias reaches the model's finiteness check, not the loader.
@@ -319,10 +341,9 @@ class TestMalformedInput:
         # Two classes in the cloud, but its only edge point is held out for
         # validation, so the training split has one class.
         points = np.random.default_rng(0).random((40, 3))
-        cfg = trainer.TrainConfig(k=8, max_epochs=1, augment=False)
-        _, val = trainer.build_dataset(PointCloud(points, np.arange(40) % 2), cfg)
         labels = np.zeros(40, dtype=int)
-        labels[val.origin[0]] = 1
+        cfg = trainer.TrainConfig(k=8, max_epochs=1, augment=False)
+        labels[np.nonzero(validation_points(40, cfg))[0][0]] = 1
         src, cfg_file, ckpt = tmp_path / "c.xyz", tmp_path / "cfg.txt", tmp_path / "m.ckpt"
         save_cloud(PointCloud(points, labels), src)
         cfg_file.write_text("k = 8\nmax_epochs = 1\naugment = false\n")

@@ -21,11 +21,12 @@ from helpers import (
     oracle_derived_dataset,
     peak_traced,
     rotated_copies,
+    validation_points,
 )
 import pcedge.cloud
 from pcedge import net, trainer
 from pcedge.cli import main
-from pcedge.cloud import PointCloud
+from pcedge.cloud import PointCloud, build_index, extract_patches
 from pcedge.errors import (
     DegenerateNeighborhood,
     InsufficientNeighborhood,
@@ -74,7 +75,7 @@ def jittered_cloud(cloud):
     return PointCloud(cloud.points + rng.uniform(-1e-3, 1e-3, cloud.points.shape), labels=cloud.labels)
 
 
-PATCH_FIELDS = ("dvecs", "offsets", "scales", "labels", "origin")
+PATCH_FIELDS = ("dvecs", "offsets", "scales", "labels")
 
 
 def assert_identical_sets(got, want):
@@ -88,8 +89,7 @@ def assert_identical_sets(got, want):
 
 def gathered(patch_set):
     """Every row of a PatchSet, written out as a one-copy set."""
-    return PatchSet(*patch_set.gather(np.arange(patch_set.n)), np.tile(patch_set.labels, patch_set.copies),
-                    np.tile(patch_set.origin, patch_set.copies))
+    return PatchSet(*patch_set.gather(np.arange(patch_set.n)), patch_set.labels)
 
 
 def features_as(patch_set, dtype):
@@ -103,8 +103,8 @@ def assert_derived_sets(got, cloud, cfg, jittered):
 
     The training set stores float32 features, the float64 oracle rows
     rounded once; the validation set stores float64. The stored rows are
-    copy 0 of the direct oracle byte for byte in that dtype, with one label
-    and one origin per point, and the gathered rows equal the written-out
+    copy 0 of the direct oracle byte for byte in that dtype, the labels are
+    the oracle's, one int8 per row, and the gathered rows equal the written-out
     derived oracle byte for byte in that dtype. On a jittered cloud, with no
     exact plane ties, each rotated copy's direct extraction picks the same
     neighbours in the same order: the derived oracle's float64 rows equal it
@@ -115,8 +115,8 @@ def assert_derived_sets(got, cloud, cfg, jittered):
     derived = oracle_derived_dataset(cloud, cfg)
     for g, d, dtype in zip(got, direct, (np.float32, np.float64), strict=True):
         m = g.scales.shape[0]
-        assert g.copies == (7 if cfg.augment else 1) and g.n == d.n == g.copies * m
-        copy0 = PatchSet(d.dvecs[:m], d.offsets[:m], d.scales[:m], d.labels[:m], d.origin[:m], g.copies)
+        assert g.n == d.n == (7 if cfg.augment else 1) * m
+        copy0 = PatchSet(d.dvecs[:m], d.offsets[:m], d.scales[:m], d.labels)
         assert_identical_sets([g], [features_as(copy0, dtype)])
     assert_identical_sets([gathered(g) for g in got],
                           [features_as(w, dtype) for w, dtype in zip(derived, (np.float32, np.float64))])
@@ -171,7 +171,6 @@ class TestBuildDataset:
         n_val = int(np.floor(0.1 * n + 0.5))
         assert val_set.n == 7 * n_val
         assert train_set.n == 7 * (n - n_val)
-        assert train_set.copies == val_set.copies == 7
         assert train_set.scales.shape == (n - n_val,) and val_set.dvecs.shape == (n_val, 16, 3)
 
     def test_counts_without_augmentation(self, small_cloud):
@@ -184,17 +183,20 @@ class TestBuildDataset:
     def test_split_hygiene(self, small_cloud):
         cfg = TrainConfig(seed=5, augment=True)
         train_set, val_set = build_dataset(small_cloud, cfg)
-        assert not set(train_set.origin) & set(val_set.origin)
-        # every original val point is stored once and stands for 7 patches
-        _, counts = np.unique(val_set.origin, return_counts=True)
-        assert (counts == 1).all() and val_set.copies == 7
+        val = validation_points(small_cloud.n, cfg)
+        # Every point is stored once, in the split the draw puts it in, and
+        # stands for 7 rows there.
+        index = build_index(small_cloud)
+        for stored, points in ((train_set, np.nonzero(~val)[0]), (val_set, np.nonzero(val)[0])):
+            dvecs, _, _, _ = extract_patches(small_cloud, index, points, cfg.k)
+            assert stored.dvecs.tobytes() == dvecs.astype(stored.dvecs.dtype).tobytes()
+            assert stored.n == 7 * points.size
 
     def test_deterministic(self, small_cloud):
         cfg = TrainConfig(seed=9)
         a = build_dataset(small_cloud, cfg)
         b = build_dataset(small_cloud, cfg)
-        assert np.array_equal(a[0].dvecs, b[0].dvecs)
-        assert np.array_equal(a[1].origin, b[1].origin)
+        assert_identical_sets(a, b)
 
     def test_missing_labels(self):
         cloud = PointCloud(np.random.default_rng(0).random((200, 3)))
@@ -213,9 +215,8 @@ class TestBuildDataset:
         # cloud is indexed.
         points = np.random.default_rng(0).random((40, 3))
         cfg = TrainConfig(k=8, augment=False)
-        _, val = build_dataset(PointCloud(points, np.arange(40) % 2), cfg)
         labels = np.zeros(40, dtype=int)
-        labels[val.origin[0]] = 1
+        labels[np.nonzero(validation_points(40, cfg))[0][0]] = 1
 
         def no_index(*args, **kwargs):
             raise AssertionError("cloud indexed for a one-class training split")
@@ -229,8 +230,10 @@ class TestBuildDataset:
     def test_labels_follow_patches(self, small_cloud):
         cfg = TrainConfig(seed=1, augment=False)
         train_set, val_set = build_dataset(small_cloud, cfg)
-        assert np.array_equal(train_set.labels, small_cloud.labels[train_set.origin])
-        assert np.array_equal(val_set.labels, small_cloud.labels[val_set.origin])
+        val = validation_points(small_cloud.n, cfg)
+        assert train_set.labels.dtype == val_set.labels.dtype == np.int8
+        assert np.array_equal(train_set.labels, small_cloud.labels[~val])
+        assert np.array_equal(val_set.labels, small_cloud.labels[val])
 
     @pytest.mark.parametrize("k", [8, 16])
     @pytest.mark.parametrize("augment", [True, False])
@@ -257,11 +260,11 @@ class TestBuildDataset:
     def test_peak_memory_is_result_plus_one_block(self, midsize_cloud):
         # Extraction temporaries cost about 2.7 kB per row at k=16, about
         # 3 MiB for one 1,024-row block. The returned sets store one copy's
-        # features and one label and origin per point: 276 B per training
-        # point in float32, 536 B per validation point in float64.
+        # features per point and an int8 label per row: 267 B per training
+        # point in float32, 527 B per validation point in float64.
         sets, peak = peak_traced(lambda: build_dataset(midsize_cloud, TrainConfig(k=16, seed=11)))
         returned = sum(getattr(s, field).nbytes for s in sets for field in PATCH_FIELDS)
-        assert returned == 8_355 * 276 + 928 * 536 == 2_803_388
+        assert returned == 8_355 * 267 + 928 * 527 == 2_719_841
         assert peak - returned < 8 << 20
         assert peak < 24 << 20
 
@@ -282,7 +285,7 @@ class TestGather:
         cand[share] = np.broadcast_to(targets[:, None, :], cand.shape)[share]
         base = cand - targets[:, None, :]
         assert (base == 0.0).sum(axis=(0, 1)).min() > 20 and not np.signbit(base[base == 0.0]).any()
-        rows = PatchSet(base, np.ones((50, 16)), np.ones(50), np.zeros(50), np.arange(50), copies=7)
+        rows = PatchSet(base, np.ones((50, 16)), np.ones(50), np.zeros(7 * 50, np.int8))
         dvecs, _, _ = rows.gather(np.arange(rows.n))
         for c, rotated in enumerate(rotated_copies(PointCloud(np.concatenate([targets, cand.reshape(-1, 3)])))):
             want = rotated.points[50:].reshape(50, 16, 3) - rotated.points[:50, None, :]
@@ -375,11 +378,11 @@ class TestAdamStep:
 
 
 class TestBatchPlan:
-    def _patchset(self, labels, rng):
-        from pcedge.trainer import PatchSet
+    def _patchset(self, labels, rng, copies=1):
+        """n points, each standing for `copies` rows labelled as the point is."""
         n = len(labels)
         return PatchSet(rng.normal(size=(n, 8, 3)), np.abs(rng.normal(size=(n, 8))),
-                        np.ones(n), np.asarray(labels), np.arange(n))
+                        np.ones(n), np.tile(np.asarray(labels, np.int8), copies))
 
     def test_balanced_batches_exact_halves(self):
         rng = np.random.default_rng(0)
@@ -404,7 +407,7 @@ class TestBatchPlan:
         # oracle planning the same set written out row by row.
         n_edge = min(max(1, round(edge_share * n)), n - 1)
         labels = np.random.default_rng(seed).permutation(np.r_[np.ones(n_edge, int), np.zeros(n - n_edge, int)])
-        train_set = replace(self._patchset(labels, np.random.default_rng(0)), copies=copies)
+        train_set = self._patchset(labels, np.random.default_rng(0), copies)
         cfg = TrainConfig(k=8, batch_size=2 * half)
         got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         got = _batch_plan(train_set, cfg, got_rng)
