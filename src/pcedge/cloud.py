@@ -120,6 +120,8 @@ class SpatialIndex:
         queries = np.asarray(queries, dtype=np.float64)
         if queries.ndim != 2 or queries.shape[1] != 3:
             raise InvalidInput(f"queries must be (B, 3), got shape {queries.shape}")
+        if not np.isfinite(queries).all():
+            raise InvalidInput("queries contain non-finite coordinates")
         if k < 1:
             raise InvalidInput(f"k must be >= 1, got {k}")
         kk = min(k, self.n)

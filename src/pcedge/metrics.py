@@ -84,10 +84,13 @@ def _prf(tp: int, fp: int, fn: int):
 
 
 def _point_set(pts, name: str) -> np.ndarray:
-    """pts as a float64 (N, 3) array; InvalidInput naming the argument if it has another shape."""
+    """pts as a float64 (N, 3) array; InvalidInput naming the argument if it
+    has another shape or a non-finite coordinate."""
     arr = np.asarray(pts, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise InvalidInput(f"{name} must be an (N, 3) array, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise InvalidInput(f"{name} contains non-finite coordinates")
     return arr
 
 

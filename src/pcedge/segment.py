@@ -25,29 +25,18 @@ class SegmentationResult:
     sizes: list[int]
 
 
-def knn_graph(cloud: PointCloud, k: int = 5) -> list[np.ndarray]:
-    """Symmetrized kNN adjacency lists, each sorted by neighbor index."""
-    neighbors = _knn_excluding_self(build_index(cloud), np.arange(cloud.n), k)
-    src, dst = np.repeat(np.arange(cloud.n), k), neighbors.ravel()
-    keys = np.unique(np.concatenate([src * cloud.n + dst, dst * cloud.n + src]))
-    bounds = np.searchsorted(keys, np.arange(1, cloud.n) * cloud.n)
-    return np.split(keys % cloud.n, bounds)
+def knn_graph(cloud: PointCloud, k: int = 5) -> csr_array:
+    """Directed kNN graph: an (N, N) CSR array with a float64 one per link.
 
-
-def _interior_graph(neighbors: np.ndarray, is_edge: np.ndarray) -> csr_array:
-    """CSR graph whose row i holds i's kNN edges between non-edge points.
-
-    Built straight from the (N, k) neighbor matrix: the row pointers count
-    each row's kept neighbors. The weights are float64 because
-    connected_components would otherwise copy the graph to float64. The
-    matrix and mask die on return, before connected_components runs.
+    Row i holds exactly k entries, i's k nearest other points in (distance,
+    index) order, so indptr is arange(0, N*k + 1, k). Read each link both
+    ways: connected_components(..., directed=False), or graph + graph.T for
+    the symmetrised adjacency. The weights are float64 because
+    connected_components would otherwise copy the graph to float64.
     """
-    n = len(neighbors)
-    keep = ~is_edge[neighbors]
-    keep[is_edge] = False
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
-    return csr_array((np.ones(int(indptr[-1])), neighbors[keep], indptr), shape=(n, n))
+    neighbors = _knn_excluding_self(build_index(cloud), np.arange(cloud.n), k)
+    indptr = np.arange(0, neighbors.size + 1, k)
+    return csr_array((np.ones(neighbors.size), neighbors.ravel(), indptr), shape=(cloud.n, cloud.n))
 
 
 def flood_segment(cloud: PointCloud, k: int = 5) -> SegmentationResult:
@@ -59,8 +48,11 @@ def flood_segment(cloud: PointCloud, k: int = 5) -> SegmentationResult:
     if cloud.labels is None:
         raise InvalidInput("flood_segment requires edge labels")
     is_edge = cloud.labels == 1
-    neighbors = _knn_excluding_self(build_index(cloud), np.arange(cloud.n), k)
-    graph = _interior_graph(neighbors, is_edge)
+    graph = knn_graph(cloud, k)
+    # Cut every link that touches an edge point, then drop the cut entries:
+    # connected_components counts an explicit zero as a link.
+    graph.data[np.repeat(is_edge, k) | is_edge[graph.indices]] = 0
+    graph.eliminate_zeros()
     _, comp = connected_components(graph, directed=False)
 
     interior = np.nonzero(~is_edge)[0]

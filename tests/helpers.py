@@ -696,6 +696,13 @@ def oracle_write_ply(cloud, path, segments=None):
             fh.write(row + "\n")
 
 
+def adjacency_lists(graph):
+    """Symmetrised adjacency of a knn_graph CSR array: per point, its sorted neighbor indices."""
+    both = (graph + graph.T).tocsr()
+    both.sort_indices()
+    return [both.indices[lo:hi] for lo, hi in zip(both.indptr[:-1], both.indptr[1:])]
+
+
 def oracle_knn_graph(cloud, k=5):
     """knn_graph with np.unique symmetrisation."""
     from pcedge.cloud import build_index

@@ -10,6 +10,7 @@ import numpy as np
 
 from conftest import HELD_OUT_SPECS
 from helpers import (
+    adjacency_lists,
     basis_pair,
     encode,
     end_to_end_grads,
@@ -212,15 +213,17 @@ def test_criterion_2_oracles():
         # kNN-graph adjacency vs brute force
         gk = 5
         if n <= 400:
-            adj = segment.knn_graph(cloud, gk)
+            graph = segment.knn_graph(cloud, gk)
+            rows = graph.indices.reshape(n, gk)
             pairs = set()
             for i in range(n):
                 order = np.lexsort((np.arange(n), np.linalg.norm(pts - pts[i], axis=1)))
+                assert rows[i].tolist() == order[order != i][:gk].tolist()
                 for j in order[order != i][:gk]:
                     pairs.add((i, int(j)))
                     pairs.add((int(j), i))
             expected_adj = [sorted(j for (x, j) in pairs if x == i) for i in range(n)]
-            assert [a.tolist() for a in adj] == expected_adj
+            assert [a.tolist() for a in adjacency_lists(graph)] == expected_adj
         fixtures += 1
 
     elapsed = time.perf_counter() - started

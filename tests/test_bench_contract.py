@@ -128,6 +128,25 @@ def test_train_passes_the_benchmark_checks():
     assert workloads.check_training(params, log) == []
 
 
+# Wrapped functions no workload reaches: evaluate computes the Chamfer
+# distance and the match counts from its own nearest-distance passes.
+UNREACHED = {"metrics.chamfer", "metrics.match_counts"}
+
+
+def test_every_other_wrapped_span_is_reached(tmp_path):
+    # A wrapped function that no operation calls reads 0 in its per-layer
+    # metric on every workload; this fails as soon as one more stops being called.
+    tracer_module, workloads = _load_bench("tracer"), _load_bench("workloads")
+    tracer = tracer_module.Tracer()
+    for name, workload in workloads.WORKLOADS.items():
+        workload = workload()
+        state = workload.setup(workloads.DEFAULT_SEED, True, tmp_path)
+        with tracer.operation(name):
+            workload.run(state)
+    calls, _, _ = tracer.totals()
+    assert {span for _, _, span, _ in tracer_module.WRAPPED if calls[span] == 0} == UNREACHED
+
+
 def _count_calls(monkeypatch, owner, attr, counts):
     original = getattr(owner, attr)
 

@@ -151,6 +151,14 @@ class TestSpatialIndex:
         index = build_index(PointCloud(pts))
         assert index.query_many(np.full((1, 3), 0.5), 64).shape == (1, 5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_rejected(self, bad):
+        index = build_index(PointCloud(np.random.default_rng(0).random((20, 3))))
+        queries = np.random.default_rng(1).random((3000, 3))
+        queries[2500, 0] = bad
+        with pytest.raises(InvalidInput, match=r"^queries contain non-finite coordinates$"):
+            index.query_many(queries, 4)
+
 
 def min_axis(pts):
     """The minimal-variance axis of one point set, as extract_patches computes it."""

@@ -146,6 +146,17 @@ def test_point_sets_must_be_n_by_3(func, shape, side):
         func(*args)
 
 
+@pytest.mark.parametrize("func", [match_counts, chamfer, normalize_pair])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("side", [0, 1])
+def test_point_sets_must_be_finite(func, bad, side):
+    args = [np.random.default_rng(0).random((4, 3)), np.random.default_rng(1).random((5, 3))]
+    args[side][2, 1] = bad
+    name = ("pred_pts", "gt_pts")[side]
+    with pytest.raises(InvalidInput, match=rf"^{name} contains non-finite coordinates$"):
+        func(*args)
+
+
 class TestEvaluate:
     def _cloud(self, pts, labels):
         return PointCloud(pts, labels)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
+    adjacency_lists,
     gapped_lattice_cube,
     lattice_cube,
     oracle_flood_segment,
@@ -18,14 +19,21 @@ from pcedge.segment import flood_segment, knn_graph
 from pcedge.synth import ShapeSpec, distance_to_edge_curves, generate
 
 
-def brute_graph(points, k):
+def brute_rows(points, k):
+    """(N, k) nearest other points of each point, in (distance, index) order."""
     n = len(points)
-    adj = [set() for _ in range(n)]
+    rows = []
     for i in range(n):
         d = np.linalg.norm(points - points[i], axis=1)
         order = np.lexsort((np.arange(n), d))
-        order = order[order != i][:k]
-        for j in order:
+        rows.append(order[order != i][:k])
+    return np.array(rows)
+
+
+def brute_graph(points, k):
+    adj = [set() for _ in range(len(points))]
+    for i, row in enumerate(brute_rows(points, k)):
+        for j in row:
             adj[i].add(int(j))
             adj[int(j)].add(i)
     return [sorted(s) for s in adj]
@@ -39,7 +47,7 @@ def cube():
 class TestKnnGraph:
     def test_line_chain_connected(self):
         pts = np.column_stack([np.arange(6.0), np.zeros(6), np.zeros(6)])
-        adj = knn_graph(PointCloud(pts), k=1)
+        adj = adjacency_lists(knn_graph(PointCloud(pts), k=1))
         # symmetrization connects the chain
         seen = {0}
         frontier = [0]
@@ -55,15 +63,18 @@ class TestKnnGraph:
     def test_matches_brute_force(self, seed):
         rng = np.random.default_rng(seed)
         pts = rng.random((150, 3))
-        adj = knn_graph(PointCloud(pts), k=5)
-        expected = brute_graph(pts, 5)
-        assert [a.tolist() for a in adj] == expected
+        graph = knn_graph(PointCloud(pts), k=5)
+        assert graph.shape == (150, 150) and graph.dtype == np.float64
+        assert np.array_equal(graph.indptr, np.arange(0, 150 * 5 + 1, 5))
+        assert (graph.data == 1.0).all()
+        assert np.array_equal(graph.indices.reshape(150, 5), brute_rows(pts, 5))
+        assert [a.tolist() for a in adjacency_lists(graph)] == brute_graph(pts, 5)
 
     def test_grid_interior_axis_neighbors(self):
         ax = np.arange(10.0)
         xx, yy = np.meshgrid(ax, ax, indexing="ij")
         pts = np.column_stack([xx.ravel(), yy.ravel(), np.zeros(100)])
-        adj = knn_graph(PointCloud(pts), k=4)
+        adj = adjacency_lists(knn_graph(PointCloud(pts), k=4))
         interior = 5 * 10 + 5
         expected = sorted([interior - 10, interior - 1, interior + 1, interior + 10])
         assert adj[interior].tolist() == expected
@@ -202,7 +213,8 @@ class TestFrozenBfsParity:
     def test_property(self, case):
         cloud, k = case
         self.assert_identical(cloud, k)
-        assert [a.tolist() for a in knn_graph(cloud, k)] == [a.tolist() for a in oracle_knn_graph(cloud, k)]
+        got = adjacency_lists(knn_graph(cloud, k))
+        assert [a.tolist() for a in got] == [a.tolist() for a in oracle_knn_graph(cloud, k)]
 
     @pytest.mark.parametrize("k", [5, 8])
     def test_fixtures(self, cube, k):
@@ -216,8 +228,8 @@ class TestFrozenBfsParity:
 @pytest.mark.parametrize("density", [4000.0, 16000.0])
 def test_flood_segment_memory_budget(density):
     # Graph pairs as int64 src/dst arrays, converted from COO to CSR, held
-    # about 490 B/point; the CSR graph built from the (N, k) neighbor matrix
-    # keeps the whole pass near 165.
+    # about 490 B/point; knn_graph's CSR array, with its edge links cut in
+    # place, keeps the whole pass near 170.
     cloud = union_boxes(density).cloud
     _, peak = peak_traced(lambda: flood_segment(cloud, k=5))
     assert peak <= 300 * cloud.n, f"{peak / cloud.n:.0f} B/point"
