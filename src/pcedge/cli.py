@@ -114,6 +114,13 @@ def _cmd_train(args) -> int:
     return 0
 
 
+def _available_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one, else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _cmd_predict(args) -> int:
     if args.threads < 0:
         raise InvalidInput(f"--threads must be >= 0 (0 = available parallelism), got {args.threads}")
@@ -121,7 +128,7 @@ def _cmd_predict(args) -> int:
     cloud = load_cloud(args.cloud)
     if args.dedup:
         cloud = deduplicate(cloud)
-    threads = args.threads or os.cpu_count() or 1
+    threads = args.threads or _available_cpus()
     predicted, stats = trainer.predict(cloud, params, threads=threads)
     save_cloud(predicted, args.out)
     print(f"throughput: {stats['pps']:.0f} points/sec end to end "

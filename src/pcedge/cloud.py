@@ -21,9 +21,11 @@ from .errors import (
 )
 
 # Rows per block of a kNN query, of a patch extraction, of
-# mean_neighbor_distance's pass and of trainer.build_dataset's fill. At
-# k = 33 a query block's temporaries take about 1 MB, and at k = 16 an
-# extraction block's about 3 MB. predict's 256-row windows fit in one block.
+# mean_neighbor_distance's pass, of trainer.build_dataset's fill and of
+# predict's and validation's extraction. At k = 33 a query block's
+# temporaries take about 1 MB, and at k = 16 an extraction block's about
+# 3 MB. A multiple of trainer.INFER_WINDOW, so each block runs whole model
+# windows.
 _QUERY_BLOCK = 1024
 
 

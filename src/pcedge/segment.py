@@ -31,12 +31,15 @@ def knn_graph(cloud: PointCloud, k: int = 5) -> csr_array:
     Row i holds exactly k entries, i's k nearest other points in (distance,
     index) order, so indptr is arange(0, N*k + 1, k). Read each link both
     ways: connected_components(..., directed=False), or graph + graph.T for
-    the symmetrised adjacency. The weights are float64 because
-    connected_components would otherwise copy the graph to float64.
+    the symmetrised adjacency. The weights are float64 and indices and indptr
+    int32 while N*k fits, because connected_components would otherwise copy
+    the graph to those dtypes.
     """
     neighbors = _knn_excluding_self(build_index(cloud), np.arange(cloud.n), k)
-    indptr = np.arange(0, neighbors.size + 1, k)
-    return csr_array((np.ones(neighbors.size), neighbors.ravel(), indptr), shape=(cloud.n, cloud.n))
+    idx = np.int32 if neighbors.size <= np.iinfo(np.int32).max else np.int64
+    indptr = np.arange(0, neighbors.size + 1, k, dtype=idx)
+    return csr_array((np.ones(neighbors.size), neighbors.ravel().astype(idx), indptr),
+                     shape=(cloud.n, cloud.n))
 
 
 def flood_segment(cloud: PointCloud, k: int = 5) -> SegmentationResult:

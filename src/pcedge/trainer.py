@@ -8,9 +8,11 @@ weights and Adam state; validation and `predict` run in float64. Float32
 halves the bytes every small product and elementwise pass of a step moves,
 which is where a step spends its time. Each split is stored in the dtype of
 the pass that reads it: the training set in float32, the validation set in
-float64. The thread count does one thing in `train` and `predict` alike: it
-spreads fixed INFER_WINDOW-row model windows across workers. So both are
-byte-identical for every thread count.
+float64. Validation and `predict` take their patches one cloud._QUERY_BLOCK
+block of rows at a time and run each block as fixed INFER_WINDOW-row model
+windows. The thread count does one thing in `train` and `predict` alike: it
+spreads those blocks across workers. So both are byte-identical for every
+thread count.
 """
 
 from __future__ import annotations
@@ -256,26 +258,32 @@ INFER_WINDOW = 256
 def _window_probs(n: int, patches_of, params: net.ModelParameters, threads: int):
     """Edge probabilities of n rows, run as fixed INFER_WINDOW-row model windows.
 
-    `patches_of(lo, hi)` gives the (dvecs, offsets, scales) of rows lo..hi.
-    With threads > 1 the windows run on a pool of that many workers, else on
-    the calling thread. Every row sits in the same window row either way, so
-    the result is byte-identical for every thread count. Returns
-    (probabilities, the model's seconds summed over windows).
+    Rows run in blocks of cloud._QUERY_BLOCK, a multiple of INFER_WINDOW:
+    `patches_of(lo, hi)` gives the (dvecs, offsets, scales) of a block's
+    rows lo..hi, and the block's windows run on slices of them. With
+    threads > 1 the blocks run on a pool of that many workers, else on the
+    calling thread. Every row sits in the same window row either way, so the
+    result is byte-identical for every thread count. Returns (probabilities,
+    the model's seconds summed over windows).
     """
     probs = np.empty(n)
 
-    def run_window(lo: int) -> float:
-        hi = min(lo + INFER_WINDOW, n)
-        dvecs, offsets, scales = patches_of(lo, hi)
-        t0 = time.perf_counter()
-        probs[lo:hi], _ = net.forward_batch(dvecs, offsets, scales, params)
-        return time.perf_counter() - t0
+    def run_block(lo: int) -> float:
+        block = probs[lo:lo + _QUERY_BLOCK]
+        dvecs, offsets, scales = patches_of(lo, lo + block.size)
+        seconds = 0.0
+        for w in range(0, block.size, INFER_WINDOW):
+            rows = slice(w, w + INFER_WINDOW)
+            t0 = time.perf_counter()
+            block[rows], _ = net.forward_batch(dvecs[rows], offsets[rows], scales[rows], params)
+            seconds += time.perf_counter() - t0
+        return seconds
 
-    windows = range(0, n, INFER_WINDOW)
+    blocks = range(0, n, _QUERY_BLOCK)
     if threads == 1:
-        return probs, sum(map(run_window, windows))
+        return probs, sum(map(run_block, blocks))
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return probs, sum(pool.map(run_window, windows))
+        return probs, sum(pool.map(run_block, blocks))
 
 
 def _batch_plan(train: PatchSet, cfg: TrainConfig, rng: np.random.Generator):
@@ -355,11 +363,13 @@ def predict(cloud: PointCloud, params: net.ModelParameters, batch: int = 256,
             threads: int = 1):
     """Classify every point of a cloud; returns (cloud with predictions, stats).
 
-    The model runs on fixed INFER_WINDOW-row windows, each extracted with
-    one `extract_patches` call, so memory stays bounded by one window per
-    worker and the output is byte-identical for every thread count. `batch`
-    must be >= 1 and changes nothing else; it is kept for callers that pass
-    it. A cloud of fewer than 2k + 1 points is rejected by `extract_patches`.
+    Patches are extracted with one `extract_patches` call per
+    cloud._QUERY_BLOCK block of rows, and the model runs each block as fixed
+    INFER_WINDOW-row windows. So memory stays bounded by one block's patches
+    and one window's model intermediates per worker, and the output is
+    byte-identical for every thread count. `batch` must be >= 1 and changes
+    nothing else; it is kept for callers that pass it. A cloud of fewer than
+    2k + 1 points is rejected by `extract_patches`.
 
     The stats dict holds `wall_seconds`, the wall time of the whole call
     (index build, extraction and model); `pps`, points per wall second; and
@@ -377,10 +387,10 @@ def predict(cloud: PointCloud, params: net.ModelParameters, batch: int = 256,
         raise InvalidInput(f"threads must be >= 1, got {threads}")
     index = build_index(cloud)
 
-    def window_patches(lo, hi):
+    def block_patches(lo, hi):
         return extract_patches(cloud, index, np.arange(lo, hi), params.k)[:3]
 
-    probs, model_seconds = _window_probs(cloud.n, window_patches, params, threads)
+    probs, model_seconds = _window_probs(cloud.n, block_patches, params, threads)
     predicted = PointCloud(cloud.points, probs > 0.5, probs)
     wall_seconds = time.perf_counter() - started
     stats = {

@@ -386,6 +386,18 @@ def full_scan_query_many(index, queries, k):
     return out
 
 
+def oracle_window_probs(cloud, params):
+    """predict's probabilities as one extract_patches and one forward_batch
+    call per 256-row model window compute them."""
+    from pcedge.cloud import build_index, extract_patches
+
+    index = build_index(cloud)
+    return np.concatenate([
+        net.forward_batch(*extract_patches(cloud, index, np.arange(lo, min(lo + 256, cloud.n)),
+                                           params.k)[:3], params)[0]
+        for lo in range(0, cloud.n, 256)])
+
+
 def rotated_copies(cloud):
     """The cloud in each orientation of trainer._ROTATIONS_90, as PointClouds."""
     from pcedge.cloud import PointCloud

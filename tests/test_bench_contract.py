@@ -166,13 +166,16 @@ def small_cloud():
 @pytest.mark.parametrize("batch", [7, 256, 1000])
 def test_predict_extracts_and_forwards_once_per_window(small_cloud, monkeypatch, batch, threads):
     # The tracer's cloud.extract_calls and net.forward_calls count these wrapped
-    # attributes; each fixed 256-row model window calls each of them once.
+    # attributes: each 1,024-row block calls extract_patches once, and each
+    # fixed 256-row model window calls forward_batch once. The 1,200-point
+    # cloud spans 2 blocks and 5 windows.
     counts = Counter()
     _count_calls(monkeypatch, trainer, "extract_patches", counts)
     _count_calls(monkeypatch, net, "forward_batch", counts)
     trainer.predict(small_cloud, net.init_params(8, seed=0), batch=batch, threads=threads)
-    windows = math.ceil(small_cloud.n / 256)
-    assert counts == {"extract_patches": windows, "forward_batch": windows}
+    assert small_cloud.n == 1200
+    assert counts == {"extract_patches": math.ceil(small_cloud.n / 1024),
+                      "forward_batch": math.ceil(small_cloud.n / 256)}
 
 
 def test_train_epoch_calls_do_not_depend_on_threads(small_cloud, monkeypatch):

@@ -459,8 +459,9 @@ class TestPredictCommand:
         assert err == "pcedge predict: --threads must be >= 0 (0 = available parallelism), got -1\n"
         assert not out.exists()
 
-    def test_threads_zero_uses_available_parallelism(self, cube_file, checkpoint_file,
-                                                     tmp_path, monkeypatch):
+    def _threads_zero(self, cube_file, checkpoint_file, tmp_path, monkeypatch, affinity, cpus):
+        """The threads `predict --threads 0` passes on, given the affinity
+        mask (None: no os.sched_getaffinity) and os.cpu_count()."""
         seen = []
         original = trainer.predict
 
@@ -469,11 +470,33 @@ class TestPredictCommand:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(trainer, "predict", spy)
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(affinity), raising=False)
         out = tmp_path / "pred.xyz"
         assert main(["predict", "--cloud", str(cube_file), "--checkpoint", str(checkpoint_file),
                      "--threads", "0", "--out", str(out)]) == 0
-        assert seen == [3]
+        return seen
+
+    def test_threads_zero_uses_available_parallelism(self, cube_file, checkpoint_file,
+                                                     tmp_path, monkeypatch):
+        assert self._threads_zero(cube_file, checkpoint_file, tmp_path, monkeypatch,
+                                  affinity={0, 2, 5}, cpus=8) == [3]
+
+    def test_threads_zero_follows_a_one_cpu_affinity(self, cube_file, checkpoint_file,
+                                                     tmp_path, monkeypatch):
+        # As under `taskset -c 1` on a 2-CPU machine, where os.cpu_count() reads 2.
+        assert self._threads_zero(cube_file, checkpoint_file, tmp_path, monkeypatch,
+                                  affinity={1}, cpus=2) == [1]
+
+    @pytest.mark.parametrize("cpus, want", [(3, 3), (None, 1)])
+    def test_threads_zero_without_affinity_uses_cpu_count(self, cube_file, checkpoint_file,
+                                                          tmp_path, monkeypatch, cpus, want):
+        # macOS and Windows have no os.sched_getaffinity.
+        assert self._threads_zero(cube_file, checkpoint_file, tmp_path, monkeypatch,
+                                  affinity=None, cpus=cpus) == [want]
 
     def test_k_mismatch_data_error(self, cube_file, tmp_path):
         ckpt = tmp_path / "k8.ckpt"

@@ -66,6 +66,7 @@ class TestKnnGraph:
         graph = knn_graph(PointCloud(pts), k=5)
         assert graph.shape == (150, 150) and graph.dtype == np.float64
         assert np.array_equal(graph.indptr, np.arange(0, 150 * 5 + 1, 5))
+        assert graph.indices.dtype == graph.indptr.dtype == np.int32
         assert (graph.data == 1.0).all()
         assert np.array_equal(graph.indices.reshape(150, 5), brute_rows(pts, 5))
         assert [a.tolist() for a in adjacency_lists(graph)] == brute_graph(pts, 5)
@@ -228,8 +229,8 @@ class TestFrozenBfsParity:
 @pytest.mark.parametrize("density", [4000.0, 16000.0])
 def test_flood_segment_memory_budget(density):
     # Graph pairs as int64 src/dst arrays, converted from COO to CSR, held
-    # about 490 B/point; knn_graph's CSR array, with its edge links cut in
-    # place, keeps the whole pass near 170.
+    # about 490 B/point; knn_graph's int32 CSR array, with its edge links cut
+    # in place, keeps the whole pass near 125.
     cloud = union_boxes(density).cloud
     _, peak = peak_traced(lambda: flood_segment(cloud, k=5))
     assert peak <= 300 * cloud.n, f"{peak / cloud.n:.0f} B/point"

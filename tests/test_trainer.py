@@ -19,6 +19,7 @@ from helpers import (
     oracle_batch_plan,
     oracle_build_dataset,
     oracle_derived_dataset,
+    oracle_window_probs,
     peak_traced,
     rotated_copies,
     validation_points,
@@ -29,6 +30,7 @@ from pcedge.cli import main
 from pcedge.cloud import PointCloud, build_index, extract_patches
 from pcedge.errors import (
     DegenerateNeighborhood,
+    DuplicatePoint,
     InsufficientNeighborhood,
     InvalidInput,
     ModelShapeError,
@@ -589,6 +591,25 @@ class TestPredict:
                 got, _ = predict(cloud, params, batch=batch, threads=threads)
                 assert np.array_equal(got.predictions, want.predictions), (batch, threads)
 
+    @pytest.mark.parametrize("n", [1025, 2300])
+    @pytest.mark.parametrize("lattice", [False, True])
+    def test_blocks_match_per_window_extraction(self, lattice, n):
+        # The clouds cross one or two 1,024-row block boundaries, and the last
+        # block ends inside a window. On the lattice, distance ties send rows
+        # to query_many's wider re-query, which sees only its block's rows.
+        rng = np.random.default_rng(n)
+        if lattice:
+            cells = rng.choice(14 ** 3, size=n, replace=False)
+            pts = np.column_stack(np.unravel_index(cells, (14, 14, 14))).astype(np.float64)
+        else:
+            pts = rng.random((n, 3))
+        cloud = PointCloud(pts)
+        params = net.init_params(8, seed=8)
+        want = oracle_window_probs(cloud, params)
+        for threads in (1, 2):
+            got, _ = predict(cloud, params, threads=threads)
+            assert got.predictions.tobytes() == want.tobytes(), threads
+
     def test_too_small(self):
         params = net.init_params(16, seed=0)
         cloud = PointCloud(np.random.default_rng(0).random((20, 3)))
@@ -596,13 +617,23 @@ class TestPredict:
             predict(cloud, params)
 
     def test_degenerate_neighborhood_names_the_point(self):
-        # Point 300 sits in the second 256-row window, 45th row; its 32
-        # candidates are 40 copies of (10, 10, 10), which come later.
+        # Point 1300 sits in the second 1,024-row block; its 32 candidates
+        # are 40 copies of (10, 10, 10), which come in the third block.
+        rng = np.random.default_rng(0)
+        pts = np.vstack([rng.random((1300, 3)), [[10.5, 10.0, 10.0]], rng.random((747, 3)),
+                         np.tile([10.0, 10.0, 10.0], (40, 1))])
+        with pytest.raises(DegenerateNeighborhood,
+                           match=r"^neighborhood of target 1300 has coincident points$"):
+            predict(PointCloud(pts), net.init_params(16))
+
+    def test_duplicate_in_the_degenerate_block_is_named_first(self):
+        # Point 300's 32 candidates are 40 copies of (10, 10, 10), rows
+        # 600-639. All of them share its block, whose duplicate check runs
+        # before the PCA axis that would find 300 degenerate.
         rng = np.random.default_rng(0)
         pts = np.vstack([rng.random((300, 3)), [[10.5, 10.0, 10.0]], rng.random((299, 3)),
                          np.tile([10.0, 10.0, 10.0], (40, 1))])
-        with pytest.raises(DegenerateNeighborhood,
-                           match=r"^neighborhood of target 300 has coincident points$"):
+        with pytest.raises(DuplicatePoint, match=r"^cloud contains a duplicate of point 600$"):
             predict(PointCloud(pts), net.init_params(16))
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc allocator thresholds")
