@@ -21,11 +21,11 @@ from .errors import (
 )
 
 # Rows per block of a kNN query, of a patch extraction, of
-# mean_neighbor_distance's pass, of trainer.build_dataset's fill and of
-# predict's and validation's extraction. At k = 33 a query block's
-# temporaries take about 1 MB, and at k = 16 an extraction block's about
-# 3 MB. A multiple of trainer.INFER_WINDOW, so each block runs whole model
-# windows.
+# mean_neighbor_distance's pass and of trainer.build_dataset's fill, and the
+# most rows of a work unit of predict's and validation's extraction. At
+# k = 33 a query block's temporaries take about 1 MB, and at k = 16 an
+# extraction block's about 3.3 MiB. A multiple of trainer.INFER_WINDOW, so
+# each unit runs whole model windows.
 _QUERY_BLOCK = 1024
 
 
@@ -89,7 +89,7 @@ class SpatialIndex:
 
     Results match a brute-force scan: sorted by nondecreasing Euclidean
     distance, ties broken by smaller point index, with every distance taken
-    by _norms, the one expression all orderings in this module use. A query
+    by _norms, the one distance all orderings in this module use. A query
     fetches one extra neighbor per row, and fetches a row again at twice the
     width while its cut falls inside a distance tie (see query_many).
     Immutable after build; safe for concurrent queries.
@@ -150,13 +150,32 @@ class SpatialIndex:
             m = min(2 * m, self.n)
 
 
+def _dot3(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x . y over a last axis of length 3, broadcasting the others.
+
+    Summed as (x0*y0 + x2*y2) + x1*y1 from +0.0, bit for bit what
+    np.einsum gives for "bkd,bkd->bk" and "bkd,bd->bk", but as plain
+    elementwise passes, which skip einsum's generic strided loop. The order
+    is fixed, so the result does not depend on either operand's layout.
+    Like einsum, it raises no floating-point warning on overflow or invalid
+    products.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        dot = x[..., 0] * y[..., 0]
+        dot += x[..., 2] * y[..., 2]
+        dot += x[..., 1] * y[..., 1]
+        dot += 0.0   # a sum of -0.0 products starts from +0.0 in einsum
+    return dot
+
+
 def _norms(diff: np.ndarray) -> np.ndarray:
     """(B, m) Euclidean norms of (B, m, 3) difference vectors.
 
-    Every distance this module orders by comes from here, in one operand
-    layout, so equal difference vectors always give bit-equal distances.
+    Every distance this module orders by comes from here, as the square
+    root of _dot3, so equal difference vectors always give bit-equal
+    distances.
     """
-    return np.sqrt(np.einsum("bkd,bkd->bk", diff, diff))
+    return np.sqrt(_dot3(diff, diff))
 
 
 def _take_rows(a: np.ndarray, sel: np.ndarray) -> np.ndarray:
@@ -186,16 +205,28 @@ def build_index(cloud: PointCloud) -> SpatialIndex:
 
 
 def _min_axes(neighborhoods: np.ndarray, targets) -> np.ndarray:
-    """Batched minimal-variance axes, of either sign: (B, m, 3) points -> (B, 3); errors name targets[b]."""
-    centered = neighborhoods - neighborhoods.mean(axis=1, keepdims=True)
-    cov = np.einsum("bmi,bmj->bij", centered, centered)
-    traces = np.trace(cov, axis1=1, axis2=2)
+    """Batched minimal-variance axes, of either sign: (B, m, 3) points -> (B, 3); errors name targets[b].
+
+    The mean and the covariance sum over the m points in order, from +0.0,
+    as neighborhoods.mean(axis=1) and np.einsum("bmi,bmj->bij") over the
+    centred points do, bit for bit. They run on an (m, 3, B) copy, so every
+    pass is elementwise over B, and the covariance adds one (3, 3, B)
+    product at a time rather than holding all m of them.
+    """
+    m = neighborhoods.shape[1]
+    # Not ascontiguousarray: at B = 1 that returns a view of the caller's points.
+    centered = neighborhoods.transpose(1, 2, 0).copy()
+    cov = np.zeros((3, 3, centered.shape[2]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered -= np.add.reduce(centered, axis=0) / m
+        for c in centered:
+            cov += c[:, None, :] * c[None, :, :]
+    traces = np.trace(cov)
     if (traces == 0.0).any():
         bad = int(targets[np.nonzero(traces == 0.0)[0][0]])
         raise DegenerateNeighborhood(f"neighborhood of target {bad} has coincident points")
-    _, vecs = np.linalg.eigh(cov)
-    # Contiguous: einsum over a strided view sums the offsets in another order.
-    return np.ascontiguousarray(vecs[:, :, 0])
+    _, vecs = np.linalg.eigh(cov.transpose(2, 0, 1))
+    return vecs[:, :, 0].copy()   # not a view, which would keep all of vecs alive
 
 
 def extract_patches(cloud: PointCloud, index: SpatialIndex, targets: np.ndarray, k: int):
@@ -246,7 +277,7 @@ def _extract_block(cloud: PointCloud, index: SpatialIndex, targets: np.ndarray, 
         raise DuplicatePoint(f"cloud contains a duplicate of point {bad}")
 
     axes = _min_axes(cand_pts, targets)
-    off_all = np.abs(np.einsum("bkd,bd->bk", dvecs_all, axes))
+    off_all = np.abs(_dot3(dvecs_all, axes[:, None, :]))
 
     # Keep the k smallest offsets. With cand in (distance, index) order, a
     # stable sort breaks offset ties by distance, then index, and sorting the

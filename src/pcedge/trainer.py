@@ -8,11 +8,12 @@ weights and Adam state; validation and `predict` run in float64. Float32
 halves the bytes every small product and elementwise pass of a step moves,
 which is where a step spends its time. Each split is stored in the dtype of
 the pass that reads it: the training set in float32, the validation set in
-float64. Validation and `predict` take their patches one cloud._QUERY_BLOCK
-block of rows at a time and run each block as fixed INFER_WINDOW-row model
-windows. The thread count does one thing in `train` and `predict` alike: it
-spreads those blocks across workers. So both are byte-identical for every
-thread count.
+float64. Validation and `predict` take their patches one work unit of at
+most cloud._QUERY_BLOCK rows at a time and run each unit as INFER_WINDOW-row
+model windows. The thread count does one thing in `train` and `predict`
+alike: it sizes those units and spreads them across workers. Rows are
+independent, so both are byte-identical for every thread count (see
+_window_probs).
 """
 
 from __future__ import annotations
@@ -256,34 +257,43 @@ INFER_WINDOW = 256
 
 
 def _window_probs(n: int, patches_of, params: net.ModelParameters, threads: int):
-    """Edge probabilities of n rows, run as fixed INFER_WINDOW-row model windows.
+    """Edge probabilities of n rows, run as INFER_WINDOW-row model windows.
 
-    Rows run in blocks of cloud._QUERY_BLOCK, a multiple of INFER_WINDOW:
-    `patches_of(lo, hi)` gives the (dvecs, offsets, scales) of a block's
-    rows lo..hi, and the block's windows run on slices of them. With
-    threads > 1 the blocks run on a pool of that many workers, else on the
-    calling thread. Every row sits in the same window row either way, so the
-    result is byte-identical for every thread count. Returns (probabilities,
-    the model's seconds summed over windows).
+    Rows run in work units of INFER_WINDOW * ceil(n / (threads *
+    INFER_WINDOW)) rows, at most cloud._QUERY_BLOCK: `patches_of(lo, hi)`
+    gives the (dvecs, offsets, scales) of a unit's rows lo..hi, and the
+    unit's windows run on slices of them. With threads > 1 the units run on
+    a pool of that many workers, so a small cloud still gives each worker a
+    share; else they run on the calling thread. Extraction and the model
+    treat rows independently, so any partition of the rows into units and
+    windows gives the same bytes, but for a one-row window: the model's
+    decoder then runs a matrix-vector product, which rounds otherwise. Only
+    the last window can be that short, and units are whole windows, so the
+    result is byte-identical for every thread count. An error is that of
+    the first unit that raises, so a cloud with, say, a duplicate point and
+    a degenerate neighbourhood in different places may name either one,
+    depending on the thread count. Returns (probabilities, the model's
+    seconds summed over windows).
     """
     probs = np.empty(n)
+    unit = min(_QUERY_BLOCK, INFER_WINDOW * math.ceil(n / (threads * INFER_WINDOW)))
 
-    def run_block(lo: int) -> float:
-        block = probs[lo:lo + _QUERY_BLOCK]
-        dvecs, offsets, scales = patches_of(lo, lo + block.size)
+    def run_unit(lo: int) -> float:
+        rows = probs[lo:lo + unit]
+        dvecs, offsets, scales = patches_of(lo, lo + rows.size)
         seconds = 0.0
-        for w in range(0, block.size, INFER_WINDOW):
-            rows = slice(w, w + INFER_WINDOW)
+        for w in range(0, rows.size, INFER_WINDOW):
+            window = slice(w, w + INFER_WINDOW)
             t0 = time.perf_counter()
-            block[rows], _ = net.forward_batch(dvecs[rows], offsets[rows], scales[rows], params)
+            rows[window], _ = net.forward_batch(dvecs[window], offsets[window], scales[window], params)
             seconds += time.perf_counter() - t0
         return seconds
 
-    blocks = range(0, n, _QUERY_BLOCK)
+    units = range(0, n, unit)
     if threads == 1:
-        return probs, sum(map(run_block, blocks))
+        return probs, sum(map(run_unit, units))
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return probs, sum(pool.map(run_block, blocks))
+        return probs, sum(pool.map(run_unit, units))
 
 
 def _batch_plan(train: PatchSet, cfg: TrainConfig, rng: np.random.Generator):
@@ -363,11 +373,12 @@ def predict(cloud: PointCloud, params: net.ModelParameters, batch: int = 256,
             threads: int = 1):
     """Classify every point of a cloud; returns (cloud with predictions, stats).
 
-    Patches are extracted with one `extract_patches` call per
-    cloud._QUERY_BLOCK block of rows, and the model runs each block as fixed
-    INFER_WINDOW-row windows. So memory stays bounded by one block's patches
-    and one window's model intermediates per worker, and the output is
-    byte-identical for every thread count. `batch` must be >= 1 and changes
+    Patches are extracted with one `extract_patches` call per work unit of
+    at most cloud._QUERY_BLOCK rows, sized so that every worker gets a
+    share, and the model runs each unit as INFER_WINDOW-row windows. So
+    memory stays bounded by one unit's patches and one window's model
+    intermediates per worker, and the output is byte-identical for every
+    thread count (see _window_probs). `batch` must be >= 1 and changes
     nothing else; it is kept for callers that pass it. A cloud of fewer than
     2k + 1 points is rejected by `extract_patches`.
 
@@ -387,10 +398,10 @@ def predict(cloud: PointCloud, params: net.ModelParameters, batch: int = 256,
         raise InvalidInput(f"threads must be >= 1, got {threads}")
     index = build_index(cloud)
 
-    def block_patches(lo, hi):
+    def unit_patches(lo, hi):
         return extract_patches(cloud, index, np.arange(lo, hi), params.k)[:3]
 
-    probs, model_seconds = _window_probs(cloud.n, block_patches, params, threads)
+    probs, model_seconds = _window_probs(cloud.n, unit_patches, params, threads)
     predicted = PointCloud(cloud.points, probs > 0.5, probs)
     wall_seconds = time.perf_counter() - started
     stats = {

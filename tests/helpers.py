@@ -386,6 +386,31 @@ def full_scan_query_many(index, queries, k):
     return out
 
 
+# The np.einsum expressions that cloud._dot3, cloud._norms and
+# cloud._min_axes replaced, kept as oracles for their bytes. einsum raises
+# no floating-point warning, and neither do these.
+
+def einsum_dot3(x, y):
+    """Row dot products of two (B, m, 3) arrays."""
+    return np.einsum("bkd,bkd->bk", x, y)
+
+
+def einsum_offsets(dvecs, axes):
+    """Signed offsets of (B, m, 3) vectors along (B, 3) axes."""
+    return np.einsum("bkd,bd->bk", dvecs, axes)
+
+
+def einsum_norms(diff):
+    return np.sqrt(einsum_dot3(diff, diff))
+
+
+def einsum_covariances(neighborhoods):
+    """(B, 3, 3) covariance sums of (B, m, 3) points about their mean."""
+    with np.errstate(all="ignore"):
+        centered = neighborhoods - neighborhoods.mean(axis=1, keepdims=True)
+    return np.einsum("bmi,bmj->bij", centered, centered)
+
+
 def oracle_window_probs(cloud, params):
     """predict's probabilities as one extract_patches and one forward_batch
     call per 256-row model window compute them."""

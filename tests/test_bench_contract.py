@@ -166,9 +166,10 @@ def small_cloud():
 @pytest.mark.parametrize("batch", [7, 256, 1000])
 def test_predict_extracts_and_forwards_once_per_window(small_cloud, monkeypatch, batch, threads):
     # The tracer's cloud.extract_calls and net.forward_calls count these wrapped
-    # attributes: each 1,024-row block calls extract_patches once, and each
-    # fixed 256-row model window calls forward_batch once. The 1,200-point
-    # cloud spans 2 blocks and 5 windows.
+    # attributes: each work unit calls extract_patches once, and each 256-row
+    # model window calls forward_batch once. The 1,200-point cloud runs as
+    # units of 1,024 + 176 rows on one thread and 768 + 432 on two: 2 units
+    # and 5 windows either way.
     counts = Counter()
     _count_calls(monkeypatch, trainer, "extract_patches", counts)
     _count_calls(monkeypatch, net, "forward_batch", counts)
@@ -176,6 +177,21 @@ def test_predict_extracts_and_forwards_once_per_window(small_cloud, monkeypatch,
     assert small_cloud.n == 1200
     assert counts == {"extract_patches": math.ceil(small_cloud.n / 1024),
                       "forward_batch": math.ceil(small_cloud.n / 256)}
+
+
+@pytest.mark.parametrize("threads, sizes", [(1, [1024, 176]), (2, [768, 432]), (4, [512, 512, 176])])
+def test_predict_units_give_every_worker_a_share(small_cloud, monkeypatch, threads, sizes):
+    # Units of 256 * ceil(n / (threads * 256)) rows, at most 1,024.
+    seen = []
+    original = trainer.extract_patches
+
+    def recorded(cloud, index, targets, k):
+        seen.append(targets.size)
+        return original(cloud, index, targets, k)
+
+    monkeypatch.setattr(trainer, "extract_patches", recorded)
+    trainer.predict(small_cloud, net.init_params(8, seed=0), threads=threads)
+    assert sorted(seen, reverse=True) == sizes
 
 
 def test_train_epoch_calls_do_not_depend_on_threads(small_cloud, monkeypatch):

@@ -11,6 +11,10 @@ from concurrent.futures import ThreadPoolExecutor
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
+    einsum_covariances,
+    einsum_dot3,
+    einsum_norms,
+    einsum_offsets,
     full_scan_query_many,
     gapped_lattice_cube,
     lattice_cube,
@@ -25,7 +29,9 @@ import pcedge.cloud
 from pcedge import synth, trainer
 from pcedge.cloud import (
     PointCloud,
+    _dot3,
     _min_axes,
+    _norms,
     _take_rows,
     add_gaussian_noise,
     build_index,
@@ -229,6 +235,91 @@ class TestPcaMinAxis:
     def test_coincident_points_degenerate(self):
         with pytest.raises(DegenerateNeighborhood):
             min_axis(np.ones((5, 3)))
+
+
+def awkward_points(seed, b, m, exp_lo, exp_width, zero_share):
+    """(b, m, 3) coordinates of magnitude 10**[exp_lo, exp_lo + exp_width],
+    either sign, with a share of them +0.0 or -0.0."""
+    rng = np.random.default_rng(seed)
+    exps = rng.uniform(exp_lo, min(exp_lo + exp_width, 300), (b, m, 3))
+    pts = rng.choice([-1.0, 1.0], (b, m, 3)) * rng.uniform(1.0, 10.0, (b, m, 3)) * 10.0 ** exps
+    zero = rng.random((b, m, 3)) < zero_share
+    pts[zero] = rng.choice([0.0, -0.0], int(zero.sum()))
+    return pts
+
+
+def outcome(fn, *args):
+    """fn(*args)'s bytes, or the class of the error it raised."""
+    try:
+        return fn(*args).tobytes()
+    except (DegenerateNeighborhood, np.linalg.LinAlgError) as exc:
+        return type(exc)
+
+
+def einsum_min_axes(neighborhoods, targets):
+    """_min_axes with the covariances of the einsum oracle."""
+    cov = einsum_covariances(neighborhoods)
+    if (np.trace(cov, axis1=1, axis2=2) == 0.0).any():
+        raise DegenerateNeighborhood(str(targets))
+    return np.linalg.eigh(cov)[1][:, :, 0]
+
+
+class TestKernelsMatchEinsum:
+    """_dot3, _norms and _min_axes give the bytes of the einsum expressions
+    they replaced, for any layout and magnitude, and raise no warning."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), b=st.sampled_from([1, 2, 3, 7, 33, 255]),
+           m=st.integers(2, 128), exp_lo=st.integers(-300, 300), exp_width=st.integers(0, 600),
+           zero_share=st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]))
+    def test_same_bytes(self, seed, b, m, exp_lo, exp_width, zero_share):
+        x, y = awkward_points(seed, 2 * b, m, exp_lo, exp_width, zero_share).reshape(2, b, m, 3)
+        # A strided (b, 3) view, as the columns of eigh's eigenvectors are.
+        axes = awkward_points(seed + 1, b, 2, exp_lo, exp_width, zero_share).reshape(b, 6)[:, ::2]
+        targets = np.arange(b)
+        given_x = x.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = (_dot3(x, y), _dot3(x, axes[:, None, :]), _norms(x))
+            got_axes = outcome(_min_axes, x, targets)
+        with np.errstate(all="ignore"):
+            want = (einsum_dot3(x, y), einsum_offsets(x, np.ascontiguousarray(axes)), einsum_norms(x))
+            want_axes = outcome(einsum_min_axes, x, targets)
+        for name, a, w in zip(("dot3", "offsets", "norms"), got, want):
+            assert a.tobytes() == w.tobytes(), name
+        assert got_axes == want_axes
+        assert x.tobytes() == given_x.tobytes()
+
+    def test_negative_zero_products_sum_to_positive_zero(self):
+        # einsum starts every sum at +0.0, so products that are all -0.0
+        # sum to +0.0; a sum started from the first product would keep -0.0.
+        x = np.array([[[-0.0, 0.0, -0.0], [0.0, -0.0, 0.0]]])
+        y = np.array([[[1.0, -2.0, 3.0], [-1.0, 2.0, -3.0]]])
+        got = _dot3(x, y)
+        assert got.tobytes() == einsum_dot3(x, y).tobytes()
+        assert not np.signbit(got).any()
+
+    @pytest.mark.parametrize("scale", [1e300, np.inf])
+    def test_overflow_and_invalid_products_raise_no_warning(self, scale):
+        # einsum raises no floating-point warning; pyproject turns a pcedge
+        # RuntimeWarning into an error.
+        x = np.array([[[scale, 0.0, -scale], [1.0, scale, 2.0], [-scale, 3.0, 0.0]]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _dot3(x, x[:, ::-1]), _norms(x), outcome(_min_axes, x, [0])
+        with np.errstate(all="ignore"):
+            want = einsum_dot3(x, x[:, ::-1]), einsum_norms(x), outcome(einsum_min_axes, x, [0])
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+        assert got[2] == want[2]
+
+    def test_covariance_holds_one_product_at_a_time(self):
+        # An (m, 3, 3, B) array of every point's product, reduced in one
+        # call, would take three times the points' bytes; the in-order sum
+        # holds one (3, 3, B) product beside one copy of the points.
+        neighborhoods = np.random.default_rng(0).random((1024, 128, 3))
+        _, peak = peak_traced(lambda: _min_axes(neighborhoods, np.arange(1024)))
+        assert peak < 1.5 * neighborhoods.nbytes, f"{peak / neighborhoods.nbytes:.2f} x the points"
 
 
 def _smallest_eigenvalue_cardano(cov):
@@ -762,12 +853,13 @@ class TestExtractionParity:
             assert np.array_equal(index.query_many(ref.points, k),
                                   oracle_query_many(index, ref.points, k))
 
-    @pytest.mark.parametrize("k", [8, 16, 32])
+    @pytest.mark.parametrize("k", [4, 8, 16, 32, 64])
     def test_fixtures(self, k):
-        for make in (lattice_cube, gapped_lattice_cube):
-            self.assert_identical(make()[0], k)
-        for gap in (0.05, 0.03):
-            self.assert_identical(two_sheet_grid(gap, 0.02)[0], k)
+        clouds = [make()[0] for make in (lattice_cube, gapped_lattice_cube)]
+        clouds += [two_sheet_grid(gap, 0.02)[0] for gap in (0.05, 0.03)]
+        for cloud in clouds:
+            if cloud.n >= 2 * k + 1:
+                self.assert_identical(cloud, k)
 
     def test_blocks_of_seven(self, monkeypatch):
         # Every block boundary, a partial last block, and the lattice's

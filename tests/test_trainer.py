@@ -526,6 +526,24 @@ class TestTrain:
         assert all(0.0 < row["grad_norm"] < np.inf for row in log)
 
 
+def lattice_or_random_points(lattice, n, seed, side):
+    """n distinct points of a side**3 integer lattice, or n uniform in the unit cube."""
+    rng = np.random.default_rng(seed)
+    if lattice:
+        cells = rng.choice(side ** 3, size=n, replace=False)
+        return np.column_stack(np.unravel_index(cells, (side,) * 3)).astype(np.float64)
+    return rng.random((n, 3))
+
+
+def drawn_partition(data, n, smallest):
+    """Bounds 0 = c0 < c1 < ... = n of parts of at least `smallest` rows."""
+    bounds = [0]
+    for cut in sorted(data.draw(st.sets(st.integers(smallest, n - smallest), max_size=8))):
+        if cut - bounds[-1] >= smallest:
+            bounds.append(cut)
+    return bounds + [n]
+
+
 class TestPredict:
     def test_zero_params_half_probability(self, small_cloud):
         shapes = net.expected_shapes(16)
@@ -577,13 +595,7 @@ class TestPredict:
     def test_window_invariance(self, lattice, n, seed):
         # Random or integer-lattice clouds: the lattice's distance ties send
         # rows to query_many's wider re-query, which sees only a window's rows.
-        rng = np.random.default_rng(seed)
-        if lattice:
-            cells = rng.choice(9 ** 3, size=n, replace=False)
-            pts = np.column_stack(np.unravel_index(cells, (9, 9, 9))).astype(np.float64)
-        else:
-            pts = rng.random((n, 3))
-        cloud = PointCloud(pts)
+        cloud = PointCloud(lattice_or_random_points(lattice, n, seed, side=9))
         params = net.init_params(8, seed=8)
         want, _ = predict(cloud, params, batch=256, threads=1)
         for batch in (1, 7, 256, 1000):
@@ -591,19 +603,37 @@ class TestPredict:
                 got, _ = predict(cloud, params, batch=batch, threads=threads)
                 assert np.array_equal(got.predictions, want.predictions), (batch, threads)
 
+    @settings(max_examples=50, deadline=None)
+    @given(lattice=st.booleans(), n=st.integers(17, 400), seed=st.integers(0, 2**32 - 1),
+           data=st.data())
+    def test_any_partition_gives_the_bytes_of_one_call(self, lattice, n, seed, data):
+        # Extraction and the model treat rows independently, so work units
+        # and windows may cut a cloud's rows anywhere. The one exception is
+        # a one-row window, whose decoder product BLAS runs as a
+        # matrix-vector product that rounds otherwise; only a cloud's last
+        # window can be that short, whatever the units.
+        cloud = PointCloud(lattice_or_random_points(lattice, n, seed, side=9))
+        params = net.init_params(8, seed=8)
+        index = build_index(cloud)
+        whole = extract_patches(cloud, index, np.arange(n), 8)
+        calls = drawn_partition(data, n, smallest=1)
+        parts = [extract_patches(cloud, index, np.arange(lo, hi), 8) for lo, hi in zip(calls, calls[1:])]
+        for name, want, got in zip(("dvecs", "offsets", "scales", "indices"), whole,
+                                   map(np.concatenate, zip(*parts))):
+            assert got.tobytes() == want.tobytes(), name
+        want, _ = net.forward_batch(*whole[:3], params)
+        windows = drawn_partition(data, n, smallest=2)
+        got = np.concatenate([net.forward_batch(*(a[lo:hi] for a in whole[:3]), params)[0]
+                              for lo, hi in zip(windows, windows[1:])])
+        assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("n", [1025, 2300])
     @pytest.mark.parametrize("lattice", [False, True])
     def test_blocks_match_per_window_extraction(self, lattice, n):
         # The clouds cross one or two 1,024-row block boundaries, and the last
         # block ends inside a window. On the lattice, distance ties send rows
         # to query_many's wider re-query, which sees only its block's rows.
-        rng = np.random.default_rng(n)
-        if lattice:
-            cells = rng.choice(14 ** 3, size=n, replace=False)
-            pts = np.column_stack(np.unravel_index(cells, (14, 14, 14))).astype(np.float64)
-        else:
-            pts = rng.random((n, 3))
-        cloud = PointCloud(pts)
+        cloud = PointCloud(lattice_or_random_points(lattice, n, n, side=14))
         params = net.init_params(8, seed=8)
         want = oracle_window_probs(cloud, params)
         for threads in (1, 2):
