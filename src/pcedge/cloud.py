@@ -28,6 +28,12 @@ from .errors import (
 # each unit runs whole model windows.
 _QUERY_BLOCK = 1024
 
+# The distance from which query_many scans every point instead of trusting
+# the kd-tree. Below it no squared distance overflows, in any order of
+# summation; from sqrt(DBL_MAX) ~ 1.34e154 on, the tree returns no point
+# (index N, distance inf).
+_FAR = 1e154
+
 
 def _check_k(k: int, error=InvalidInput) -> None:
     """The patch sizes extraction and the model accept: even k in [4, 64]."""
@@ -88,16 +94,18 @@ class SpatialIndex:
     """kd-tree over a cloud answering exact kNN queries.
 
     Results match a brute-force scan: sorted by nondecreasing Euclidean
-    distance, ties broken by smaller point index, with every distance taken
-    by _norms, the one distance all orderings in this module use. A query
-    fetches one extra neighbor per row, and fetches a row again at twice the
-    width while its cut falls inside a distance tie (see query_many).
-    Immutable after build; safe for concurrent queries.
+    distance as _norms takes it, the one distance all orderings in this
+    module use, ties broken by smaller point index. The tree's own distances
+    agree with _norms to a few ulp, so a row whose tree distances rise at
+    every step by more than a relative 1e-12 keeps the tree's order, and
+    only rows with near-ties are sorted by _norms (see query_many). The tree
+    is built unbalanced, which is faster to build; the results do not depend
+    on its shape. Immutable after build; safe for concurrent queries.
     """
 
     def __init__(self, cloud: PointCloud):
         self._points = cloud.points
-        self._tree = cKDTree(cloud.points)
+        self._tree = cKDTree(cloud.points, balanced_tree=False)
 
     @property
     def n(self) -> int:
@@ -107,13 +115,16 @@ class SpatialIndex:
         """Vectorized query: (B, 3) query points -> (B, min(k, N)) indices.
 
         The kd-tree fetches min(kk + 1, N) neighbors per row, kk = min(k, N),
-        and each row is put in (distance, index) order. A row is settled when
-        the last distance it fetched exceeds its kk-th by more than a relative
-        1e-9: the kd-tree's distances agree with _norms to a few ulp, so every
-        point it did not return lies farther than the kk-th, and the first kk
-        are exact. The rows whose cut falls inside a tie are fetched again at
-        twice the width, capped at N, until each one settles or the fetch
-        holds every point.
+        with their distances. A row whose distances rise at every step by
+        more than a relative 1e-12 is already in (distance, index) order;
+        the others are put in that order by _norms. A row is settled when
+        the last distance it fetched exceeds its kk-th by more than a
+        relative 1e-9: every point the tree did not return then lies farther
+        than the kk-th, and the first kk are exact. The rows whose cut falls
+        inside a tie are fetched again at twice the width, capped at N, until
+        each one settles or the fetch holds every point. A row whose fetch
+        reaches _FAR, where the tree may return no point at all, is answered
+        by a scan over every point instead.
 
         Rows are independent, so they run in blocks of _QUERY_BLOCK: beside
         the result, a query holds one block's temporaries however many rows
@@ -137,17 +148,32 @@ class SpatialIndex:
         rows = np.arange(queries.shape[0])
         m = min(kk + 1, self.n)
         while rows.size:
-            _, idx = self._tree.query(queries[rows], k=m)
+            kd, idx = self._tree.query(queries[rows], k=m)
+            kd = kd.reshape(rows.size, m)
             idx = idx.reshape(rows.size, m).astype(np.int64, copy=False)
-            dist = _norms(np.take(self._points, idx, axis=0) - queries[rows, None, :])
-            stray, order = _stray_order(dist, idx)
-            idx[stray] = _take_rows(idx[stray], order)
+            far = ~(kd[:, -1] < _FAR)
+            with np.errstate(invalid="ignore"):   # inf - inf in a far row
+                rising = (np.diff(kd, axis=1) > 1e-12 * kd[:, 1:]).all(axis=1)
+            tied = np.nonzero(~far & ~rising)[0]
+            if tied.size:
+                sub = idx[tied]
+                dist = _norms(np.take(self._points, sub, axis=0) - queries[rows[tied], None, :])
+                stray, order = _stray_order(dist, sub)
+                sub[stray] = _take_rows(sub[stray], order)
+                idx[tied] = sub
             out[rows] = idx[:, :kk]
+            for r in rows[far]:
+                out[r] = self._scan(queries[r], kk)
             if m == self.n:
                 return
-            dist[stray] = _take_rows(dist[stray], order)
-            rows = rows[dist[:, -1] <= dist[:, kk - 1] * (1.0 + 1e-9)]
+            rows = rows[~far & (kd[:, -1] <= kd[:, kk - 1] * (1.0 + 1e-9))]
             m = min(2 * m, self.n)
+
+    def _scan(self, query: np.ndarray, kk: int) -> np.ndarray:
+        """The kk nearest points to one query by a scan over every point."""
+        with np.errstate(over="ignore"):
+            diff = self._points - query
+        return np.argsort(_norms(diff), kind="stable")[:kk]
 
 
 def _dot3(x: np.ndarray, y: np.ndarray) -> np.ndarray:

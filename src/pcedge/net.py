@@ -160,9 +160,16 @@ def _linear_fwd(x, w, b):
     # One 2-d GEMM regardless of leading dims; stacked matmul would loop.
     # With one output column, matmul runs as a BLAS GEMV whose sum for a row
     # depends on where the row sits in the batch; einsum sums every row alike,
-    # so a patch's probability does not depend on its window row.
+    # so a patch's probability does not depend on its window row. One input
+    # row would make matmul a GEMV too, so it runs as a two-row GEMM and
+    # keeps row 0, which sums as a row of any larger batch does.
     x2 = x.reshape(-1, w.shape[0])
-    out = np.einsum("ij,jk->ik", x2, w) if w.shape[1] == 1 else x2 @ w
+    if w.shape[1] == 1:
+        out = np.einsum("ij,jk->ik", x2, w)
+    elif x2.shape[0] == 1:
+        out = (np.repeat(x2, 2, axis=0) @ w)[:1]
+    else:
+        out = x2 @ w
     out += b
     return out.reshape(x.shape[:-1] + (w.shape[1],)), (x, w)
 

@@ -22,6 +22,7 @@ import ctypes
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -72,6 +73,33 @@ def _keep_freed_heap() -> None:
     mallopt.restype = ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
     mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run numpy's OpenBLAS on one thread while the block runs, then restore its count.
+
+    The model's products are small, and extra BLAS threads cost more to wake
+    than they save: `pcedge predict` on the 18.6k-point reference cloud took
+    0.68-1.48 s on two cores with OPENBLAS_NUM_THREADS unset, 0.36-0.41 s at
+    one thread. The setting is process-wide while the block runs. Where
+    numpy's bundled OpenBLAS symbols are missing (another BLAS or build), it
+    does nothing.
+    """
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        yield
+        return
+    get.restype = ctypes.c_int
+    put.argtypes = (ctypes.c_int,)
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
 
 
 @dataclass
@@ -266,14 +294,11 @@ def _window_probs(n: int, patches_of, params: net.ModelParameters, threads: int)
     a pool of that many workers, so a small cloud still gives each worker a
     share; else they run on the calling thread. Extraction and the model
     treat rows independently, so any partition of the rows into units and
-    windows gives the same bytes, but for a one-row window: the model's
-    decoder then runs a matrix-vector product, which rounds otherwise. Only
-    the last window can be that short, and units are whole windows, so the
-    result is byte-identical for every thread count. An error is that of
-    the first unit that raises, so a cloud with, say, a duplicate point and
-    a degenerate neighbourhood in different places may name either one,
-    depending on the thread count. Returns (probabilities, the model's
-    seconds summed over windows).
+    windows gives the same bytes, and the result is byte-identical for
+    every thread count. An error is that of the first unit that raises, so
+    a cloud with, say, a duplicate point and a degenerate neighbourhood in
+    different places may name either one, depending on the thread count.
+    Returns (probabilities, the model's seconds summed over windows).
     """
     probs = np.empty(n)
     unit = min(_QUERY_BLOCK, INFER_WINDOW * math.ceil(n / (threads * INFER_WINDOW)))
@@ -323,6 +348,7 @@ def _batch_step(train: PatchSet, idx: np.ndarray, state: TrainState, cfg: TrainC
     return float(np.sum(losses)) / idx.size, math.sqrt(grad @ grad)
 
 
+@_one_blas_thread()
 def train(cloud: PointCloud, cfg: TrainConfig, threads: int = 1):
     """Train on one labeled cloud; returns (best parameters, epoch log).
 
@@ -330,7 +356,8 @@ def train(cloud: PointCloud, cfg: TrainConfig, threads: int = 1):
     (the mean over the epoch's steps of the gradient vector's L2 norm),
     val_precision, val_recall, val_fscore, seconds. Like `predict`, it fixes
     glibc's malloc trim and mmap thresholds for the whole process (see
-    `_keep_freed_heap`).
+    `_keep_freed_heap`), and runs numpy's BLAS on one thread until it
+    returns, a process-wide setting (see `_one_blas_thread`).
     """
     _keep_freed_heap()
     # Rejected before the dataset build, which extracts every point.
@@ -369,6 +396,7 @@ def train(cloud: PointCloud, cfg: TrainConfig, threads: int = 1):
     return best_params, log
 
 
+@_one_blas_thread()
 def predict(cloud: PointCloud, params: net.ModelParameters, batch: int = 256,
             threads: int = 1):
     """Classify every point of a cloud; returns (cloud with predictions, stats).
@@ -388,7 +416,8 @@ def predict(cloud: PointCloud, params: net.ModelParameters, batch: int = 256,
     wall time when threads > 1 run windows concurrently.
 
     Like `train`, it fixes glibc's malloc trim and mmap thresholds for the
-    whole process (see `_keep_freed_heap`).
+    whole process (see `_keep_freed_heap`), and runs numpy's BLAS on one
+    thread until it returns, a process-wide setting (see `_one_blas_thread`).
     """
     started = time.perf_counter()
     _keep_freed_heap()

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from helpers import validation_points
-from pcedge import net, trainer
+from pcedge import net, segment, trainer
 from pcedge.cli import _COMMANDS, _build_parser, main
 from pcedge.cloud import PointCloud
 from pcedge.errors import CorruptCheckpoint
@@ -369,6 +369,24 @@ class TestMalformedInput:
         code = main(["segment", "--cloud", str(src), "--k", "5", "--out", str(out)])
         assert code == 2
         assert capsys.readouterr().err == "pcedge segment: need at least 6 points, cloud has 4\n"
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("rows, message", [
+        ([[0, 1]], "rows must be a 1-d index array, got shape (1, 2)"),
+        ([0.5], "rows must be integer indices, got dtype float64"),
+        ([1, 0], "rows must be strictly increasing"),
+        ([-1], "rows must be point indices in [0, 4)"),
+    ], ids=["2d", "float", "decreasing", "negative"])
+    def test_segment_graph_rows(self, rows, message, monkeypatch, tmp_path, capsys):
+        # The CLI passes valid rows itself; a bad one reaching knn_graph from
+        # the segment command is a data error with knn_graph's one line.
+        src, out = tmp_path / "c.xyz", tmp_path / "o.xyz"
+        save_cloud(PointCloud(np.random.default_rng(0).random((4, 3)), [0, 1, 0, 1]), src)
+        monkeypatch.setattr(segment, "flood_segment", lambda cloud, k: segment.knn_graph(cloud, k, rows=rows))
+        code = main(["segment", "--cloud", str(src), "--k", "2", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"pcedge segment: {message}\n"
         assert not out.exists()
 
 

@@ -831,6 +831,102 @@ class TestQueryBlocks:
         assert peak <= 300 * cloud.n, f"{peak / cloud.n:.0f} B/point"
 
 
+@st.composite
+def tree_order_clouds(draw):
+    """(kind, cloud): random, coplanar, integer-lattice, 0.1-spaced-lattice or duplicate-laden."""
+    kind = draw(st.sampled_from(["random", "coplanar", "lattice", "tenth", "duplicates"]))
+    n = draw(st.integers(2, 150))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind in ("lattice", "tenth"):
+        cells = rng.choice(7 ** 3, size=n, replace=False)
+        pts = np.column_stack(np.unravel_index(cells, (7, 7, 7))).astype(np.float64)
+        pts *= 0.1 if kind == "tenth" else 1.0
+    elif kind == "coplanar":
+        pts = np.column_stack([rng.random(n), rng.random(n), np.zeros(n)])[:, rng.permutation(3)]
+    else:
+        pts = rng.random((n, 3))
+        if kind == "duplicates":
+            pts[rng.integers(0, n, size=n // 2)] = pts[rng.integers(0, n, size=n // 2)]
+    return kind, PointCloud(pts)
+
+
+TREE_ORDER_K = [1, 2, 6, 17, 33, 65]
+
+
+class TestTreeOrder:
+    """Rows without near-ties keep the kd-tree's order; the results do not move."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(case=tree_order_clouds(), k=st.sampled_from(TREE_ORDER_K), seed=st.integers(0, 2**32 - 1))
+    def test_matches_frozen_oracle(self, case, k, seed):
+        kind, cloud = case
+        rng = np.random.default_rng(seed)
+        pairs = rng.integers(0, cloud.n, size=(20, 2))
+        queries = np.vstack([cloud.points, (cloud.points[pairs[:, 0]] + cloud.points[pairs[:, 1]]) / 2])
+        index = build_index(cloud)
+        got = index.query_many(queries, k)
+        assert got.tobytes() == full_scan_query_many(index, queries, k).tobytes()
+        # The frozen oracle orders by einsum's distances and cuts without a
+        # margin, so on a 0.1-spaced lattice it can split a tie whose two
+        # distances are one ulp apart (see test_tie_within_margin_of_cut).
+        if kind != "tenth":
+            assert got.tobytes() == oracle_query_many(index, queries, k).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 120), k=st.sampled_from(TREE_ORDER_K), seed=st.integers(0, 2**32 - 1))
+    def test_overflowing_distances_match_full_scan(self, n, k, seed):
+        # Coordinates near 1e160: squared distances between most points
+        # overflow, and the kd-tree returns no point for them (index N,
+        # distance inf), which the frozen oracle cannot take. A cluster of
+        # points 1e150 apart keeps some distances finite.
+        rng = np.random.default_rng(seed)
+        pts = 1e160 * rng.random((n, 3))
+        cluster = rng.random(n) < 0.5
+        pts[cluster] = 1e160 + 1e150 * rng.random((cluster.sum(), 3))
+        index = build_index(PointCloud(pts))
+        queries = np.vstack([pts, 1e160 * rng.random((5, 3))])
+        got = index.query_many(queries, k)
+        assert got.tobytes() == full_scan_query_many(index, queries, k).tobytes()
+
+    @pytest.mark.parametrize("scale", [1e-100, 1e-30, 1e-3, 1.0, 1e3, 1e30, 1e100, 1e150])
+    def test_tree_distances_agree_with_norms(self, scale):
+        # The assumption the kept order rests on: far inside the 1e-12 margin.
+        rng = np.random.default_rng(int(np.log10(scale)) + 200)
+        for pts in (rng.random((2000, 3)), integer_lattice(8) * 0.1 + 0.3):
+            pts = pts * scale
+            index = build_index(PointCloud(pts))
+            kd, idx = index._tree.query(pts, k=17)
+            dist = _norms(pts[idx] - pts[:, None, :])
+            assert (np.abs(kd - dist) <= 1e-13 * dist).all()
+
+    @staticmethod
+    def norms_rows(monkeypatch, index, queries, k):
+        rows = []
+
+        def counted(diff):
+            rows.append(diff.shape[0])
+            return _norms(diff)
+
+        monkeypatch.setattr(pcedge.cloud, "_norms", counted)
+        index.query_many(queries, k)
+        monkeypatch.undo()
+        return rows
+
+    @pytest.mark.parametrize("k", [2, 6, 17])
+    def test_jittered_rows_skip_norms_and_tied_rows_take_them(self, monkeypatch, k):
+        rng = np.random.default_rng(k)
+        lattice = integer_lattice(8)
+        jittered = lattice + rng.uniform(-0.2, 0.2, size=lattice.shape)
+        index = build_index(PointCloud(jittered))
+        assert self.norms_rows(monkeypatch, index, jittered, k) == []
+        # From k = 2 on, every row of the exact lattice holds a distance tie
+        # among the k + 1 it fetches, so every row is sorted by _norms.
+        index = build_index(PointCloud(lattice))
+        rows = self.norms_rows(monkeypatch, index, lattice, k)
+        assert rows and rows[0] == len(lattice)
+        assert np.array_equal(index.query_many(lattice, k), full_scan_query_many(index, lattice, k))
+
+
 class TestExtractionParity:
     """Byte identity with the frozen global-lexsort extraction in helpers."""
 

@@ -1,5 +1,7 @@
 """kNN-graph construction and flood-fill segmentation."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -226,11 +228,54 @@ class TestFrozenBfsParity:
             self.assert_identical(cloud, k)
 
 
+class TestKnnGraphRows:
+    """knn_graph(rows=r) queries only the rows of r and leaves the others empty."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=labelled_clouds(), seed=st.integers(0, 2**32 - 1))
+    def test_equals_full_graph_with_other_rows_emptied(self, case, seed):
+        cloud, k = case
+        rng = np.random.default_rng(seed)
+        rows = np.nonzero(rng.random(cloud.n) < rng.random())[0]
+        full = knn_graph(cloud, k)
+        got = knn_graph(cloud, k, rows=rows)
+        counts = np.zeros(cloud.n, dtype=np.int32)
+        counts[rows] = k
+        assert got.shape == full.shape and got.dtype == full.dtype
+        assert got.indptr.dtype == got.indices.dtype == np.int32
+        assert got.indptr.tobytes() == np.concatenate([[0], np.cumsum(counts)]).astype(np.int32).tobytes()
+        assert got.indices.tobytes() == full.indices.reshape(cloud.n, k)[rows].tobytes()
+        assert (got.data == 1.0).all() and got.data.size == rows.size * k
+
+    def test_default_is_every_row(self):
+        cloud = PointCloud(np.random.default_rng(0).random((40, 3)))
+        full = knn_graph(cloud, 5)
+        got = knn_graph(cloud, 5, rows=np.arange(40))
+        assert got.indptr.tobytes() == full.indptr.tobytes()
+        assert got.indices.tobytes() == full.indices.tobytes()
+
+    @pytest.mark.parametrize("rows, message", [
+        (np.zeros((2, 2), dtype=int), "rows must be a 1-d index array, got shape (2, 2)"),
+        (np.int64(3), "rows must be a 1-d index array, got shape ()"),
+        (np.array([0.0, 1.0]), "rows must be integer indices, got dtype float64"),
+        (np.array([True, False]), "rows must be integer indices, got dtype bool"),
+        (np.array([0, 2, 2]), "rows must be strictly increasing"),
+        (np.array([3, 1]), "rows must be strictly increasing"),
+        (np.array([-1, 0]), "rows must be point indices in [0, 10)"),
+        (np.array([0, 10]), "rows must be point indices in [0, 10)"),
+    ], ids=["2d", "scalar", "float", "bool", "repeated", "decreasing", "negative", "past-end"])
+    def test_bad_rows_rejected(self, rows, message):
+        cloud = PointCloud(np.random.default_rng(0).random((10, 3)))
+        with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+            knn_graph(cloud, 3, rows=rows)
+
+
 @pytest.mark.parametrize("density", [4000.0, 16000.0])
 def test_flood_segment_memory_budget(density):
     # Graph pairs as int64 src/dst arrays, converted from COO to CSR, held
     # about 490 B/point; knn_graph's int32 CSR array, with its edge links cut
-    # in place, keeps the whole pass near 125.
+    # in place, kept the whole pass near 125, and querying only the non-edge
+    # rows keeps it at 113-123.
     cloud = union_boxes(density).cloud
     _, peak = peak_traced(lambda: flood_segment(cloud, k=5))
     assert peak <= 300 * cloud.n, f"{peak / cloud.n:.0f} B/point"

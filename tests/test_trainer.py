@@ -608,10 +608,8 @@ class TestPredict:
            data=st.data())
     def test_any_partition_gives_the_bytes_of_one_call(self, lattice, n, seed, data):
         # Extraction and the model treat rows independently, so work units
-        # and windows may cut a cloud's rows anywhere. The one exception is
-        # a one-row window, whose decoder product BLAS runs as a
-        # matrix-vector product that rounds otherwise; only a cloud's last
-        # window can be that short, whatever the units.
+        # and windows may cut a cloud's rows anywhere, one-row windows
+        # included.
         cloud = PointCloud(lattice_or_random_points(lattice, n, seed, side=9))
         params = net.init_params(8, seed=8)
         index = build_index(cloud)
@@ -622,7 +620,7 @@ class TestPredict:
                                    map(np.concatenate, zip(*parts))):
             assert got.tobytes() == want.tobytes(), name
         want, _ = net.forward_batch(*whole[:3], params)
-        windows = drawn_partition(data, n, smallest=2)
+        windows = drawn_partition(data, n, smallest=1)
         got = np.concatenate([net.forward_batch(*(a[lo:hi] for a in whole[:3]), params)[0]
                               for lo, hi in zip(windows, windows[1:])])
         assert got.tobytes() == want.tobytes()
@@ -712,6 +710,86 @@ def test_smallest_cloud_is_decided_by_extraction(k):
     enough = PointCloud(rng.random((2 * k + 1, 3)), labels=np.arange(2 * k + 1) % 2)
     for call in calls:
         call(enough)
+
+
+def blas_threads():
+    """(get, set) of numpy's OpenBLAS thread count; skips where numpy has another BLAS."""
+    import ctypes
+
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        pytest.skip("numpy's BLAS is not its bundled OpenBLAS")
+    get.restype = ctypes.c_int
+    put.argtypes = (ctypes.c_int,)
+    return get, put
+
+
+class TestOneBlasThread:
+    """predict and train run BLAS on one thread and give the caller's count back."""
+
+    @pytest.mark.parametrize("call", ["predict", "train"])
+    def test_pinned_while_running_and_restored(self, call, monkeypatch):
+        get, put = blas_threads()
+        before = get()
+        seen = []
+        forward = net.forward_batch
+
+        def spy(*args, **kwargs):
+            seen.append(get())
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(net, "forward_batch", spy)
+        cloud = generate(ShapeSpec("box", size=(1.0, 0.8, 0.6), density=300, seed=3)).cloud
+        put(2)
+        try:
+            if call == "predict":
+                predict(cloud, net.init_params(8, seed=8))
+            else:
+                train(cloud, TrainConfig(k=8, batch_size=32, max_epochs=1, augment=False))
+            assert seen and set(seen) == {1}
+            assert get() == 2
+        finally:
+            put(before)
+
+    def test_restored_when_the_call_raises(self):
+        get, put = blas_threads()
+        before = get()
+        put(2)
+        try:
+            with pytest.raises(InsufficientNeighborhood):
+                predict(PointCloud(np.random.default_rng(0).random((10, 3))), net.init_params(8))
+            assert get() == 2
+        finally:
+            put(before)
+
+    def test_bytes_do_not_depend_on_threads_or_the_environment(self):
+        # A fresh process per environment: OpenBLAS reads the variable once,
+        # when numpy loads it.
+        script = (
+            "import hashlib\n"
+            "from pcedge import net, trainer\n"
+            "from pcedge.synth import ShapeSpec, generate\n"
+            "cloud = generate(ShapeSpec('box', size=(1.0, 0.8, 0.6), density=800, seed=3)).cloud\n"
+            "params = net.init_params(8, seed=8)\n"
+            "cfg = trainer.TrainConfig(k=8, lr=3e-4, batch_size=64, max_epochs=2, augment=False, seed=3)\n"
+            "for threads in (1, 2, 4):\n"
+            "    out, _ = trainer.predict(cloud, params, threads=threads)\n"
+            "    best, log = trainer.train(cloud, cfg, threads=threads)\n"
+            "    rows = [sorted((k, v) for k, v in row.items() if k != 'seconds') for row in log]\n"
+            "    print(hashlib.sha256(out.predictions.tobytes()).hexdigest(),\n"
+            "          hashlib.sha256(best.flat.tobytes() + repr(rows).encode()).hexdigest())\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        base = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        base.pop("OPENBLAS_NUM_THREADS", None)
+        lines = []
+        for env in (dict(base, OPENBLAS_NUM_THREADS="1"), base):
+            done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                  text=True, timeout=300, check=True)
+            lines += done.stdout.splitlines()
+        assert len(lines) == 6 and len(set(lines)) == 1, lines
 
 
 class TestConfigFile:
