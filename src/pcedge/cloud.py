@@ -28,11 +28,11 @@ from .errors import (
 # each unit runs whole model windows.
 _QUERY_BLOCK = 1024
 
-# The distance from which query_many scans every point instead of trusting
-# the kd-tree. Below it no squared distance overflows, in any order of
-# summation; from sqrt(DBL_MAX) ~ 1.34e154 on, the tree returns no point
-# (index N, distance inf).
-_FAR = 1e154
+# The largest coordinate magnitude a SpatialIndex takes, in its points and in
+# its queries. Within it no squared distance overflows, nor a PCA covariance
+# sum over 2k <= 128 candidates (512 * 1e304 < DBL_MAX), and every distance
+# stays below sqrt(DBL_MAX) ~ 1.34e154, from which cKDTree returns no point.
+_MAX_COORD = 1e152
 
 
 def _check_k(k: int, error=InvalidInput) -> None:
@@ -101,9 +101,13 @@ class SpatialIndex:
     only rows with near-ties are sorted by _norms (see query_many). The tree
     is built unbalanced, which is faster to build; the results do not depend
     on its shape. Immutable after build; safe for concurrent queries.
+
+    Points and queries must lie within +-_MAX_COORD (1e152) on every axis;
+    beyond it the build or the query raises InvalidInput.
     """
 
     def __init__(self, cloud: PointCloud):
+        _check_range(cloud.points, "points")
         self._points = cloud.points
         self._tree = cKDTree(cloud.points, balanced_tree=False)
 
@@ -122,9 +126,7 @@ class SpatialIndex:
         relative 1e-9: every point the tree did not return then lies farther
         than the kk-th, and the first kk are exact. The rows whose cut falls
         inside a tie are fetched again at twice the width, capped at N, until
-        each one settles or the fetch holds every point. A row whose fetch
-        reaches _FAR, where the tree may return no point at all, is answered
-        by a scan over every point instead.
+        each one settles or the fetch holds every point.
 
         Rows are independent, so they run in blocks of _QUERY_BLOCK: beside
         the result, a query holds one block's temporaries however many rows
@@ -135,6 +137,7 @@ class SpatialIndex:
             raise InvalidInput(f"queries must be (B, 3), got shape {queries.shape}")
         if not np.isfinite(queries).all():
             raise InvalidInput("queries contain non-finite coordinates")
+        _check_range(queries, "queries")
         if k < 1:
             raise InvalidInput(f"k must be >= 1, got {k}")
         kk = min(k, self.n)
@@ -151,10 +154,8 @@ class SpatialIndex:
             kd, idx = self._tree.query(queries[rows], k=m)
             kd = kd.reshape(rows.size, m)
             idx = idx.reshape(rows.size, m).astype(np.int64, copy=False)
-            far = ~(kd[:, -1] < _FAR)
-            with np.errstate(invalid="ignore"):   # inf - inf in a far row
-                rising = (np.diff(kd, axis=1) > 1e-12 * kd[:, 1:]).all(axis=1)
-            tied = np.nonzero(~far & ~rising)[0]
+            rising = (np.diff(kd, axis=1) > 1e-12 * kd[:, 1:]).all(axis=1)
+            tied = np.nonzero(~rising)[0]
             if tied.size:
                 sub = idx[tied]
                 dist = _norms(np.take(self._points, sub, axis=0) - queries[rows[tied], None, :])
@@ -162,18 +163,16 @@ class SpatialIndex:
                 sub[stray] = _take_rows(sub[stray], order)
                 idx[tied] = sub
             out[rows] = idx[:, :kk]
-            for r in rows[far]:
-                out[r] = self._scan(queries[r], kk)
             if m == self.n:
                 return
-            rows = rows[~far & (kd[:, -1] <= kd[:, kk - 1] * (1.0 + 1e-9))]
+            rows = rows[kd[:, -1] <= kd[:, kk - 1] * (1.0 + 1e-9)]
             m = min(2 * m, self.n)
 
-    def _scan(self, query: np.ndarray, kk: int) -> np.ndarray:
-        """The kk nearest points to one query by a scan over every point."""
-        with np.errstate(over="ignore"):
-            diff = self._points - query
-        return np.argsort(_norms(diff), kind="stable")[:kk]
+
+def _check_range(points: np.ndarray, name: str) -> None:
+    """InvalidInput if a coordinate of the finite points lies beyond +-_MAX_COORD."""
+    if points.max(initial=0.0) > _MAX_COORD or points.min(initial=0.0) < -_MAX_COORD:
+        raise InvalidInput(f"{name} have coordinates beyond +-{_MAX_COORD:g}, the range of kNN queries")
 
 
 def _dot3(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -247,7 +246,7 @@ def _min_axes(neighborhoods: np.ndarray, targets) -> np.ndarray:
         centered -= np.add.reduce(centered, axis=0) / m
         for c in centered:
             cov += c[:, None, :] * c[None, :, :]
-    traces = np.trace(cov)
+        traces = np.trace(cov)   # finite diagonals can still sum past DBL_MAX
     if (traces == 0.0).any():
         bad = int(targets[np.nonzero(traces == 0.0)[0][0]])
         raise DegenerateNeighborhood(f"neighborhood of target {bad} has coincident points")
@@ -355,7 +354,7 @@ def _knn_excluding_self(index: SpatialIndex, targets: np.ndarray, k: int) -> np.
         raise InsufficientNeighborhood(f"need at least {k + 1} points, cloud has {index.n}")
     nn = index.query_many(index._points[targets], k + 1)
     is_self = nn == targets[:, None]
-    drop = np.where(is_self.any(axis=1), np.argmax(is_self, axis=1), 0)
+    drop = np.argmax(is_self, axis=1)   # 0 in a row without a self entry
     mask = np.ones_like(nn, dtype=bool)
     mask[np.arange(len(nn)), drop] = False
     return nn[mask].reshape(len(nn), k)

@@ -28,39 +28,26 @@ class SegmentationResult:
 def knn_graph(cloud: PointCloud, k: int = 5, *, rows=None) -> csr_array:
     """Directed kNN graph: an (N, N) CSR array with a float64 one per link.
 
-    Row i of `rows` (default: every point) holds exactly k entries, i's k
-    nearest other points in (distance, index) order; only those rows are
-    queried, and every other row is empty, so with every point indptr is
-    arange(0, N*k + 1, k). `rows` must be a 1-d array of strictly increasing
-    point indices. Read each link both ways:
-    connected_components(..., directed=False), or graph + graph.T for the
-    symmetrised adjacency. The weights are float64 and indices and indptr
-    int32 while the entries and N fit, because connected_components would
-    otherwise copy the graph to those dtypes.
+    Each row i that the boolean (N,) mask `rows` selects (default: every
+    point) holds exactly k entries, i's k nearest other points in (distance,
+    index) order; only those rows are queried, and every other row is empty,
+    so with every point indptr is arange(0, N*k + 1, k). Read each link both
+    ways: connected_components(..., directed=False), or graph + graph.T for
+    the symmetrised adjacency. The weights are float64 and indices and
+    indptr int32 while the entries and N fit, because connected_components
+    would otherwise copy the graph to those dtypes.
     """
-    rows = np.arange(cloud.n) if rows is None else _check_rows(rows, cloud.n)
-    neighbors = _knn_excluding_self(build_index(cloud), rows, k)
+    rows = np.ones(cloud.n, dtype=bool) if rows is None else np.asarray(rows)
+    if rows.dtype != bool or rows.shape != (cloud.n,):
+        raise InvalidInput(f"rows must be a boolean mask of shape ({cloud.n},), "
+                           f"got {rows.dtype} of shape {rows.shape}")
+    neighbors = _knn_excluding_self(build_index(cloud), np.nonzero(rows)[0], k)
     idx = np.int32 if max(neighbors.size, cloud.n) <= np.iinfo(np.int32).max else np.int64
     indptr = np.zeros(cloud.n + 1, dtype=idx)
-    indptr[rows + 1] = k
+    indptr[1:][rows] = k
     np.cumsum(indptr, out=indptr)
     return csr_array((np.ones(neighbors.size), neighbors.ravel().astype(idx), indptr),
                      shape=(cloud.n, cloud.n))
-
-
-def _check_rows(rows, n: int) -> np.ndarray:
-    """knn_graph's rows as int64; InvalidInput unless 1-d, integer, strictly increasing, in [0, n)."""
-    rows = np.asarray(rows)
-    if rows.ndim != 1:
-        raise InvalidInput(f"rows must be a 1-d index array, got shape {rows.shape}")
-    if rows.size and not np.issubdtype(rows.dtype, np.integer):
-        raise InvalidInput(f"rows must be integer indices, got dtype {rows.dtype}")
-    rows = rows.astype(np.int64, copy=False)
-    if (np.diff(rows) <= 0).any():
-        raise InvalidInput("rows must be strictly increasing")
-    if rows.size and (rows[0] < 0 or rows[-1] >= n):
-        raise InvalidInput(f"rows must be point indices in [0, {n})")
-    return rows
 
 
 def flood_segment(cloud: PointCloud, k: int = 5) -> SegmentationResult:
@@ -76,7 +63,7 @@ def flood_segment(cloud: PointCloud, k: int = 5) -> SegmentationResult:
     # Edge points' rows are left empty; cut the links that point to an edge
     # point, then drop the cut entries: connected_components counts an
     # explicit zero as a link.
-    graph = knn_graph(cloud, k, rows=np.nonzero(interior)[0])
+    graph = knn_graph(cloud, k, rows=interior)
     graph.data[is_edge[graph.indices]] = 0
     graph.eliminate_zeros()
     _, comp = connected_components(graph, directed=False)

@@ -377,8 +377,11 @@ def generate(spec: ShapeSpec) -> SynthResult:
     before any face is sampled. Labels are edge iff the exact distance to the
     crease curves is below tau.
     """
-    faces, curves = _SHAPES[spec.kind][0](spec.size)
-    counts = [int(round(spec.density * face.area)) for face in faces]
+    with np.errstate(over="ignore", invalid="ignore"):
+        faces, curves = _SHAPES[spec.kind][0](spec.size)
+    # An area that overflowed, to inf or to nan (inf - inf), asks for inf points.
+    counts = [int(round(want)) if math.isfinite(want) else math.inf
+              for want in (spec.density * face.area for face in faces)]
     if sum(counts) > MAX_POINTS:
         raise InvalidInput(
             f"density {spec.density} asks for {sum(counts)} points, more than MAX_POINTS = {MAX_POINTS}"

@@ -236,7 +236,8 @@ def build_dataset(cloud: PointCloud, cfg: TrainConfig):
     returned sets plus one block's extraction: at k=16, 267 bytes per
     training point and 527 per validation point. A training split of one
     class is rejected before the cloud is indexed; a cloud of fewer than
-    2k + 1 points is rejected by `extract_patches`.
+    2k + 1 points is rejected by `extract_patches`; a patch value beyond its
+    split's dtype (float32: about 3.4e38) raises InvalidInput before the cast.
     """
     if cloud.labels is None:
         raise InvalidInput("training cloud must be fully labeled")
@@ -255,10 +256,14 @@ def build_dataset(cloud: PointCloud, cfg: TrainConfig):
         m = points.size
         out = PatchSet(np.empty((m, cfg.k, 3), dtype), np.empty((m, cfg.k), dtype), np.empty(m, dtype),
                        np.tile(cloud.labels[points].astype(np.int8), copies))
+        limit = np.finfo(dtype).max
         for lo in range(0, m, _QUERY_BLOCK):
             rows = slice(lo, lo + _QUERY_BLOCK)
-            out.dvecs[rows], out.offsets[rows], out.scales[rows], _ = extract_patches(
-                cloud, index, points[rows], cfg.k)
+            patches = extract_patches(cloud, index, points[rows], cfg.k)[:3]
+            if max(np.abs(a).max() for a in patches) > limit:
+                raise InvalidInput(f"patch values exceed {limit:.8g}, the largest "
+                                   f"{np.dtype(dtype).name} a training set holds")
+            out.dvecs[rows], out.offsets[rows], out.scales[rows] = patches
         return out
 
     return (patch_set(np.nonzero(~val_points)[0], _STEP_DTYPE),

@@ -5,6 +5,7 @@ import re
 import struct
 import subprocess
 import sys
+import warnings
 import zlib
 from pathlib import Path
 from types import SimpleNamespace
@@ -373,20 +374,22 @@ class TestMalformedInput:
 
 
     @pytest.mark.parametrize("rows, message", [
-        ([[0, 1]], "rows must be a 1-d index array, got shape (1, 2)"),
-        ([0.5], "rows must be integer indices, got dtype float64"),
-        ([1, 0], "rows must be strictly increasing"),
-        ([-1], "rows must be point indices in [0, 4)"),
-    ], ids=["2d", "float", "decreasing", "negative"])
+        ([[True, False, True, False]], "got bool of shape (1, 4)"),
+        ([True, False, True], "got bool of shape (3,)"),
+        ([1, 0, 1, 0], "got int64 of shape (4,)"),
+        ([1.0, 0.0, 1.0, 0.0], "got float64 of shape (4,)"),
+        ([1, 0], "got int64 of shape (2,)"),
+        ([-1], "got int64 of shape (1,)"),
+    ], ids=["2d", "wrong-length", "integer", "float", "decreasing", "negative"])
     def test_segment_graph_rows(self, rows, message, monkeypatch, tmp_path, capsys):
-        # The CLI passes valid rows itself; a bad one reaching knn_graph from
-        # the segment command is a data error with knn_graph's one line.
+        # The CLI passes a valid mask itself; a bad one reaching knn_graph
+        # from the segment command is a data error with knn_graph's one line.
         src, out = tmp_path / "c.xyz", tmp_path / "o.xyz"
         save_cloud(PointCloud(np.random.default_rng(0).random((4, 3)), [0, 1, 0, 1]), src)
         monkeypatch.setattr(segment, "flood_segment", lambda cloud, k: segment.knn_graph(cloud, k, rows=rows))
         code = main(["segment", "--cloud", str(src), "--k", "2", "--out", str(out)])
         assert code == 2
-        assert capsys.readouterr().err == f"pcedge segment: {message}\n"
+        assert capsys.readouterr().err == f"pcedge segment: rows must be a boolean mask of shape (4,), {message}\n"
         assert not out.exists()
 
 
@@ -406,6 +409,70 @@ class TestSynthCommand:
                      "--tau", "0.1", "--seed", "1", "--out", str(out)])
         assert code == 0
         assert load_cloud(out).n > 100
+
+
+    def test_size_past_the_float_range(self, tmp_path, capsys):
+        # The face areas overflow to inf: the count diagnostic, not a traceback.
+        out = tmp_path / "c.xyz"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["synth", "--shape", "box", "--size", "1e160,1e160,1e160", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == ("pcedge synth: density 4000.0 asks for inf points, "
+                                           "more than MAX_POINTS = 100000000\n")
+        assert not out.exists()
+
+
+class TestOutOfRangeClouds:
+    """A cloud the kNN layer or a float32 training set cannot hold: exit 2 with one stderr line."""
+
+    @staticmethod
+    def scaled(cube_file, tmp_path, scale):
+        cloud = load_cloud(cube_file)
+        path = tmp_path / f"cube{scale:g}.xyz"
+        save_cloud(PointCloud(cloud.points * scale, cloud.labels), path)
+        return path
+
+    @staticmethod
+    def run(args, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(args)
+        return code, capsys.readouterr().err
+
+    def test_knn_commands_reject_a_cloud_past_the_coordinate_range(
+            self, cube_file, checkpoint_file, tmp_path, capsys):
+        cloud = self.scaled(cube_file, tmp_path, 1e160)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("k = 8\nmax_epochs = 1\n")
+        out = tmp_path / "out"
+        for args in (["predict", "--cloud", str(cloud), "--checkpoint", str(checkpoint_file),
+                      "--threads", "1", "--out", str(out)],
+                     ["train", "--cloud", str(cloud), "--config", str(cfg), "--out-checkpoint", str(out)],
+                     ["segment", "--cloud", str(cloud), "--out", str(out)],
+                     ["perturb", "--cloud", str(cloud), "--noise", "0.1", "--out", str(out)]):
+            assert self.run(args, capsys) == (
+                2, f"pcedge {args[0]}: points have coordinates beyond +-1e+152, the range of kNN queries\n")
+            assert not out.exists()
+        # Evaluation normalises both clouds into the unit cube before indexing them.
+        code, err = self.run(["eval", "--pred", str(cloud), "--gt", str(cloud)], capsys)
+        assert (code, err) == (0, "")
+
+    def test_train_rejects_patches_past_float32_and_predict_takes_them(
+            self, cube_file, checkpoint_file, tmp_path, capsys):
+        cloud = self.scaled(cube_file, tmp_path, 1e40)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("k = 8\nmax_epochs = 1\n")
+        ckpt = tmp_path / "model.ckpt"
+        args = ["train", "--cloud", str(cloud), "--config", str(cfg), "--out-checkpoint", str(ckpt)]
+        assert self.run(args, capsys) == (
+            2, "pcedge train: patch values exceed 3.4028235e+38, the largest float32 a training set holds\n")
+        assert not ckpt.exists()
+        out = tmp_path / "pred.xyz"
+        args = ["predict", "--cloud", str(cloud), "--checkpoint", str(checkpoint_file),
+                "--threads", "1", "--out", str(out)]
+        assert self.run(args, capsys)[0] == 0
+        assert load_cloud(out).n == load_cloud(cloud).n
 
 
 class TestInfoCommand:

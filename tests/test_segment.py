@@ -229,14 +229,14 @@ class TestFrozenBfsParity:
 
 
 class TestKnnGraphRows:
-    """knn_graph(rows=r) queries only the rows of r and leaves the others empty."""
+    """knn_graph(rows=mask) queries only the rows the mask selects and leaves the others empty."""
 
     @settings(max_examples=80, deadline=None)
     @given(case=labelled_clouds(), seed=st.integers(0, 2**32 - 1))
     def test_equals_full_graph_with_other_rows_emptied(self, case, seed):
         cloud, k = case
         rng = np.random.default_rng(seed)
-        rows = np.nonzero(rng.random(cloud.n) < rng.random())[0]
+        rows = rng.random(cloud.n) < rng.random()
         full = knn_graph(cloud, k)
         got = knn_graph(cloud, k, rows=rows)
         counts = np.zeros(cloud.n, dtype=np.int32)
@@ -245,28 +245,30 @@ class TestKnnGraphRows:
         assert got.indptr.dtype == got.indices.dtype == np.int32
         assert got.indptr.tobytes() == np.concatenate([[0], np.cumsum(counts)]).astype(np.int32).tobytes()
         assert got.indices.tobytes() == full.indices.reshape(cloud.n, k)[rows].tobytes()
-        assert (got.data == 1.0).all() and got.data.size == rows.size * k
+        assert (got.data == 1.0).all() and got.data.size == rows.sum() * k
 
     def test_default_is_every_row(self):
         cloud = PointCloud(np.random.default_rng(0).random((40, 3)))
         full = knn_graph(cloud, 5)
-        got = knn_graph(cloud, 5, rows=np.arange(40))
+        got = knn_graph(cloud, 5, rows=np.ones(40, dtype=bool))
         assert got.indptr.tobytes() == full.indptr.tobytes()
         assert got.indices.tobytes() == full.indices.tobytes()
 
     @pytest.mark.parametrize("rows, message", [
-        (np.zeros((2, 2), dtype=int), "rows must be a 1-d index array, got shape (2, 2)"),
-        (np.int64(3), "rows must be a 1-d index array, got shape ()"),
-        (np.array([0.0, 1.0]), "rows must be integer indices, got dtype float64"),
-        (np.array([True, False]), "rows must be integer indices, got dtype bool"),
-        (np.array([0, 2, 2]), "rows must be strictly increasing"),
-        (np.array([3, 1]), "rows must be strictly increasing"),
-        (np.array([-1, 0]), "rows must be point indices in [0, 10)"),
-        (np.array([0, 10]), "rows must be point indices in [0, 10)"),
-    ], ids=["2d", "scalar", "float", "bool", "repeated", "decreasing", "negative", "past-end"])
+        (np.ones((2, 5), dtype=bool), "got bool of shape (2, 5)"),
+        (np.bool_(True), "got bool of shape ()"),
+        (np.ones(9, dtype=bool), "got bool of shape (9,)"),
+        (np.ones(10, dtype=np.int64), "got int64 of shape (10,)"),
+        (np.ones(10), "got float64 of shape (10,)"),
+        # Index arrays, the form rows once took, are not read as masks.
+        (np.array([0, 2, 2]), "got int64 of shape (3,)"),
+        (np.array([3, 1]), "got int64 of shape (2,)"),
+        (np.array([-1, 0]), "got int64 of shape (2,)"),
+        (np.array([0, 10]), "got int64 of shape (2,)"),
+    ], ids=["2d", "scalar", "wrong-length", "integer", "float", "repeated", "decreasing", "negative", "past-end"])
     def test_bad_rows_rejected(self, rows, message):
         cloud = PointCloud(np.random.default_rng(0).random((10, 3)))
-        with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+        with pytest.raises(InvalidInput, match=f"^{re.escape(f'rows must be a boolean mask of shape (10,), {message}')}$"):
             knn_graph(cloud, 3, rows=rows)
 
 

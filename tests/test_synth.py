@@ -1,6 +1,7 @@
 """Synthetic shape generator: sampling, labels, analytic distances."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -158,6 +159,17 @@ class TestGenerate:
         monkeypatch.setattr(synth, "MAX_POINTS", 599)
         with pytest.raises(InvalidInput, match=r"^density 100 asks for 600 points, more than MAX_POINTS = 599"):
             generate(spec)
+
+    @pytest.mark.parametrize("kind", ["box", "cylinder", "sphere", "prism"])
+    def test_overflowing_areas_ask_for_inf_points(self, kind):
+        # Each face's area overflows to inf; the count is refused before the
+        # int() that inf cannot take, and without overflow warnings.
+        size = (1e160,) * len(synth._SHAPES[kind][1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInput, match=r"^density 4000.0 asks for inf points, "
+                                                   r"more than MAX_POINTS = 100000000$"):
+                generate(ShapeSpec(kind, size=size))
 
     def test_density_too_low(self):
         # Each unit face of the box asks for round(0.4) = 0 points.

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -228,6 +229,23 @@ class TestBuildDataset:
                 "cannot balance or learn")
         with pytest.raises(InvalidInput, match=f"^{re.escape(want)}$"):
             build_dataset(PointCloud(points, labels), cfg)
+
+    def test_patch_values_past_float32_rejected(self, small_cloud):
+        # Checked before the cast, which would warn and store inf. At the
+        # 1e40 scale every patch value overflows float32. In the two-cluster
+        # cloud only the scales of the two far points do: their dvecs reach
+        # 0.91 and their scales 1.35 times float32's largest value.
+        cfg = TrainConfig(k=8, seed=0, augment=False)
+        rng = np.random.default_rng(0)
+        clusters = np.vstack([1e36 * rng.random((2, 3)), 3e38 + 1e37 * rng.random((40, 3))])
+        assert not validation_points(42, cfg)[:2].any()
+        want = r"^patch values exceed 3.4028235e\+38, the largest float32 a training set holds$"
+        for cloud in (PointCloud(small_cloud.points * 1e40, small_cloud.labels),
+                      PointCloud(clusters, np.arange(42) % 2)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(InvalidInput, match=want):
+                    build_dataset(cloud, cfg)
 
     def test_labels_follow_patches(self, small_cloud):
         cfg = TrainConfig(seed=1, augment=False)
